@@ -213,7 +213,7 @@ let throughput () =
                           :: f.pending);
                     f.next <- index + 1
                   end)
-                (Ctlog.Fetch.items_of_session s))
+                (Ctlog.Fetch.items_of_session ~from:f.next s))
             feeds;
           if !tick mod 2 = 0 then commit ()
         done;

@@ -112,28 +112,50 @@ let stage_replayed service acc row =
 (* --- the select-based stdin reader -------------------------------------
 
    input_line would restart silently across SIGTERM; polling keeps the
-   shutdown latency bounded without threads. *)
+   shutdown latency bounded without threads.  Reads are chunked, and a
+   request line is capped at [max_line] bytes: a longer one reads as
+   [Too_long] once its newline arrives, and nothing past the cap is
+   buffered. *)
+let max_line = 65536
+
+type line = Line of string | Too_long
+
+let chunk = Bytes.create 4096
+let chunk_pos = ref 0
+let chunk_len = ref 0
+
 let read_line_opt () =
   let buf = Buffer.create 64 in
-  let b = Bytes.create 1 in
-  let rec go () =
+  let too_long = ref false in
+  let finish () = Some (if !too_long then Too_long else Line (Buffer.contents buf)) in
+  let rec take () =
+    if !chunk_pos >= !chunk_len then fill ()
+    else begin
+      let c = Bytes.get chunk !chunk_pos in
+      incr chunk_pos;
+      if c = '\n' then finish ()
+      else begin
+        if Buffer.length buf < max_line then Buffer.add_char buf c
+        else too_long := true;
+        take ()
+      end
+    end
+  and fill () =
     if !stop_requested then None
     else
       match Unix.select [ Unix.stdin ] [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-      | [], _, _ -> go ()
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
+      | [], _, _ -> fill ()
       | _ -> (
-          match Unix.read Unix.stdin b 0 1 with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | 0 -> if Buffer.length buf > 0 then Some (Buffer.contents buf) else None
-          | _ ->
-              if Bytes.get b 0 = '\n' then Some (Buffer.contents buf)
-              else begin
-                Buffer.add_char buf (Bytes.get b 0);
-                go ()
-              end)
+          match Unix.read Unix.stdin chunk 0 (Bytes.length chunk) with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
+          | 0 -> if Buffer.length buf > 0 || !too_long then finish () else None
+          | n ->
+              chunk_pos := 0;
+              chunk_len := n;
+              take ())
   in
-  go ()
+  if !stop_requested then None else take ()
 
 let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     respond_fault_rate client metrics progress no_progress =
@@ -283,7 +305,7 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
               stage_item service acc fs item;
               fs.next <- index + 1
             end)
-          (Ctlog.Fetch.items_of_session s))
+          (Ctlog.Fetch.items_of_session ~from:fs.next s))
       states sessions;
     let published =
       List.fold_left
@@ -424,10 +446,13 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     else
       match read_line_opt () with
       | None -> ()
-      | Some line when String.trim line = "quit" ->
+      | Some (Line line) when String.trim line = "quit" ->
           out (Ctlog.Wire.seal [ "bye" ])
-      | Some line ->
+      | Some (Line line) ->
           handle line;
+          serve_loop ()
+      | Some Too_long ->
+          out (Ctlog.Wire.seal [ "err line too long" ]);
           serve_loop ()
   in
   serve_loop ();

@@ -12,9 +12,12 @@
    and the run reports degraded coverage instead of aborting.
 
    Everything is deterministic: per-log virtual clock, pure fault
-   sampling, and a cursor checkpoint ([FILE.fetch<k>]) carrying the
-   whole session state, so a resumed run produces byte-identical
-   results to an uninterrupted one. *)
+   sampling, and a cursor checkpoint ([FILE.fetch<k>]) holding what a
+   resumed session needs (trusted STH, running leaf hashes, pending
+   window, deliveries so far), so a resumed run produces byte-identical
+   results to an uninterrupted one.  A long-lived feed reads its cursor
+   file once and then carries the last saved cursor, with its tree,
+   in memory from poll to poll. *)
 
 type cfg = {
   logs : int;
@@ -79,13 +82,13 @@ let coverage_complete c =
   c.abandoned = None && not c.split_view && c.page_gaps = 0
   && c.delivered + c.quarantined >= c.expected
 
-(* --- cursor: the whole session state, checkpointable ------------------- *)
+(* --- cursor: the checkpointed session state ----------------------------- *)
 
 type cursor = {
   c_log : string;
   c_next : int;                        (* next tree index to fetch *)
   c_verified : (int * string) option;  (* trusted STH: size, root *)
-  c_tree : Merkle.t;                   (* running leaf tree *)
+  c_tree : Merkle.snapshot;            (* running leaf tree, cache-free *)
   c_tree_ok : bool;                    (* false once a page gap broke it *)
   c_refresh : int;                     (* STH refreshes so far (fault keying) *)
   c_pend : (int * bool * string) list; (* unflushed: tree idx, precert, DER; newest first *)
@@ -101,7 +104,7 @@ let fresh_cursor name =
     c_log = name;
     c_next = 0;
     c_verified = None;
-    c_tree = Merkle.create ();
+    c_tree = Merkle.snapshot (Merkle.create ());
     c_tree_ok = true;
     c_refresh = 0;
     c_pend = [];
@@ -113,6 +116,22 @@ let fresh_cursor name =
   }
 
 let cursor_file base k = base ^ ".fetch" ^ string_of_int k
+
+(* The cursor saved in [file] for this log and corpus, if any. *)
+let load_cursor ~file ~scale ~seed ~name =
+  match (Faults.Checkpoint.load file : cursor Faults.Checkpoint.t option) with
+  | Some c
+    when c.Faults.Checkpoint.scale = scale
+         && c.Faults.Checkpoint.seed = seed
+         && c.Faults.Checkpoint.state.c_log = name ->
+      Some c.Faults.Checkpoint.state
+  | _ -> None
+
+(* Where a session starts: the last saved cursor and its running tree,
+   which (unlike the cursor's snapshot) keeps its subtree cache. *)
+type start = { cursor : cursor; tree : Merkle.t }
+
+let start_of_cursor c = { cursor = c; tree = Merkle.of_snapshot c.c_tree }
 
 (* --- telemetry --------------------------------------------------------- *)
 
@@ -224,8 +243,11 @@ exception Bad_page           (* one failed/malformed page *)
 
 (* [present.(tree_index)] is the corpus index an entry maps to, or -1
    for entries (precertificates) the analysis must skip.  [expected] is
-   the number of mapped entries. *)
-let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
+   the number of mapped entries.  Returns the session and where the
+   next one starts: the last cursor saved (or [start]'s, when none was)
+   with the same running tree — every page appended to the tree is
+   followed by a save, so the two always agree. *)
+let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
     ~name ~(present : int array) ~transport ~bucket () =
   (* The whole per-log session is one trace slice on the worker
      domain's track; page fetches, STH refreshes and consistency
@@ -240,20 +262,10 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
     Faults.Breaker.create ~threshold:cfg.breaker_threshold
       ~cooldown:cfg.breaker_cooldown ("fetch:" ^ name)
   in
-  let cur =
-    match
-      if resume then Option.bind ckpt_file Faults.Checkpoint.load else None
-    with
-    | Some c
-      when c.Faults.Checkpoint.scale = scale
-           && c.Faults.Checkpoint.seed = seed
-           && (c.Faults.Checkpoint.state : cursor).c_log = name ->
-        c.Faults.Checkpoint.state
-    | _ -> fresh_cursor name
-  in
+  let cur = start.cursor in
   let next = ref cur.c_next in
   let verified = ref cur.c_verified in
-  let tree = cur.c_tree in
+  let tree = start.tree in
   let tree_ok = ref cur.c_tree_ok in
   let refresh = ref cur.c_refresh in
   let pend = ref cur.c_pend in
@@ -266,30 +278,27 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
   let abandoned = ref None in
   let interrupted = ref false in
   let pages_this_session = ref 0 in
+  let saved = ref cur in
   let save_ckpt () =
+    saved :=
+      {
+        c_log = name;
+        c_next = !next;
+        c_verified = !verified;
+        c_tree = Merkle.snapshot tree;
+        c_tree_ok = !tree_ok;
+        c_refresh = !refresh;
+        c_pend = !pend;
+        c_raw = !raw;
+        c_quar = !quar;
+        c_gaps = !gaps;
+        c_requests = !requests;
+        c_retries = !retries;
+      };
     Option.iter
       (fun file ->
         Faults.Checkpoint.save file
-          {
-            Faults.Checkpoint.scale;
-            seed;
-            next_index = !next;
-            state =
-              {
-                c_log = name;
-                c_next = !next;
-                c_verified = !verified;
-                c_tree = tree;
-                c_tree_ok = !tree_ok;
-                c_refresh = !refresh;
-                c_pend = !pend;
-                c_raw = !raw;
-                c_quar = !quar;
-                c_gaps = !gaps;
-                c_requests = !requests;
-                c_retries = !retries;
-              };
-          })
+          { Faults.Checkpoint.scale; seed; next_index = !next; state = !saved })
       ckpt_file
   in
   let now () = Net.Clock.now clock in
@@ -309,14 +318,14 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
       ignore (Faults.Breaker.allow ~now:(now ()) breaker)
     end;
     match
-      Net.Client.request ~policy ~bucket ~hedge ~validate:Wire.valid ~transport
+      Net.Client.request ~policy ~bucket ~hedge ~open_:Wire.open_ ~transport
         ~log:name ~endpoint ~page ()
     with
     | Ok f ->
         incr requests;
         retries := !retries + f.Net.Client.attempts - 1;
         Faults.Breaker.success breaker;
-        Wire.open_ f.Net.Client.body
+        Some f.Net.Client.body
     | Error e ->
         incr requests;
         retries := !retries + attempts_of_error e - 1;
@@ -537,24 +546,37 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
            | _ -> (ci, ci) :: acc)
          [] covered)
   in
-  {
-    s_raw;
-    s_quar;
-    s_cov =
-      {
-        log = name;
-        expected;
-        delivered = List.length s_raw;
-        quarantined = List.length s_quar;
-        spans;
-        page_gaps = !gaps;
-        abandoned = !abandoned;
-        split_view = !split;
-        requests = !requests;
-        retries = !retries;
-      };
-    s_interrupted = !interrupted;
-  }
+  ( {
+      s_raw;
+      s_quar;
+      s_cov =
+        {
+          log = name;
+          expected;
+          delivered = List.length s_raw;
+          quarantined = List.length s_quar;
+          spans;
+          page_gaps = !gaps;
+          abandoned = !abandoned;
+          split_view = !split;
+          requests = !requests;
+          retries = !retries;
+        };
+      s_interrupted = !interrupted;
+    },
+    { start with cursor = !saved } )
+
+let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
+    ~name ~present ~transport ~bucket () =
+  let saved =
+    if resume then
+      Option.bind ckpt_file (fun file -> load_cursor ~file ~scale ~seed ~name)
+    else None
+  in
+  let start = start_of_cursor (Option.value saved ~default:(fresh_cursor name)) in
+  fst
+    (run_session ?ckpt_file ?stop_after_pages ~start ~cfg ~scale ~seed ~name
+       ~present ~transport ~bucket ())
 
 (* --- the corpus source ------------------------------------------------- *)
 
@@ -569,9 +591,40 @@ let plan_of cfg ~seed =
     flap_rate = cfg.flap_rate;
   }
 
+(* One simulated log carrying corpus indexes [lo, hi) — the corruption
+   [mutator] and [drop] compose exactly as in the generate source —
+   behind its paged server, on its own clock, transport and token
+   bucket.  [present.(tree_index)] is the corpus index of each entry. *)
+let simulated_log ?mutator ~drop ~scale ~seed ~plan cfg ~name (lo, hi) =
+  let log = Log.create ~name in
+  let present = ref [] in
+  Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator ~drop ~seed
+    (fun index delivery ->
+      let der =
+        match delivery with
+        | Dataset.Entry e -> e.Dataset.cert.X509.Certificate.der
+        | Dataset.Corrupt { der; _ } -> der
+      in
+      ignore (Log.append log der);
+      present := index :: !present);
+  let server = Server.create ~page_cap:cfg.page_cap ~name log in
+  List.iter
+    (fun (n, at_request, flip) ->
+      if n = name then Server.equivocate_after server ~at_request ~flip)
+    cfg.equivocate;
+  let clock = Net.Clock.create () in
+  let transport =
+    Net.Transport.create ~plan
+      ~down:(fun l -> List.mem l cfg.down)
+      ~clock (Server.handle server)
+  in
+  let bucket = Net.Bucket.create ~clock ~rate:cfg.rate_per_sec ~burst:cfg.burst in
+  (Array.of_list (List.rev !present), server, transport, bucket)
+
 (* Merge one session's delivered and quarantined streams back into a
-   single ascending item stream, parsing delivered DER into entries. *)
-let items_of_session s =
+   single ascending item stream, parsing delivered DER into entries —
+   only those at or after [from]. *)
+let items_of_session ?(from = 0) s =
   let rec merge raws quars =
     match (raws, quars) with
     | [], [] -> []
@@ -588,7 +641,15 @@ let items_of_session s =
         | Ok entry -> Got (ci, entry)
         | Error e -> Undecodable (ci, der, e))
   in
-  merge s.s_raw s.s_quar
+  let rec skip = function
+    | (ci, _) :: rest when ci < from -> skip rest
+    | l -> l
+  in
+  let rec skip_quar = function
+    | (ci, _, _) :: rest when ci < from -> skip_quar rest
+    | l -> l
+  in
+  merge (skip s.s_raw) (skip_quar s.s_quar)
 
 let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
     ?checkpoint ?(resume = false) ?stop_after_pages ?(jobs = 1) cfg =
@@ -597,33 +658,10 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
   let plan = plan_of cfg ~seed in
   let tasks =
     List.mapi
-      (fun k (lo, hi) () ->
+      (fun k range () ->
         let name = log_name k in
-        let log = Log.create ~name in
-        let present = ref [] in
-        Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator ~drop ~seed
-          (fun index delivery ->
-            match delivery with
-            | Dataset.Entry e ->
-                ignore (Log.add_chain log e.Dataset.cert.X509.Certificate.der);
-                present := index :: !present
-            | Dataset.Corrupt { der; _ } ->
-                ignore (Log.add_chain log der);
-                present := index :: !present);
-        let present = Array.of_list (List.rev !present) in
-        let server = Server.create ~page_cap:cfg.page_cap ~name log in
-        List.iter
-          (fun (n, at_request, flip) ->
-            if n = name then Server.equivocate_after server ~at_request ~flip)
-          cfg.equivocate;
-        let clock = Net.Clock.create () in
-        let transport =
-          Net.Transport.create ~plan
-            ~down:(fun l -> List.mem l cfg.down)
-            ~clock (Server.handle server)
-        in
-        let bucket =
-          Net.Bucket.create ~clock ~rate:cfg.rate_per_sec ~burst:cfg.burst
+        let present, _, transport, bucket =
+          simulated_log ?mutator ~drop ~scale ~seed ~plan cfg ~name range
         in
         let ckpt_file = Option.map (fun f -> cursor_file f k) checkpoint in
         fetch_log ?ckpt_file ~resume ?stop_after_pages ~cfg ~scale ~seed ~name
@@ -641,11 +679,15 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
 
 (* A feed is one log's whole fetch apparatus kept alive between polls:
    the populated log and its server, the per-log clock, transport and
-   token bucket, and the cursor file that carries the session state
-   (trusted STH, pending window, cumulative deliveries) from one poll
-   to the next.  The server starts with nothing published; the driver
-   grows it with {!feed_publish} and each {!poll} runs an ordinary
-   {!fetch_log} session against the currently published head. *)
+   token bucket, and the session state (trusted STH, pending window,
+   cumulative deliveries).  That state is read from the cursor file
+   once, on the first poll or {!feed_trusted}, and from then on the
+   last saved cursor and its running tree stay in [f_start]; each
+   session still saves the file at the same points, so a restarted
+   daemon resumes exactly where an uninterrupted one would.  The server
+   starts with nothing published; the caller grows it with
+   {!feed_publish} and each {!poll} runs an ordinary session against
+   the currently published head. *)
 type feed = {
   f_k : int;
   f_name : string;
@@ -659,6 +701,7 @@ type feed = {
   f_cfg : cfg;
   f_scale : int;
   f_seed : int;
+  mutable f_start : start option;  (* None until the cursor file is read *)
 }
 
 let feed_name f = f.f_name
@@ -673,33 +716,10 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
   List.mapi
     (fun k (lo, hi) ->
       let name = log_name k in
-      let log = Log.create ~name in
-      let present = ref [] in
-      Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator ~drop ~seed
-        (fun index delivery ->
-          match delivery with
-          | Dataset.Entry e ->
-              ignore (Log.add_chain log e.Dataset.cert.X509.Certificate.der);
-              present := index :: !present
-          | Dataset.Corrupt { der; _ } ->
-              ignore (Log.add_chain log der);
-              present := index :: !present);
-      let present = Array.of_list (List.rev !present) in
-      let server = Server.create ~page_cap:cfg.page_cap ~name log in
+      let present, server, transport, bucket =
+        simulated_log ?mutator ~drop ~scale ~seed ~plan cfg ~name (lo, hi)
+      in
       Server.set_published server 0;
-      List.iter
-        (fun (n, at_request, flip) ->
-          if n = name then Server.equivocate_after server ~at_request ~flip)
-        cfg.equivocate;
-      let clock = Net.Clock.create () in
-      let transport =
-        Net.Transport.create ~plan
-          ~down:(fun l -> List.mem l cfg.down)
-          ~clock (Server.handle server)
-      in
-      let bucket =
-        Net.Bucket.create ~clock ~rate:cfg.rate_per_sec ~burst:cfg.burst
-      in
       {
         f_k = k;
         f_name = name;
@@ -713,6 +733,7 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
         f_cfg = cfg;
         f_scale = scale;
         f_seed = seed;
+        f_start = None;
       })
     parts
 
@@ -720,16 +741,29 @@ let feed_publish f n =
   let n = min n (feed_goal f) in
   if n > Server.published f.f_server then Server.set_published f.f_server n
 
-let feed_trusted f =
-  match (Faults.Checkpoint.load f.f_ckpt : cursor Faults.Checkpoint.t option) with
-  | Some c
-    when c.Faults.Checkpoint.scale = f.f_scale
-         && c.Faults.Checkpoint.seed = f.f_seed
-         && c.Faults.Checkpoint.state.c_log = f.f_name ->
-      Option.map fst c.Faults.Checkpoint.state.c_verified
-  | _ -> None
+let feed_start f =
+  match f.f_start with
+  | Some start -> start
+  | None ->
+      let saved =
+        load_cursor ~file:f.f_ckpt ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name
+      in
+      let start = start_of_cursor (Option.value saved ~default:(fresh_cursor f.f_name)) in
+      f.f_start <- Some start;
+      start
+
+let feed_trusted f = Option.map fst (feed_start f).cursor.c_verified
 
 let poll ?stop_after_pages f =
-  fetch_log ~ckpt_file:f.f_ckpt ~resume:true ?stop_after_pages ~cfg:f.f_cfg
-    ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name ~present:f.f_present
-    ~transport:f.f_transport ~bucket:f.f_bucket ()
+  match
+    run_session ~ckpt_file:f.f_ckpt ?stop_after_pages ~start:(feed_start f)
+      ~cfg:f.f_cfg ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name
+      ~present:f.f_present ~transport:f.f_transport ~bucket:f.f_bucket ()
+  with
+  | session, start ->
+      f.f_start <- Some start;
+      session
+  | exception e ->
+      (* The tree may hold pages no save covers: reread the file. *)
+      f.f_start <- None;
+      raise e

@@ -121,9 +121,10 @@ val prewarm : unit -> unit
 
     A feed keeps one log's whole fetch apparatus alive between polls:
     the populated log and its paged server, the per-log virtual clock,
-    transport and token bucket, and the cursor file that carries the
-    session state (trusted STH, pending window, cumulative deliveries)
-    across polls {e and} process restarts.  The server starts with
+    transport and token bucket, and the session state (trusted STH,
+    pending window, cumulative deliveries).  The cursor file carries
+    that state across process restarts; it is read once per feed, and
+    between polls the last saved cursor stays in memory.  The server starts with
     nothing published; the driver grows the published head with
     {!feed_publish} and each {!poll} runs an ordinary {!fetch_log}
     session against it — STH refresh, consistency verification against
@@ -172,11 +173,15 @@ val feed_trusted : feed -> int option
 
 val poll : ?stop_after_pages:int -> feed -> session
 (** Run one fetch session against the currently published head,
-    resuming from (and saving) the feed's cursor.  [s_raw] is
+    resuming from the feed's last saved cursor and saving it at the
+    same points a one-shot {!fetch_log} does.  [s_raw] is
     cumulative across polls — the driver filters by its own
     watermark. *)
 
-val items_of_session : session -> item list
+val items_of_session : ?from:int -> session -> item list
 (** One session's delivered + quarantined streams merged back into a
     single ascending item stream (delivered DER parsed into entries,
-    unparseable or integrity-flagged bytes as {!Undecodable}). *)
+    unparseable or integrity-flagged bytes as {!Undecodable}).  With
+    [from], only items at corpus index [from] or later — the others
+    are neither parsed nor returned; the session's coverage stays
+    cumulative either way. *)

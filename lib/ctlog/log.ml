@@ -6,7 +6,7 @@ type t = {
   secret : string;
   mac : Ucrypto.Sha256.hmac_key;  (* precomputed midstates for [secret] *)
   tree : Merkle.t;
-  mutable stored : entry list;  (* newest first *)
+  mutable stored : entry array;  (* by index; capacity >= size *)
 }
 
 let create ~name =
@@ -16,21 +16,31 @@ let create ~name =
     secret;
     mac = Ucrypto.Sha256.hmac_init secret;
     tree = Merkle.create ();
-    stored = [];
+    stored = [||];
   }
 
 let log_id t = t.id
 
 let leaf_bytes ~precert der = (if precert then "\x01" else "\x00") ^ der
 
+let append t ?(precert = false) der =
+  let index = Merkle.append t.tree (leaf_bytes ~precert der) in
+  let entry = { index; der; precert } in
+  if index = Array.length t.stored then begin
+    let bigger = Array.make (max 16 (2 * index)) entry in
+    Array.blit t.stored 0 bigger 0 index;
+    t.stored <- bigger
+  end;
+  t.stored.(index) <- entry;
+  index
+
 let add_chain t ?(precert = false) der =
-  let leaf = leaf_bytes ~precert der in
-  let index = Merkle.append t.tree leaf in
-  t.stored <- { index; der; precert } :: t.stored;
+  let index = append t ~precert der in
   {
     log_id = t.id;
     timestamp = index;
-    signature = Ucrypto.Sha256.hmac_with t.mac (string_of_int index ^ leaf);
+    signature =
+      Ucrypto.Sha256.hmac_with t.mac (string_of_int index ^ leaf_bytes ~precert der);
   }
 
 let verify_sct t ~der sct =
@@ -45,9 +55,9 @@ let verify_sct t ~der sct =
   check precert_leaf || check cert_leaf
 
 let tree t = t.tree
-let entries t = List.rev t.stored
 let size t = Merkle.size t.tree
+let entries t = List.init (size t) (fun i -> t.stored.(i))
 let tree_head t = Merkle.root t.tree
 let prove_inclusion t i = Merkle.inclusion_proof t.tree i
 let prove_consistency t m = Merkle.consistency_proof t.tree m
-let get t i = List.find_opt (fun e -> e.index = i) (entries t)
+let get t i = if i >= 0 && i < size t then Some t.stored.(i) else None

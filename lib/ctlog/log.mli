@@ -28,6 +28,11 @@ val add_chain : t -> ?precert:bool -> string -> sct
 (** [add_chain t der] appends a certificate (by its DER bytes) and
     returns its SCT. *)
 
+val append : t -> ?precert:bool -> string -> int
+(** [append t der] appends like {!add_chain} without issuing an SCT and
+    returns the entry's index: for logs populated in bulk whose SCTs
+    nobody reads. *)
+
 val verify_sct : t -> der:string -> sct -> bool
 
 val entries : t -> entry list

@@ -1,17 +1,42 @@
-type t = { mutable hashes : string array; mutable len : int }
+(* RFC 6962 Merkle hash trees over an append-only leaf sequence.
 
-let create () = { hashes = Array.make 16 ""; len = 0 }
+   Every tree head and proof node is the hash of a leaf range that is
+   either a perfect subtree (2^k leaves starting at a multiple of 2^k)
+   or splits into one perfect left subtree and a shorter right part.
+   A perfect subtree's hash can never change once its leaves exist, so
+   each tree caches them, level by level, the first time a query asks:
+   a root or a proof then costs O(log n) hashes rather than rehashing
+   all n leaves.  The cache belongs to one tree (no shared state across
+   domains) and never enters a {!snapshot}, so a marshalled snapshot is
+   exactly the leaf hashes and their count. *)
+
+type snapshot = { hashes : string array; len : int }
+
+type t = {
+  mutable leaves : string array;  (* leaf hashes; capacity >= len *)
+  mutable len : int;
+  mutable levels : string array array;
+      (* levels.(k - 1).(j): hash of the perfect subtree of 2^k leaves
+         starting at leaf j * 2^k, or "" until first computed *)
+}
+
+let create () = { leaves = Array.make 16 ""; len = 0; levels = [||] }
+
+let snapshot t = { hashes = t.leaves; len = t.len }
+
+let of_snapshot (s : snapshot) =
+  { leaves = Array.copy s.hashes; len = s.len; levels = [||] }
 
 let leaf_hash data = Ucrypto.Sha256.digest ("\x00" ^ data)
 let node_hash l r = Ucrypto.Sha256.digest ("\x01" ^ l ^ r)
 
 let append t leaf =
-  if t.len = Array.length t.hashes then begin
-    let bigger = Array.make (2 * t.len) "" in
-    Array.blit t.hashes 0 bigger 0 t.len;
-    t.hashes <- bigger
+  if t.len = Array.length t.leaves then begin
+    let bigger = Array.make (max 16 (2 * t.len)) "" in
+    Array.blit t.leaves 0 bigger 0 t.len;
+    t.leaves <- bigger
   end;
-  t.hashes.(t.len) <- leaf_hash leaf;
+  t.leaves.(t.len) <- leaf_hash leaf;
   t.len <- t.len + 1;
   t.len - 1
 
@@ -25,35 +50,72 @@ let split_point n =
   done;
   !k
 
-(* MTH over hashes[lo, hi). *)
-let rec mth hashes lo hi =
-  let n = hi - lo in
-  if n = 0 then Ucrypto.Sha256.digest ""
-  else if n = 1 then hashes.(lo)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+(* Hash of the perfect subtree of 2^k leaves starting at leaf j * 2^k;
+   the caller guarantees those leaves exist. *)
+let rec perfect t k j =
+  if k = 0 then t.leaves.(j)
   else begin
-    let k = split_point n in
-    node_hash (mth hashes lo (lo + k)) (mth hashes (lo + k) hi)
+    if Array.length t.levels < k then begin
+      let old = t.levels in
+      t.levels <-
+        Array.init k (fun i -> if i < Array.length old then old.(i) else [||])
+    end;
+    let level =
+      let level = t.levels.(k - 1) in
+      if j < Array.length level then level
+      else begin
+        let bigger = Array.make (max (j + 1) (2 * Array.length level)) "" in
+        Array.blit level 0 bigger 0 (Array.length level);
+        t.levels.(k - 1) <- bigger;
+        bigger
+      end
+    in
+    match level.(j) with
+    | "" ->
+        (* The recursion only touches lower levels, so [level] is still
+           the live array for level k when the hash lands. *)
+        let h =
+          node_hash (perfect t (k - 1) (2 * j)) (perfect t (k - 1) ((2 * j) + 1))
+        in
+        level.(j) <- h;
+        h
+    | h -> h
   end
 
-let root t = mth t.hashes 0 t.len
+(* MTH over leaves [lo, hi).  Every range the RFC recursion visits from
+   [0, n) is aligned, so its perfect parts come from the cache. *)
+let rec mth t lo hi =
+  let n = hi - lo in
+  if n = 0 then Ucrypto.Sha256.digest ""
+  else if n land (n - 1) = 0 && lo land (n - 1) = 0 then
+    let k = log2 n in
+    perfect t k (lo lsr k)
+  else begin
+    let k = split_point n in
+    node_hash (mth t lo (lo + k)) (mth t (lo + k) hi)
+  end
+
+let root t = mth t 0 t.len
 
 let root_of_range t n =
   if n < 0 || n > t.len then invalid_arg "Merkle.root_of_range";
-  mth t.hashes 0 n
+  mth t 0 n
 
-(* PATH(m, D[n]) per RFC 6962 §2.1.1, over hashes[lo, hi). *)
-let rec path hashes m lo hi =
+(* PATH(m, D[n]) per RFC 6962 §2.1.1, over leaves [lo, hi). *)
+let rec path t m lo hi =
   let n = hi - lo in
   if n <= 1 then []
   else begin
     let k = split_point n in
-    if m < k then path hashes m lo (lo + k) @ [ mth hashes (lo + k) hi ]
-    else path hashes (m - k) (lo + k) hi @ [ mth hashes lo (lo + k) ]
+    if m < k then path t m lo (lo + k) @ [ mth t (lo + k) hi ]
+    else path t (m - k) (lo + k) hi @ [ mth t lo (lo + k) ]
   end
 
 let inclusion_proof t i =
   if i < 0 || i >= t.len then invalid_arg "Merkle.inclusion_proof";
-  path t.hashes i 0 t.len
+  path t i 0 t.len
 
 let verify_inclusion ~leaf ~index ~size ~proof ~root =
   if index >= size then false
@@ -84,18 +146,18 @@ let verify_inclusion ~leaf ~index ~size ~proof ~root =
   end
 
 (* SUBPROOF(m, D[n], b) per RFC 6962 §2.1.2. *)
-let rec subproof hashes m lo hi b =
+let rec subproof t m lo hi b =
   let n = hi - lo in
-  if m = n then if b then [] else [ mth hashes lo hi ]
+  if m = n then if b then [] else [ mth t lo hi ]
   else begin
     let k = split_point n in
-    if m <= k then subproof hashes m lo (lo + k) b @ [ mth hashes (lo + k) hi ]
-    else subproof hashes (m - k) (lo + k) hi false @ [ mth hashes lo (lo + k) ]
+    if m <= k then subproof t m lo (lo + k) b @ [ mth t (lo + k) hi ]
+    else subproof t (m - k) (lo + k) hi false @ [ mth t lo (lo + k) ]
   end
 
 let consistency_proof t m =
   if m < 0 || m > t.len then invalid_arg "Merkle.consistency_proof";
-  if m = 0 || m = t.len then [] else subproof t.hashes m 0 t.len true
+  if m = 0 || m = t.len then [] else subproof t m 0 t.len true
 
 (* Consistency between two historical sizes m <= n <= len: the proof a
    log server answers for get-consistency(first=m, second=n) even after
@@ -103,7 +165,7 @@ let consistency_proof t m =
 let consistency_proof_range t m n =
   if m < 0 || m > n || n > t.len then
     invalid_arg "Merkle.consistency_proof_range";
-  if m = 0 || m = n then [] else subproof t.hashes m 0 n true
+  if m = 0 || m = n then [] else subproof t m 0 n true
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 

@@ -1,5 +1,11 @@
 (** RFC 6962 Merkle hash trees: tree heads, inclusion proofs, and
-    consistency proofs over an append-only leaf sequence. *)
+    consistency proofs over an append-only leaf sequence.
+
+    Each tree caches the hashes of its perfect (aligned power-of-two)
+    subtrees the first time a query needs them, so a root or a proof
+    costs O(log n) hashes instead of O(n).  Queries fill the cache, so
+    like appends they must not run on one tree from two domains at
+    once. *)
 
 type t
 (** An append-only Merkle tree over byte-string leaves. *)
@@ -9,6 +15,18 @@ val append : t -> string -> int
 (** [append t leaf] adds a leaf and returns its index. *)
 
 val size : t -> int
+
+type snapshot
+(** A tree's leaf hashes without its cache: the form a checkpoint
+    stores.  A marshalled snapshot has the layout of the cache-less
+    tree that older cursor files hold, so those files still load. *)
+
+val snapshot : t -> snapshot
+(** O(1): shares the leaf array. *)
+
+val of_snapshot : snapshot -> t
+(** A tree over a copy of the snapshot's leaves, with an empty cache
+    that queries refill. *)
 
 val leaf_hash : string -> string
 (** [leaf_hash data] is [SHA-256(0x00 || data)]. *)

@@ -56,6 +56,17 @@ let equivocating t =
   | Some (at_request, _) -> t.requests > at_request
   | None -> false
 
+(* Entry [e]'s DER as a view with leaf [flip] bit-flipped serves it. *)
+let der_in_view (e : Log.entry) ~flip =
+  if e.Log.index = flip && String.length e.Log.der > 0 then begin
+    let b = Bytes.of_string e.Log.der in
+    Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
+    Bytes.to_string b
+  end
+  else e.Log.der
+
+let entry t i = Option.get (Log.get t.log i)
+
 (* The shadow tree: the log's leaves with leaf [flip] bit-flipped —
    a view that shares no consistent history with the real one. *)
 let shadow_tree t flip =
@@ -64,18 +75,12 @@ let shadow_tree t flip =
   | Some (built, tree) when built = size -> tree
   | _ ->
       let tree = Merkle.create () in
-      List.iter
-        (fun (e : Log.entry) ->
-          let der =
-            if e.Log.index = flip && String.length e.Log.der > 0 then begin
-              let b = Bytes.of_string e.Log.der in
-              Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-              Bytes.to_string b
-            end
-            else e.Log.der
-          in
-          ignore (Merkle.append tree (Log.leaf_bytes ~precert:e.Log.precert der)))
-        (Log.entries t.log);
+      for i = 0 to size - 1 do
+        let e = entry t i in
+        ignore
+          (Merkle.append tree
+             (Log.leaf_bytes ~precert:e.Log.precert (der_in_view e ~flip)))
+      done;
       t.shadow <- Some (size, tree);
       tree
 
@@ -110,32 +115,18 @@ let handle t (req : Net.Transport.request) =
          equivocation point the flipped leaf's bytes are served, so a
          page fetched from the forked world genuinely fails to
          reproduce a root trusted before the fork. *)
-      let flipped =
+      let flip =
         match t.equivocate with
         | Some (at_request, flip) when t.requests > at_request -> flip
         | _ -> -1
       in
-      let lines = ref [] in
-      List.iter
-        (fun (e : Log.entry) ->
-          if e.Log.index >= start && e.Log.index < stop then begin
-            let der =
-              if e.Log.index = flipped && String.length e.Log.der > 0 then begin
-                let b = Bytes.of_string e.Log.der in
-                Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
-                Bytes.to_string b
-              end
-              else e.Log.der
-            in
-            lines :=
-              Printf.sprintf "%d %s"
-                (if e.Log.precert then 1 else 0)
-                (Wire.to_hex der)
-              :: !lines
-          end)
-        (Log.entries t.log);
-      Wire.seal (Printf.sprintf "entries %d %d" start (stop - start)
-                 :: List.rev !lines)
+      let line i =
+        let e = entry t i in
+        (if e.Log.precert then "1 " else "0 ") ^ Wire.to_hex (der_in_view e ~flip)
+      in
+      Wire.seal
+        (Printf.sprintf "entries %d %d" start (stop - start)
+        :: List.init (stop - start) (fun k -> line (start + k)))
     end
   end
   else begin

@@ -6,28 +6,36 @@
    truncation / bit corruption — retryable) from well-formed data whose
    *content* is bad (a corrupt DER — quarantinable). *)
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code s.[i] in
+    Bytes.set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.set b ((2 * i) + 1) hex_digits.[c land 0xf]
+  done;
+  Bytes.unsafe_to_string b
 
 let of_hex s =
   let n = String.length s in
   if n mod 2 <> 0 then None
   else begin
+    (* -1 marks a non-hex character. *)
     let nib c =
       match c with
-      | '0' .. '9' -> Some (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-      | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-      | _ -> None
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> -1
     in
     let b = Bytes.create (n / 2) in
     let ok = ref true in
     for i = 0 to (n / 2) - 1 do
-      match (nib s.[2 * i], nib s.[(2 * i) + 1]) with
-      | Some hi, Some lo -> Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
-      | _ -> ok := false
+      let hi = nib s.[2 * i] and lo = nib s.[(2 * i) + 1] in
+      if hi < 0 || lo < 0 then ok := false
+      else Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
     done;
     if !ok then Some (Bytes.to_string b) else None
   end
@@ -58,5 +66,3 @@ let open_ body =
         else None
       end
       else None
-
-let valid body = open_ body <> None

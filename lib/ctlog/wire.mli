@@ -13,5 +13,3 @@ val seal : string list -> string
 val open_ : string -> string list option
 (** Validate the trailer; [Some lines] (payload only) or [None] for a
     torn body. *)
-
-val valid : string -> bool

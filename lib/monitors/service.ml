@@ -17,11 +17,11 @@ type entry = { e_id : int; e_keys : string list }
 type t = {
   mu : Mutex.t;
   mutable staged : (string * entry) list;  (* (profile key, entry), newest first *)
-  serving : (string, entry list) Hashtbl.t;  (* profile key -> ascending id *)
+  serving : (string, entry list) Hashtbl.t;  (* profile key -> newest first *)
   mutable staged_ix : (string * (string * int)) list;
       (* (index name, (key, id)), newest first *)
   serving_ix : (string, (string, int list) Hashtbl.t) Hashtbl.t;
-      (* index name -> key -> ids, ascending *)
+      (* index name -> key -> ids, newest first *)
   mutable committed : int;  (* corpus indexes below this are published *)
 }
 
@@ -80,13 +80,12 @@ let stage_index t ~index ~key ~id =
 
 let commit t ~upto =
   locked t (fun () ->
-      (* Staged lists are newest-first; appending their reversal keeps
-         every serving list ascending by id. *)
+      (* Staged and serving lists are both newest-first, so a commit
+         costs O(staged); [hits] sorts the ids it answers with. *)
       List.iter
         (fun (pk, e) ->
-          match Hashtbl.find_opt t.serving pk with
-          | Some es -> Hashtbl.replace t.serving pk (es @ [ e ])
-          | None -> Hashtbl.replace t.serving pk [ e ])
+          let es = Option.value ~default:[] (Hashtbl.find_opt t.serving pk) in
+          Hashtbl.replace t.serving pk (e :: es))
         (List.rev t.staged);
       t.staged <- [];
       List.iter
@@ -95,7 +94,7 @@ let commit t ~upto =
           | None -> ()
           | Some tbl ->
               let ids = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-              Hashtbl.replace tbl key (ids @ [ id ]))
+              Hashtbl.replace tbl key (id :: ids))
         (List.rev t.staged_ix);
       t.staged_ix <- [];
       t.committed <- max t.committed upto)

@@ -4,8 +4,8 @@
    hedging for tail pages.  The backoff stream is keyed by (transport
    seed, log, endpoint, page) so reruns replay identical schedules. *)
 
-type fetched = {
-  body : string;
+type 'a fetched = {
+  body : 'a;
   attempts : int;   (* transport calls made, hedges included *)
   hedged : bool;
   waited : float;   (* virtual seconds from admission to outcome *)
@@ -73,18 +73,15 @@ let prewarm () =
   ignore (Lazy.force obs_hedge_outcomes);
   ignore (Lazy.force obs_backoff)
 
-exception Done of (fetched, error) result
-
-let good ~validate = function
-  | Transport.Body b when validate b -> Some b
-  | _ -> None
+let opened ~open_ = function Transport.Body b -> open_ b | _ -> None
 
 (* The hedge attempt lives in a disjoint attempt namespace (0x1000 + n)
    so it samples an independent fault outcome for the same page. *)
 let hedge_attempt n = 0x1000 + n
 
-let request ~(policy : Policy.t) ?bucket ?(hedge = false)
-    ?(validate = fun _ -> true) ~transport ~log ~endpoint ~page () =
+let request (type a) ~(policy : Policy.t) ?bucket ?(hedge = false)
+    ~(open_ : string -> a option) ~transport ~log ~endpoint ~page () =
+  let exception Done of (a fetched, error) result in
   Obs.Counter.inc (Obs.Counter.Labeled.get (Lazy.force obs_requests) endpoint);
   (* One trace slice per request on the calling domain's track, with
      the retry machinery inside it as instant events (backoff sleeps,
@@ -127,14 +124,17 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
         Transport.call transport ~attempt ~deadline:policy.Policy.attempt_deadline
           req
       in
-      let resp =
+      (* Each body is opened at most once: [got] is the opened winner,
+         [resp] the response whose status drives the retry below. *)
+      let got = opened ~open_ resp in
+      let resp, got =
         (* Hedge: on a tail page, when the primary attempt failed or ran
            past [hedge_after], fire one duplicate attempt in a disjoint
            fault namespace and take whichever succeeded.  The virtual
            model is sequential, so the hedge's latency is additive; its
            value is skipping a full backoff cycle. *)
         let slow = Clock.now clock -. t0 > policy.Policy.hedge_after in
-        if hedge && attempt = 0 && (good ~validate resp = None || slow) then begin
+        if hedge && attempt = 0 && (Option.is_none got || slow) then begin
           hedged := true;
           incr attempts;
           Obs.Counter.inc (Lazy.force obs_hedges);
@@ -143,10 +143,12 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
               ~deadline:policy.Policy.attempt_deadline req
           in
           let outcome, winner =
-            match (good ~validate resp, good ~validate r2) with
-            | Some _, _ -> ("primary_won", resp)
-            | None, Some _ -> ("hedge_won", r2)
-            | None, None -> ("both_failed", resp)
+            match got with
+            | Some _ -> ("primary_won", (resp, got))
+            | None -> (
+                match opened ~open_ r2 with
+                | Some _ as g2 -> ("hedge_won", (r2, g2))
+                | None -> ("both_failed", (resp, None)))
           in
           Obs.Counter.inc
             (Obs.Counter.Labeled.get (Lazy.force obs_hedge_outcomes) outcome);
@@ -158,11 +160,11 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
               "hedge";
           winner
         end
-        else resp
+        else (resp, got)
       in
-      (match resp with
-      | Transport.Body b when validate b -> finish b
-      | Transport.Retry_later { after; _ } ->
+      (match (got, resp) with
+      | Some v, _ -> finish v
+      | None, Transport.Retry_later { after; _ } ->
           Obs.Counter.inc (Lazy.force obs_rate_limited);
           if traced then
             Obs.Trace.instant ~cat:"net"
@@ -171,8 +173,8 @@ let request ~(policy : Policy.t) ?bucket ?(hedge = false)
           (match bucket with
           | Some b -> Bucket.penalize b ~seconds:after
           | None -> Clock.advance clock after)
-      | Transport.Body _ (* torn page: checksum rejected *)
-      | Transport.Error_status _ | Transport.Timed_out | Transport.Reset ->
+      | None, (Transport.Body _ (* torn page: [open_] rejected it *)
+              | Transport.Error_status _ | Transport.Timed_out | Transport.Reset) ->
           ());
       let waited = Clock.now clock -. started in
       if waited > policy.Policy.request_budget then

@@ -7,8 +7,8 @@
     (transport seed, log, endpoint, page), so reruns replay identical
     schedules. *)
 
-type fetched = {
-  body : string;
+type 'a fetched = {
+  body : 'a;        (** the body as [open_] returned it *)
   attempts : int;   (** transport calls made, hedges included *)
   hedged : bool;
   waited : float;   (** virtual seconds from admission to outcome *)
@@ -24,17 +24,18 @@ val request :
   policy:Policy.t ->
   ?bucket:Bucket.t ->
   ?hedge:bool ->
-  ?validate:(string -> bool) ->
+  open_:(string -> 'a option) ->
   transport:Transport.t ->
   log:string ->
   endpoint:string ->
   page:int ->
   unit ->
-  (fetched, error) result
-(** [validate] rejects torn bodies (checksum check) — a [Body] failing
-    it counts as a retryable fault.  [hedge] fires one duplicate
-    attempt (disjoint fault namespace) when the primary attempt fails
-    or runs past [policy.hedge_after]. *)
+  ('a fetched, error) result
+(** [open_] checks and parses a body (e.g. a sealed frame's checksum
+    check); [None] marks a torn body, which counts as a retryable
+    fault.  Each body received is opened at most once.  [hedge] fires
+    one duplicate attempt (disjoint fault namespace) when the primary
+    attempt fails or runs past [policy.hedge_after]. *)
 
 val prewarm : unit -> unit
 (** Force lazy telemetry handles before spawning worker domains. *)

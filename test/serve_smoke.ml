@@ -8,7 +8,9 @@
    - responses are byte-identical across --jobs 1/2/4;
    - SIGTERM is a clean shutdown: final manifest commit, exit 0, the
      store passes fsck — and a restarted daemon resumes from its
-     cursors and converges to the byte-identical battery responses.
+     cursors and converges to the byte-identical battery responses;
+   - a request line over the 64 KiB cap gets a sealed refusal and the
+     daemon keeps serving.
 
    The daemon path arrives as argv(1) from the dune rule. *)
 
@@ -212,6 +214,27 @@ let () =
     "restart after SIGTERM converges to byte-identical responses";
   rm_rf dir;
   List.iter (fun (_, d, _) -> rm_rf d) (List.tl outputs);
+
+  (* --- 3. request lines are capped at 64 KiB ------------------------- *)
+  let dir = tmp "longline" in
+  rm_rf dir;
+  let at_cap = "q crtsh " ^ String.make (65536 - 8) 'a' in
+  let stdout_s, stderr_s, status =
+    run_daemon ~dir ~extra:[ "--ticks"; "1" ]
+      ~input:[ "stats"; String.make 200_000 'x'; at_cap; "stats"; "quit" ]
+      ()
+  in
+  checkf (status = Unix.WEXITED 0) "long-line daemon exits 0 (stderr: %s)"
+    (String.trim stderr_s);
+  (match List.map first_line (frames_of stdout_s) with
+  | [ s1; long; cap; s2; bye ] ->
+      checkf (long = "err line too long") "an over-long line is refused: %S" long;
+      checkf (cap <> "err line too long") "a line at the cap is served: %S" cap;
+      checkf (starts_with "stats " s1 && s1 = s2)
+        "the daemon keeps serving after a refused line";
+      checkf (bye = "bye") "quit still answers bye"
+  | fs -> checkf false "five frames around a long line, got %d" (List.length fs));
+  rm_rf dir;
 
   if !failures > 0 then begin
     Printf.printf "serve_smoke: %d failure(s)\n%!" !failures;

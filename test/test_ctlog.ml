@@ -77,6 +77,140 @@ let prop_merkle_random =
       Ctlog.Merkle.verify_inclusion ~leaf:(List.nth leaves i) ~index:i ~size:n ~proof
         ~root:(Ctlog.Merkle.root t))
 
+(* The RFC 6962 §2.1 definitions, written out plainly: MTH, PATH and
+   SUBPROOF over leaf [i] = ["leaf-i"].  The leaves never change, so
+   memoizing MTH by (lo, hi) is valid across every tree a test builds. *)
+let ref_hashes = Hashtbl.create 4096
+
+let ref_split n =
+  let k = ref 1 in
+  while !k * 2 < n do
+    k := !k * 2
+  done;
+  !k
+
+let rec ref_mth lo hi =
+  match Hashtbl.find_opt ref_hashes (lo, hi) with
+  | Some h -> h
+  | None ->
+      let h =
+        match hi - lo with
+        | 0 -> Ucrypto.Sha256.digest ""
+        | 1 -> Ctlog.Merkle.leaf_hash (Printf.sprintf "leaf-%d" lo)
+        | n ->
+            let k = ref_split n in
+            Ctlog.Merkle.node_hash (ref_mth lo (lo + k)) (ref_mth (lo + k) hi)
+      in
+      Hashtbl.replace ref_hashes (lo, hi) h;
+      h
+
+let rec ref_path m lo hi =
+  if hi - lo <= 1 then []
+  else
+    let k = ref_split (hi - lo) in
+    if m < k then ref_path m lo (lo + k) @ [ ref_mth (lo + k) hi ]
+    else ref_path (m - k) (lo + k) hi @ [ ref_mth lo (lo + k) ]
+
+let rec ref_subproof m lo hi b =
+  let n = hi - lo in
+  if m = n then if b then [] else [ ref_mth lo hi ]
+  else
+    let k = ref_split n in
+    if m <= k then ref_subproof m lo (lo + k) b @ [ ref_mth (lo + k) hi ]
+    else ref_subproof (m - k) (lo + k) hi false @ [ ref_mth lo (lo + k) ]
+
+let ref_consistency m n = if m = 0 || m = n then [] else ref_subproof m 0 n true
+
+let grow t n =
+  for i = Ctlog.Merkle.size t to n - 1 do
+    ignore (Ctlog.Merkle.append t (Printf.sprintf "leaf-%d" i))
+  done
+
+(* Every query a tree of size [n] answers, against the reference. *)
+let agrees_with_reference t =
+  let n = Ctlog.Merkle.size t in
+  String.equal (Ctlog.Merkle.root t) (ref_mth 0 n)
+  && List.for_all
+       (fun m ->
+         String.equal (Ctlog.Merkle.root_of_range t m) (ref_mth 0 m)
+         && Ctlog.Merkle.consistency_proof_range t m n = ref_consistency m n
+         && (m = n || Ctlog.Merkle.inclusion_proof t m = ref_path m 0 n))
+       (List.init (n + 1) Fun.id)
+
+let prop_merkle_cache =
+  QCheck.Test.make ~name:"cached queries equal the uncached RFC definitions"
+    ~count:40
+    QCheck.(pair (int_range 0 300) (list_of_size (Gen.int_range 0 4) (int_range 0 300)))
+    (fun (n, cuts) ->
+      (* Grow in steps, querying at each one, so later queries reuse
+         (and extend) what earlier ones cached. *)
+      let t = Ctlog.Merkle.create () in
+      List.for_all
+        (fun s ->
+          grow t s;
+          agrees_with_reference t)
+        (List.sort_uniq compare (n :: List.filter (fun c -> c < n) cuts)))
+
+(* A snapshot stands in for the tree inside fetch cursors: it must
+   survive a checkpoint file, load from the cache-less tree layout
+   older cursors hold, and keep answering like the reference as the
+   restored tree grows. *)
+let test_merkle_snapshot_checkpoint () =
+  let t = Ctlog.Merkle.create () in
+  grow t 37;
+  ignore (Ctlog.Merkle.root t);
+  let file = Filename.temp_file "unicert-merkle" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Faults.Checkpoint.save file
+        { Faults.Checkpoint.scale = 0; seed = 0; next_index = 37;
+          state = Ctlog.Merkle.snapshot t };
+      let restored =
+        match (Faults.Checkpoint.load file : Ctlog.Merkle.snapshot Faults.Checkpoint.t option) with
+        | Some c -> Ctlog.Merkle.of_snapshot c.Faults.Checkpoint.state
+        | None -> Alcotest.fail "snapshot checkpoint did not load"
+      in
+      check Alcotest.int "restored size" 37 (Ctlog.Merkle.size restored);
+      List.iter
+        (fun n ->
+          grow restored n;
+          check Alcotest.bool (Printf.sprintf "restored tree at %d" n) true
+            (agrees_with_reference restored))
+        [ 37; 64; 100 ]);
+  let module Old = struct
+    type tree = { mutable hashes : string array; mutable len : int }
+  end in
+  let old =
+    { Old.hashes =
+        Array.init 32 (fun i ->
+            if i < 20 then Ctlog.Merkle.leaf_hash (Printf.sprintf "leaf-%d" i) else "");
+      len = 20 }
+  in
+  let snap : Ctlog.Merkle.snapshot = Marshal.from_string (Marshal.to_string old []) 0 in
+  let loaded = Ctlog.Merkle.of_snapshot snap in
+  grow loaded 45;
+  check Alcotest.bool "old cursor layout loads and grows" true (agrees_with_reference loaded)
+
+(* --- wire ---------------------------------------------------------------- *)
+
+let test_wire_hex () =
+  let all = String.init 256 Char.chr in
+  let reference =
+    String.concat "" (List.init 256 (fun b -> Printf.sprintf "%02x" b))
+  in
+  check Alcotest.string "every byte value" reference (Ctlog.Wire.to_hex all);
+  check Alcotest.(option string) "round trip" (Some all)
+    (Ctlog.Wire.of_hex (Ctlog.Wire.to_hex all));
+  check Alcotest.string "empty" "" (Ctlog.Wire.to_hex "");
+  check Alcotest.(option string) "upper case decodes" (Some "\xab\xcd")
+    (Ctlog.Wire.of_hex "ABcd");
+  List.iter
+    (fun bad ->
+      check Alcotest.(option string) (Printf.sprintf "%S rejected" bad) None
+        (Ctlog.Wire.of_hex bad))
+    [ "0g"; "g0"; "abc"; "a " ]
+
 (* --- log --------------------------------------------------------------- *)
 
 let test_log_scts () =
@@ -92,7 +226,11 @@ let test_log_scts () =
   check Alcotest.bool "entry lookup" true
     (match Ctlog.Log.get log 1 with
     | Some e -> e.Ctlog.Log.precert && e.Ctlog.Log.der = "der-two"
-    | None -> false)
+    | None -> false);
+  check Alcotest.int "append without an SCT" 2 (Ctlog.Log.append log "der-three");
+  check Alcotest.bool "appended entry lookup" true
+    (Ctlog.Log.get log 2 = Some { Ctlog.Log.index = 2; der = "der-three"; precert = false }
+    && Ctlog.Log.get log 3 = None)
 
 (* --- dataset ------------------------------------------------------------ *)
 
@@ -226,6 +364,10 @@ let suite =
     Alcotest.test_case "merkle inclusion proofs" `Quick test_merkle_inclusion;
     Alcotest.test_case "merkle consistency proofs" `Quick test_merkle_consistency;
     Alcotest.test_case "merkle rejects bogus roots" `Quick test_merkle_consistency_rejects;
+    qtest prop_merkle_cache;
+    Alcotest.test_case "merkle snapshot survives a checkpoint" `Quick
+      test_merkle_snapshot_checkpoint;
+    Alcotest.test_case "wire hex table" `Quick test_wire_hex;
     Alcotest.test_case "log SCTs" `Quick test_log_scts;
     Alcotest.test_case "dataset determinism" `Quick test_dataset_determinism;
     Alcotest.test_case "dataset structural invariants" `Quick test_dataset_structure;

@@ -211,6 +211,61 @@ let test_corpus_recall_corrupted () =
         (r.Monitors.Audit.found <= r.Monitors.Audit.sampled))
     clean corrupted
 
+(* Serving answers must not depend on how ingest was batched: a
+   service fed in many small commits answers the query battery
+   byte-identically to one fed in a single commit. *)
+let service_battery =
+  [
+    "q crtsh example";
+    "q sslmate xn--bcher-kva.com";
+    "q entrust xn--bcher-kva.com";
+    "q entrust shop.xn--p1ai";
+    "ix issuer COMODO CA Limited";
+    "ix ulabel b\xc3\xbccher";
+    "ix domain example";
+    "ix flaw Invalid Encoding";
+    "stats";
+  ]
+
+let test_service_commit_batching () =
+  let module P = Unicert.Pipeline in
+  let module S = Monitors.Service in
+  let scale = 300 in
+  let rows =
+    List.mapi
+      (fun index entry -> P.analyze_entry entry ~index)
+      (Ctlog.Dataset.generate ~scale ~seed:5 ())
+  in
+  let stage service row =
+    S.stage_fields service ~id:(P.row_index row) ~cns:(P.row_cns row)
+      ~sans:(P.row_domains row) ~attrs:(P.row_attrs row);
+    let one = P.fresh_acc () in
+    P.add_index_entries one row;
+    List.iter
+      (fun (index, entries) ->
+        List.iter
+          (fun (key, ids) -> List.iter (fun id -> S.stage_index service ~index ~key ~id) ids)
+          entries)
+      (P.merge_accs [ one ])
+  in
+  let once = S.create () in
+  List.iter (stage once) rows;
+  S.commit once ~upto:scale;
+  let batched = S.create () in
+  List.iteri
+    (fun i row ->
+      stage batched row;
+      if (i + 1) mod 7 = 0 then S.commit batched ~upto:(i + 1))
+    rows;
+  S.commit batched ~upto:scale;
+  check Alcotest.bool "the battery finds hits" true
+    (String.starts_with ~prefix:"hits " (List.hd (S.respond once "q crtsh example"))
+    && List.hd (S.respond once "q crtsh example") <> "hits 0");
+  List.iter
+    (fun line ->
+      check Alcotest.(list string) line (S.respond once line) (S.respond batched line))
+    service_battery
+
 let suite =
   [
     Alcotest.test_case "exact and case handling" `Quick test_exact_and_case;
@@ -224,6 +279,8 @@ let suite =
     Alcotest.test_case "ct log ingestion" `Quick test_log_ingestion;
     Alcotest.test_case "table 6 matches paper" `Quick test_table6_matches_paper;
     Alcotest.test_case "concealment demo" `Quick test_concealment;
+    Alcotest.test_case "service answers independent of commit batching" `Quick
+      test_service_commit_batching;
     Alcotest.test_case "corpus recall (F.2)" `Slow test_corpus_recall;
     Alcotest.test_case "corpus recall over corrupted corpus" `Slow
       test_corpus_recall_corrupted;

@@ -136,13 +136,14 @@ let mk_transport ?down ~rate ~kinds () =
   (clock, Transport.create ~plan ?down ~clock handler)
 
 let req page = { Transport.log = "log-00"; endpoint = "get-entries"; page }
+let valid body = Option.is_some (Wire.open_ body)
 
 let test_transport_kinds () =
   let clean_body =
     let _, t = mk_transport ~rate:0.0 ~kinds:Fault.all_kinds () in
     match Transport.call t ~attempt:0 ~deadline:1.0 (req 0) with
     | Transport.Body b ->
-        if not (Wire.valid b) then Alcotest.fail "clean body failed checksum";
+        if not (valid b) then Alcotest.fail "clean body failed checksum";
         b
     | _ -> Alcotest.fail "clean transport must serve a body"
   in
@@ -153,7 +154,7 @@ let test_transport_kinds () =
     | Fault.Slow -> (
         match resp with
         | Transport.Body b ->
-            if not (Wire.valid b) then Alcotest.fail "slow body must be intact";
+            if not (valid b) then Alcotest.fail "slow body must be intact";
             if Clock.now clock < 0.4 then
               Alcotest.failf "slow must burn ~25x latency, burned %g"
                 (Clock.now clock)
@@ -179,14 +180,14 @@ let test_transport_kinds () =
     | Fault.Truncate -> (
         match resp with
         | Transport.Body b ->
-            if Wire.valid b then Alcotest.fail "truncated body passed checksum";
+            if valid b then Alcotest.fail "truncated body passed checksum";
             if String.length b >= String.length clean_body then
               Alcotest.fail "truncated body is not shorter"
         | _ -> Alcotest.fail "Truncate must still serve a body")
     | Fault.Corrupt_body -> (
         match resp with
         | Transport.Body b ->
-            if Wire.valid b then Alcotest.fail "corrupt body passed checksum";
+            if valid b then Alcotest.fail "corrupt body passed checksum";
             check Alcotest.int "corruption keeps the length"
               (String.length clean_body) (String.length b)
         | _ -> Alcotest.fail "Corrupt_body must still serve a body"))
@@ -204,7 +205,7 @@ let test_transport_down () =
 (* --- Client: success, retries, budget/attempt exhaustion, hedging --- *)
 
 let client_request ?bucket ?hedge ~policy ~transport page =
-  Client.request ~policy ?bucket ?hedge ~validate:Wire.valid ~transport
+  Client.request ~policy ?bucket ?hedge ~open_:Wire.open_ ~transport
     ~log:"log-00" ~endpoint:"get-entries" ~page ()
 
 let test_client_clean () =
@@ -213,7 +214,7 @@ let test_client_clean () =
   | Ok f ->
       check Alcotest.int "one attempt" 1 f.Client.attempts;
       check Alcotest.bool "no hedge" false f.Client.hedged;
-      check Alcotest.string "body" (Wire.seal body_lines) f.Client.body
+      check Alcotest.(list string) "body" body_lines f.Client.body
   | Error e -> Alcotest.failf "clean request failed: %s" (Client.describe e)
 
 let test_client_retry () =
@@ -327,12 +328,12 @@ let test_breaker_transitions () =
 let test_wire_roundtrip () =
   let lines = [ "sth 42 deadbeef"; "consistency 1 2 0" ] in
   let body = Wire.seal lines in
-  check Alcotest.bool "sealed body valid" true (Wire.valid body);
+  check Alcotest.bool "sealed body valid" true (valid body);
   (match Wire.open_ body with
   | Some got -> check (Alcotest.list Alcotest.string) "payload" lines got
   | None -> Alcotest.fail "seal/open round trip failed");
   let torn = String.sub body 0 (String.length body - 5) in
-  check Alcotest.bool "torn body rejected" false (Wire.valid torn);
+  check Alcotest.bool "torn body rejected" false (valid torn);
   if Wire.open_ torn <> None then Alcotest.fail "torn body must not open";
   let flipped = Bytes.of_string body in
   Bytes.set flipped 2 (Char.chr (Char.code (Bytes.get flipped 2) lxor 0x40));
@@ -406,6 +407,46 @@ let test_server_consistency () =
            ~old_root:(String.make 32 '\x00') ~new_size:10
            ~new_root:(Ctlog.Merkle.root_of_range tree 10) ~proof)
   | [] -> Alcotest.fail "empty consistency body"
+
+(* Pages from the indexed log must be the bytes a scan of the whole
+   log produced, before and after the server starts equivocating. *)
+let test_server_pages_match_scan () =
+  let log = Ctlog.Log.create ~name:"srv-test" in
+  for i = 0 to 9 do
+    ignore (Ctlog.Log.add_chain log ~precert:(i mod 3 = 1) (Printf.sprintf "der-%02d" i))
+  done;
+  let srv = Ctlog.Server.create ~page_cap:4 ~name:"srv-test" log in
+  Ctlog.Server.equivocate_after srv ~at_request:5 ~flip:6;
+  let scanned ~flip start =
+    let stop = min 10 (start + 4) in
+    let flipped der =
+      let b = Bytes.of_string der in
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x01));
+      Bytes.to_string b
+    in
+    Wire.seal
+      (Printf.sprintf "entries %d %d" start (stop - start)
+      :: List.filter_map
+           (fun (e : Ctlog.Log.entry) ->
+             if e.Ctlog.Log.index < start || e.Ctlog.Log.index >= stop then None
+             else
+               Some
+                 (Printf.sprintf "%d %s"
+                    (if e.Ctlog.Log.precert then 1 else 0)
+                    (Wire.to_hex
+                       (if e.Ctlog.Log.index = flip then flipped e.Ctlog.Log.der
+                        else e.Ctlog.Log.der))))
+           (Ctlog.Log.entries log))
+  in
+  for round = 0 to 1 do
+    for start = 0 to 9 do
+      let body = Ctlog.Server.handle srv (req start) in
+      let flip = if Ctlog.Server.requests srv > 5 then 6 else -1 in
+      check Alcotest.string
+        (Printf.sprintf "round %d page at %d" round start)
+        (scanned ~flip start) body
+    done
+  done
 
 (* --- Fetch: end-to-end sessions over the simulated logs --- *)
 
@@ -574,6 +615,130 @@ let test_fetch_mutator_drop () =
   check Alcotest.string "survivors identical between corrupt and drop"
     (gots items_m) (gots items_d)
 
+(* Feeds over a forking log: log 1 equivocates, so its session holds
+   both delivered entries and an Integrity-quarantined range; the
+   mutator adds undecodable deliveries. *)
+let polled_sessions ~dir =
+  let cfg = small_cfg ~page_cap:4 ~equivocate:[ (Fetch.log_name 1, 1, 2) ] () in
+  let mutator = Faults.Mutator.plan ~seed:77 ~rate:0.15 () in
+  Fetch.feeds ~mutator ~checkpoint:(Filename.concat dir "cursors") ~scale:64
+    ~seed:5 cfg
+  |> List.map (fun f ->
+         Fetch.feed_publish f (Fetch.feed_goal f);
+         (f, Fetch.poll f))
+
+let test_items_of_session_from () =
+  let dir = tmp_dir "unicert-net-from" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let sessions = polled_sessions ~dir in
+      if not (List.exists (fun (_, s) -> s.Fetch.s_quar <> []) sessions) then
+        Alcotest.fail "the forking log must quarantine a range";
+      List.iter
+        (fun (f, s) ->
+          let all = Fetch.items_of_session s in
+          let lo, hi = Fetch.feed_range f in
+          for k = lo - 1 to hi + 1 do
+            check Alcotest.string
+              (Printf.sprintf "%s from %d" (Fetch.feed_name f) k)
+              (fps (List.filter (fun it -> Fetch.item_index it >= k) all))
+              (fps (Fetch.items_of_session ~from:k s))
+          done)
+        sessions)
+
+(* Ticks of [publish] entries per log until every feed has its whole
+   range; returns each log's cumulative items and final coverage. *)
+let tick_feeds feeds ~ticks =
+  let last = ref [] in
+  for _ = 1 to ticks do
+    last :=
+      List.map
+        (fun f ->
+          Fetch.feed_publish f (Fetch.feed_published f + 5);
+          Fetch.poll f)
+        feeds
+  done;
+  !last
+
+(* A daemon restart mid-ingest: new feeds read the saved cursors
+   (trusted STH, running leaf hashes, deliveries), republish to the
+   trusted head and keep polling.  Every window still has to reproduce
+   the server's root from the restored tree, and the deliveries must
+   equal an uninterrupted run's. *)
+let test_feed_restart_resumes () =
+  let dir = tmp_dir "unicert-net-feeds" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cfg = small_cfg ~page_cap:4 () in
+      let mk sub =
+        Fetch.feeds ~checkpoint:(Filename.concat dir sub) ~scale:64 ~seed:5 cfg
+      in
+      let summary sessions =
+        List.iter
+          (fun s ->
+            let c = s.Fetch.s_cov in
+            if c.Fetch.split_view || not (Fetch.coverage_complete c) then
+              Alcotest.failf "log %s did not verify to completion" c.Fetch.log)
+          sessions;
+        fps (List.concat_map (fun s -> Fetch.items_of_session s) sessions)
+      in
+      let straight = summary (tick_feeds (mk "a") ~ticks:8) in
+      ignore (tick_feeds (mk "b") ~ticks:2);
+      let reopened = mk "b" in
+      List.iter
+        (fun f ->
+          match Fetch.feed_trusted f with
+          | Some n -> Fetch.feed_publish f n
+          | None -> Alcotest.fail "a polled feed must have a trusted head")
+        reopened;
+      check Alcotest.string "restarted feeds deliver the uninterrupted bytes"
+        straight
+        (summary (tick_feeds reopened ~ticks:8)))
+
+(* The restored tree must keep verifying: after the restart, log 1's
+   new server answers its STH and consistency proof from the real
+   tree, then serves pages from a fork with leaf 12 flipped.  Only the
+   leaves carried over in the cursor let the window flush see that the
+   fetched entries do not reproduce the trusted root. *)
+let test_feed_restart_verifies () =
+  let dir = tmp_dir "unicert-net-feeds-fork" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cfg =
+        small_cfg ~page_cap:4 ~equivocate:[ (Fetch.log_name 1, 2, 12) ] ()
+      in
+      let mk () =
+        Fetch.feeds ~checkpoint:(Filename.concat dir "c") ~scale:64 ~seed:5 cfg
+      in
+      List.iter
+        (fun s ->
+          if s.Fetch.s_cov.Fetch.split_view then
+            Alcotest.failf "%s forked before the flipped leaf was published"
+              s.Fetch.s_cov.Fetch.log)
+        (tick_feeds (mk ()) ~ticks:2);
+      let reopened = mk () in
+      List.iter
+        (fun f -> Option.iter (Fetch.feed_publish f) (Fetch.feed_trusted f))
+        reopened;
+      let trusted =
+        Option.get (Fetch.feed_trusted (List.nth reopened 1))
+      in
+      let covs = List.map (fun s -> s.Fetch.s_cov) (tick_feeds reopened ~ticks:1) in
+      let forked = List.find (fun c -> c.Fetch.log = Fetch.log_name 1) covs in
+      check Alcotest.bool "the fork is flagged" true forked.Fetch.split_view;
+      (* A later STH refresh would flag the fork too, but only the
+         window flush keeps the forked entries from being delivered. *)
+      check Alcotest.int "nothing past the trusted head is delivered" trusted
+        forked.Fetch.delivered;
+      List.iter
+        (fun c ->
+          if c.Fetch.log <> Fetch.log_name 1 && c.Fetch.split_view then
+            Alcotest.failf "honest log %s flagged" c.Fetch.log)
+        covs)
+
 let suite =
   [
     Alcotest.test_case "backoff-bounds" `Quick test_backoff_bounds;
@@ -593,6 +758,8 @@ let suite =
     Alcotest.test_case "wire-roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "server-pages" `Quick test_server_pages;
     Alcotest.test_case "server-consistency" `Quick test_server_consistency;
+    Alcotest.test_case "server-pages-match-scan" `Quick
+      test_server_pages_match_scan;
     Alcotest.test_case "fetch-clean" `Quick test_fetch_clean;
     Alcotest.test_case "fetch-faulty-identical" `Quick
       test_fetch_faulty_identical;
@@ -603,4 +770,7 @@ let suite =
     Alcotest.test_case "fetch-jobs-deterministic" `Quick
       test_fetch_jobs_deterministic;
     Alcotest.test_case "fetch-mutator-drop" `Quick test_fetch_mutator_drop;
+    Alcotest.test_case "items-of-session-from" `Quick test_items_of_session_from;
+    Alcotest.test_case "feed-restart-resumes" `Quick test_feed_restart_resumes;
+    Alcotest.test_case "feed-restart-verifies" `Quick test_feed_restart_verifies;
   ]
