@@ -12,10 +12,11 @@
    and the run reports degraded coverage instead of aborting.
 
    Everything is deterministic: per-log virtual clock, pure fault
-   sampling, and a cursor checkpoint ([FILE.fetch<k>]) holding what a
-   resumed session needs (trusted STH, running leaf hashes, pending
-   window, deliveries so far), so a resumed run produces byte-identical
-   results to an uninterrupted one.  A long-lived feed reads its cursor
+   sampling, and a journaled cursor checkpoint ([FILE.fetch<k>] plus
+   [FILE.fetch<k>.journal]) holding what a resumed session needs
+   (trusted STH, running leaf hashes, pending window, deliveries so
+   far), so a resumed run produces byte-identical results to an
+   uninterrupted one.  A long-lived feed reads its cursor
    file once and then carries the last saved cursor, with its tree,
    in memory from poll to poll. *)
 
@@ -82,34 +83,68 @@ let coverage_complete c =
   c.abandoned = None && not c.split_view && c.page_gaps = 0
   && c.delivered + c.quarantined >= c.expected
 
-(* --- cursor: the checkpointed session state ----------------------------- *)
+(* --- cursor: the checkpointed session state -----------------------------
+
+   A cursor is journaled ([Faults.Checkpoint.save_journaled]).  The
+   header [FILE.fetch<k>] holds the session's scalars; the journal
+   [FILE.fetch<k>.journal] holds its history as events, each fetched
+   row once.  Replaying the events the header vouches for rebuilds the
+   running leaf tree, the pending window and the delivered and
+   quarantined lists, so a save writes only what happened since the
+   previous one. *)
 
 type cursor = {
   c_log : string;
   c_next : int;                        (* next tree index to fetch *)
   c_verified : (int * string) option;  (* trusted STH: size, root *)
-  c_tree : Merkle.snapshot;            (* running leaf tree, cache-free *)
   c_tree_ok : bool;                    (* false once a page gap broke it *)
   c_refresh : int;                     (* STH refreshes so far (fault keying) *)
-  c_pend : (int * bool * string) list; (* unflushed: tree idx, precert, DER; newest first *)
-  c_raw : (int * string) list;         (* delivered: corpus idx, DER; newest first *)
-  c_quar : (int * string * Faults.Error.t) list;  (* newest first *)
   c_gaps : int;
   c_requests : int;
   c_retries : int;
 }
+
+(* A fetched entry.  [ci] is its corpus index, or -1 for an entry the
+   analysis skips (a precertificate, a dropped index); [leaf] is the
+   leaf hash appended to the running tree, or "" once a gap broke
+   it. *)
+type row = { ti : int; ci : int; der : string; leaf : string }
+
+type event =
+  | Row of row
+  | Flushed of int       (* pending rows below this tree size were delivered *)
+  | Quarantined of string  (* every pending row was quarantined, for this reason *)
+
+(* What the events replay to. *)
+type history = {
+  tree : Merkle.t;  (* running leaf tree *)
+  mutable pend : row list;  (* fetched, not yet verified; newest first *)
+  mutable raw : (int * string) list;  (* delivered: corpus idx, DER; newest first *)
+  mutable quar : (int * string * Faults.Error.t) list;  (* newest first *)
+}
+
+let apply ~name h = function
+  | Row r ->
+      if r.leaf <> "" then ignore (Merkle.append_hash h.tree r.leaf);
+      h.pend <- r :: h.pend
+  | Flushed n ->
+      let deliver, keep = List.partition (fun r -> r.ti < n) (List.rev h.pend) in
+      List.iter (fun r -> if r.ci >= 0 then h.raw <- (r.ci, r.der) :: h.raw) deliver;
+      h.pend <- List.rev keep
+  | Quarantined reason ->
+      let e = Faults.Error.Integrity { log = name; detail = reason } in
+      List.iter
+        (fun r -> if r.ci >= 0 then h.quar <- (r.ci, r.der, e) :: h.quar)
+        (List.rev h.pend);
+      h.pend <- []
 
 let fresh_cursor name =
   {
     c_log = name;
     c_next = 0;
     c_verified = None;
-    c_tree = Merkle.snapshot (Merkle.create ());
     c_tree_ok = true;
     c_refresh = 0;
-    c_pend = [];
-    c_raw = [];
-    c_quar = [];
     c_gaps = 0;
     c_requests = 0;
     c_retries = 0;
@@ -117,21 +152,36 @@ let fresh_cursor name =
 
 let cursor_file base k = base ^ ".fetch" ^ string_of_int k
 
-(* The cursor saved in [file] for this log and corpus, if any. *)
-let load_cursor ~file ~scale ~seed ~name =
-  match (Faults.Checkpoint.load file : cursor Faults.Checkpoint.t option) with
-  | Some c
+(* Where a session starts: the last saved cursor, the journal prefix
+   its header names, and the history that prefix replays to. *)
+type start = {
+  cursor : cursor;
+  journal : Faults.Checkpoint.mark;
+  hist : history;
+}
+
+let fresh_start name =
+  {
+    cursor = fresh_cursor name;
+    journal = Faults.Checkpoint.empty_mark;
+    hist = { tree = Merkle.create (); pend = []; raw = []; quar = [] };
+  }
+
+(* The cursor saved in [file] for this log and corpus, replayed; a
+   fresh start when there is none. *)
+let load_start ~file ~scale ~seed ~name =
+  match
+    (Faults.Checkpoint.load_journaled file
+      : (cursor Faults.Checkpoint.t * _ * event list) option)
+  with
+  | Some (c, journal, events)
     when c.Faults.Checkpoint.scale = scale
          && c.Faults.Checkpoint.seed = seed
          && c.Faults.Checkpoint.state.c_log = name ->
-      Some c.Faults.Checkpoint.state
-  | _ -> None
-
-(* Where a session starts: the last saved cursor and its running tree,
-   which (unlike the cursor's snapshot) keeps its subtree cache. *)
-type start = { cursor : cursor; tree : Merkle.t }
-
-let start_of_cursor c = { cursor = c; tree = Merkle.of_snapshot c.c_tree }
+      let start = { (fresh_start name) with cursor = c.Faults.Checkpoint.state; journal } in
+      List.iter (apply ~name start.hist) events;
+      start
+  | _ -> fresh_start name
 
 (* --- telemetry --------------------------------------------------------- *)
 
@@ -265,12 +315,10 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   let cur = start.cursor in
   let next = ref cur.c_next in
   let verified = ref cur.c_verified in
-  let tree = start.tree in
+  let hist = start.hist in
+  let tree = hist.tree in
   let tree_ok = ref cur.c_tree_ok in
   let refresh = ref cur.c_refresh in
-  let pend = ref cur.c_pend in
-  let raw = ref cur.c_raw in
-  let quar = ref cur.c_quar in
   let gaps = ref cur.c_gaps in
   let requests = ref cur.c_requests in
   let retries = ref cur.c_retries in
@@ -279,26 +327,33 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   let interrupted = ref false in
   let pages_this_session = ref 0 in
   let saved = ref cur in
+  let journal = ref start.journal in
+  (* Events since the last save, newest first (kept only when there is
+     a file to journal them to). *)
+  let unsaved = ref [] in
+  let record ev =
+    apply ~name hist ev;
+    if ckpt_file <> None then unsaved := ev :: !unsaved
+  in
   let save_ckpt () =
     saved :=
       {
         c_log = name;
         c_next = !next;
         c_verified = !verified;
-        c_tree = Merkle.snapshot tree;
         c_tree_ok = !tree_ok;
         c_refresh = !refresh;
-        c_pend = !pend;
-        c_raw = !raw;
-        c_quar = !quar;
         c_gaps = !gaps;
         c_requests = !requests;
         c_retries = !retries;
       };
     Option.iter
       (fun file ->
-        Faults.Checkpoint.save file
-          { Faults.Checkpoint.scale; seed; next_index = !next; state = !saved })
+        journal :=
+          Faults.Checkpoint.save_journaled file
+            { Faults.Checkpoint.scale; seed; next_index = !next; state = !saved }
+            ~journal:!journal (List.rev !unsaved);
+        unsaved := [])
       ckpt_file
   in
   let now () = Net.Clock.now clock in
@@ -354,14 +409,7 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
         "quarantine";
     split := true;
     Obs.Counter.inc (Obs.Counter.Labeled.get (Lazy.force obs_split) name);
-    List.iter
-      (fun (ti, precert, der) ->
-        if (not precert) && ti < Array.length present && present.(ti) >= 0 then
-          quar :=
-            (present.(ti), der, Faults.Error.Integrity { log = name; detail = reason })
-            :: !quar)
-      (List.rev !pend);
-    pend := [];
+    if hist.pend <> [] then record (Quarantined reason);
     raise (Stop reason)
   in
   let get_sth () =
@@ -441,14 +489,20 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
     | Some lines -> (
         match parse_entries lines with
         | Some (s, rows) when s = start && rows <> [] ->
-            if !tree_ok && Merkle.size tree = start then
-              List.iter
-                (fun (precert, der) ->
-                  ignore (Merkle.append tree (Log.leaf_bytes ~precert der)))
-                rows
-            else tree_ok := false;
+            let in_tree = !tree_ok && Merkle.size tree = start in
+            if not in_tree then tree_ok := false;
             List.iteri
-              (fun i (precert, der) -> pend := (start + i, precert, der) :: !pend)
+              (fun i (precert, der) ->
+                let ti = start + i in
+                let ci =
+                  if (not precert) && ti < Array.length present then present.(ti)
+                  else -1
+                in
+                let leaf =
+                  if in_tree then Merkle.leaf_hash (Log.leaf_bytes ~precert der)
+                  else ""
+                in
+                record (Row { ti; ci; der; leaf }))
               rows;
             next := start + List.length rows;
             Obs.Counter.inc (Lazy.force obs_pages)
@@ -475,18 +529,11 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
     then
       quarantine_pending
         (Printf.sprintf "split view: leaf root mismatch at size %d" n);
-    let deliver, keep =
-      List.partition (fun (ti, _, _) -> ti < n) (List.rev !pend)
-    in
-    let delivered = Obs.Counter.Labeled.get (Lazy.force obs_entries) name in
-    List.iter
-      (fun (ti, precert, der) ->
-        if (not precert) && ti < Array.length present && present.(ti) >= 0 then begin
-          raw := (present.(ti), der) :: !raw;
-          Obs.Counter.inc delivered
-        end)
-      deliver;
-    pend := List.rev keep;
+    let deliver = List.filter (fun r -> r.ti < n) hist.pend in
+    if deliver <> [] then record (Flushed n);
+    Obs.Counter.add
+      (Obs.Counter.Labeled.get (Lazy.force obs_entries) name)
+      (float_of_int (List.length (List.filter (fun r -> r.ci >= 0) deliver)));
     save_ckpt ()
   in
   (try
@@ -494,7 +541,7 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
      while not !finished do
        let n1, r1 = get_sth () in
        check_sth (n1, r1);
-       if !next >= n1 && !pend = [] then finished := true
+       if !next >= n1 && hist.pend = [] then finished := true
        else begin
          let since_tripwire = ref 0 in
          while !next < n1 do
@@ -520,8 +567,8 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   | Interrupted ->
       interrupted := true;
       save_ckpt ());
-  let s_raw = List.rev !raw in
-  let s_quar = List.rev !quar in
+  let s_raw = List.rev hist.raw in
+  let s_quar = List.rev hist.quar in
   let covered = List.map fst s_raw @ List.map (fun (i, _, _) -> i) s_quar in
   let covered = List.sort_uniq compare covered in
   (* Coalesce corpus indices into spans, treating indices adjacent in
@@ -564,16 +611,15 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
         };
       s_interrupted = !interrupted;
     },
-    { start with cursor = !saved } )
+    { cursor = !saved; journal = !journal; hist } )
 
 let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
     ~name ~present ~transport ~bucket () =
-  let saved =
-    if resume then
-      Option.bind ckpt_file (fun file -> load_cursor ~file ~scale ~seed ~name)
-    else None
+  let start =
+    match ckpt_file with
+    | Some file when resume -> load_start ~file ~scale ~seed ~name
+    | _ -> fresh_start name
   in
-  let start = start_of_cursor (Option.value saved ~default:(fresh_cursor name)) in
   fst
     (run_session ?ckpt_file ?stop_after_pages ~start ~cfg ~scale ~seed ~name
        ~present ~transport ~bucket ())
@@ -745,10 +791,9 @@ let feed_start f =
   match f.f_start with
   | Some start -> start
   | None ->
-      let saved =
-        load_cursor ~file:f.f_ckpt ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name
+      let start =
+        load_start ~file:f.f_ckpt ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name
       in
-      let start = start_of_cursor (Option.value saved ~default:(fresh_cursor f.f_name)) in
       f.f_start <- Some start;
       start
 

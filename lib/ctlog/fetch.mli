@@ -92,7 +92,11 @@ val fetch_log :
 
 val cursor_file : string -> int -> string
 (** [cursor_file base k] is [base.fetch<k>] — the per-log checkpoint
-    path used by {!corpus} under a [--checkpoint] base path. *)
+    path used by {!corpus} under a [--checkpoint] base path.  It is a
+    journaled checkpoint ({!Faults.Checkpoint.save_journaled}): a small
+    header plus [base.fetch<k>.journal], to which each save appends
+    only the rows fetched and the windows resolved since the previous
+    one. *)
 
 val corpus :
   ?scale:int ->

@@ -6,11 +6,8 @@
    A perfect subtree's hash can never change once its leaves exist, so
    each tree caches them, level by level, the first time a query asks:
    a root or a proof then costs O(log n) hashes rather than rehashing
-   all n leaves.  The cache belongs to one tree (no shared state across
-   domains) and never enters a {!snapshot}, so a marshalled snapshot is
-   exactly the leaf hashes and their count. *)
-
-type snapshot = { hashes : string array; len : int }
+   all n leaves.  The cache belongs to one tree: no state is shared
+   across domains. *)
 
 type t = {
   mutable leaves : string array;  (* leaf hashes; capacity >= len *)
@@ -22,23 +19,20 @@ type t = {
 
 let create () = { leaves = Array.make 16 ""; len = 0; levels = [||] }
 
-let snapshot t = { hashes = t.leaves; len = t.len }
-
-let of_snapshot (s : snapshot) =
-  { leaves = Array.copy s.hashes; len = s.len; levels = [||] }
-
 let leaf_hash data = Ucrypto.Sha256.digest ("\x00" ^ data)
 let node_hash l r = Ucrypto.Sha256.digest ("\x01" ^ l ^ r)
 
-let append t leaf =
+let append_hash t h =
   if t.len = Array.length t.leaves then begin
     let bigger = Array.make (max 16 (2 * t.len)) "" in
     Array.blit t.leaves 0 bigger 0 t.len;
     t.leaves <- bigger
   end;
-  t.leaves.(t.len) <- leaf_hash leaf;
+  t.leaves.(t.len) <- h;
   t.len <- t.len + 1;
   t.len - 1
+
+let append t leaf = append_hash t (leaf_hash leaf)
 
 let size t = t.len
 

@@ -14,19 +14,11 @@ val create : unit -> t
 val append : t -> string -> int
 (** [append t leaf] adds a leaf and returns its index. *)
 
+val append_hash : t -> string -> int
+(** [append_hash t h] adds a leaf whose {!leaf_hash} is [h], for
+    rebuilding a tree from stored leaf hashes. *)
+
 val size : t -> int
-
-type snapshot
-(** A tree's leaf hashes without its cache: the form a checkpoint
-    stores.  A marshalled snapshot has the layout of the cache-less
-    tree that older cursor files hold, so those files still load. *)
-
-val snapshot : t -> snapshot
-(** O(1): shares the leaf array. *)
-
-val of_snapshot : snapshot -> t
-(** A tree over a copy of the snapshot's leaves, with an empty cache
-    that queries refill. *)
 
 val leaf_hash : string -> string
 (** [leaf_hash data] is [SHA-256(0x00 || data)]. *)

@@ -1,7 +1,17 @@
 (* FIPS 180-4 SHA-256 over native ints (words live in the low 32 bits).
-   The compression kernel avoids bounds checks and redundant masking:
-   sums of a few 32-bit words fit a 63-bit int, so only values that
-   feed a shift/rotate are re-masked. *)
+
+   The compression kernel is written for OCaml's 63-bit ints:
+   - a rotation of a 32-bit word [x] is a right shift of [x] with a
+     copy of itself in bits 32-62, so each Σ/σ is three shifts, two
+     xors and one mask;
+   - the rounds are unrolled by 8, and instead of shifting the eight
+     working variables every round each round updates two of them in
+     place and the next round reads them under rotated names;
+   - ch is [g ^ (e & (f ^ g))] and maj is [b ^ ((a ^ b) & (b ^ c))],
+     where [b ^ c] is the previous round's [a ^ b];
+   - message words load as one 32-bit read plus a byte swap.
+   Sums of a few words fit a 63-bit int, so only values that feed a
+   shift or a boolean op are re-masked. *)
 
 let k =
   [|
@@ -19,67 +29,131 @@ let k =
   |]
 
 let mask = 0xFFFFFFFF
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
 let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
             0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+(* [x] must be a 32-bit word; [d] is [x lor (x lsl 32)]. *)
+let[@inline] big_sigma0 d = ((d lsr 2) lxor (d lsr 13) lxor (d lsr 22)) land mask
+let[@inline] big_sigma1 d = ((d lsr 6) lxor (d lsr 11) lxor (d lsr 25)) land mask
+let[@inline] dup x = x lor (x lsl 32)
 
 (* Message-schedule extension + 64 rounds over a preloaded 16-word
    prefix of [w].  [h] is updated in place. *)
 let rounds h w =
   for t = 16 to 63 do
     let w15 = Array.unsafe_get w (t - 15) and w2 = Array.unsafe_get w (t - 2) in
-    let s0 = rotr w15 7 lxor rotr w15 18 lxor (w15 lsr 3) in
-    let s1 = rotr w2 17 lxor rotr w2 19 lxor (w2 lsr 10) in
+    let d15 = dup w15 and d2 = dup w2 in
+    let s0 = (d15 lsr 7) lxor (d15 lsr 18) lxor (w15 lsr 3) in
+    let s1 = (d2 lsr 17) lxor (d2 lsr 19) lxor (w2 lsr 10) in
     Array.unsafe_set w t
       ((Array.unsafe_get w (t - 16) + s0 + Array.unsafe_get w (t - 7) + s1)
        land mask)
   done;
-  (* The working variables travel as unboxed int arguments — no
-     per-round stores — and rotate by argument position. *)
-  let rec loop t a b c d e f g hh =
-    if t = 64 then begin
-      h.(0) <- (h.(0) + a) land mask;
-      h.(1) <- (h.(1) + b) land mask;
-      h.(2) <- (h.(2) + c) land mask;
-      h.(3) <- (h.(3) + d) land mask;
-      h.(4) <- (h.(4) + e) land mask;
-      h.(5) <- (h.(5) + f) land mask;
-      h.(6) <- (h.(6) + g) land mask;
-      h.(7) <- (h.(7) + hh) land mask
-    end
-    else
-      let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
-      let ch = (e land f) lxor (lnot e land g) in
-      let temp1 = hh + s1 + ch + Array.unsafe_get k t + Array.unsafe_get w t in
-      let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
-      let maj = (a land b) lxor (a land c) lxor (b land c) in
-      loop (t + 1)
-        ((temp1 + s0 + maj) land mask)
-        a b c
-        ((d + temp1) land mask)
-        e f g
-  in
-  loop 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
+  let a = ref (Array.unsafe_get h 0) and b = ref (Array.unsafe_get h 1) in
+  let c = ref (Array.unsafe_get h 2) and d = ref (Array.unsafe_get h 3) in
+  let e = ref (Array.unsafe_get h 4) and f = ref (Array.unsafe_get h 5) in
+  let g = ref (Array.unsafe_get h 6) and hh = ref (Array.unsafe_get h 7) in
+  (* [bc] is [b ^ c] for the round about to run. *)
+  let bc = ref (!b lxor !c) in
+  let t = ref 0 in
+  while !t < 64 do
+    let t0 = !t in
+    (* Round i reads (a..h) rotated right by i and writes its d and h:
+       d += t1; h = t1 + Σ0(a) + maj(a, b, c). *)
+    (* 0: a b c d e f g h *)
+    let t1 =
+      !hh + big_sigma1 (dup !e) + (!g lxor (!e land (!f lxor !g)))
+      + Array.unsafe_get k (t0 + 0) + Array.unsafe_get w (t0 + 0)
+    in
+    let ab = !a lxor !b in
+    d := (!d + t1) land mask;
+    hh := (t1 + big_sigma0 (dup !a) + (!b lxor (ab land !bc))) land mask;
+    (* 1: h a b c d e f g *)
+    let t1 =
+      !g + big_sigma1 (dup !d) + (!f lxor (!d land (!e lxor !f)))
+      + Array.unsafe_get k (t0 + 1) + Array.unsafe_get w (t0 + 1)
+    in
+    let bc' = !hh lxor !a in
+    c := (!c + t1) land mask;
+    g := (t1 + big_sigma0 (dup !hh) + (!a lxor (bc' land ab))) land mask;
+    (* 2: g h a b c d e f *)
+    let t1 =
+      !f + big_sigma1 (dup !c) + (!e lxor (!c land (!d lxor !e)))
+      + Array.unsafe_get k (t0 + 2) + Array.unsafe_get w (t0 + 2)
+    in
+    let ab = !g lxor !hh in
+    b := (!b + t1) land mask;
+    f := (t1 + big_sigma0 (dup !g) + (!hh lxor (ab land bc'))) land mask;
+    (* 3: f g h a b c d e *)
+    let t1 =
+      !e + big_sigma1 (dup !b) + (!d lxor (!b land (!c lxor !d)))
+      + Array.unsafe_get k (t0 + 3) + Array.unsafe_get w (t0 + 3)
+    in
+    let bc' = !f lxor !g in
+    a := (!a + t1) land mask;
+    e := (t1 + big_sigma0 (dup !f) + (!g lxor (bc' land ab))) land mask;
+    (* 4: e f g h a b c d *)
+    let t1 =
+      !d + big_sigma1 (dup !a) + (!c lxor (!a land (!b lxor !c)))
+      + Array.unsafe_get k (t0 + 4) + Array.unsafe_get w (t0 + 4)
+    in
+    let ab = !e lxor !f in
+    hh := (!hh + t1) land mask;
+    d := (t1 + big_sigma0 (dup !e) + (!f lxor (ab land bc'))) land mask;
+    (* 5: d e f g h a b c *)
+    let t1 =
+      !c + big_sigma1 (dup !hh) + (!b lxor (!hh land (!a lxor !b)))
+      + Array.unsafe_get k (t0 + 5) + Array.unsafe_get w (t0 + 5)
+    in
+    let bc' = !d lxor !e in
+    g := (!g + t1) land mask;
+    c := (t1 + big_sigma0 (dup !d) + (!e lxor (bc' land ab))) land mask;
+    (* 6: c d e f g h a b *)
+    let t1 =
+      !b + big_sigma1 (dup !g) + (!a lxor (!g land (!hh lxor !a)))
+      + Array.unsafe_get k (t0 + 6) + Array.unsafe_get w (t0 + 6)
+    in
+    let ab = !c lxor !d in
+    f := (!f + t1) land mask;
+    b := (t1 + big_sigma0 (dup !c) + (!d lxor (ab land bc'))) land mask;
+    (* 7: b c d e f g h a *)
+    let t1 =
+      !a + big_sigma1 (dup !f) + (!hh lxor (!f land (!g lxor !hh)))
+      + Array.unsafe_get k (t0 + 7) + Array.unsafe_get w (t0 + 7)
+    in
+    let bc' = !b lxor !c in
+    e := (!e + t1) land mask;
+    a := (t1 + big_sigma0 (dup !b) + (!c lxor (bc' land ab))) land mask;
+    (* Back to a b c d e f g h; the next round's b ^ c is this a ^ b. *)
+    bc := bc';
+    t := t0 + 8
+  done;
+  Array.unsafe_set h 0 ((Array.unsafe_get h 0 + !a) land mask);
+  Array.unsafe_set h 1 ((Array.unsafe_get h 1 + !b) land mask);
+  Array.unsafe_set h 2 ((Array.unsafe_get h 2 + !c) land mask);
+  Array.unsafe_set h 3 ((Array.unsafe_get h 3 + !d) land mask);
+  Array.unsafe_set h 4 ((Array.unsafe_get h 4 + !e) land mask);
+  Array.unsafe_set h 5 ((Array.unsafe_get h 5 + !f) land mask);
+  Array.unsafe_set h 6 ((Array.unsafe_get h 6 + !g) land mask);
+  Array.unsafe_set h 7 ((Array.unsafe_get h 7 + !hh) land mask)
+
+external string_get32u : string -> int -> int32 = "%caml_string_get32u"
+external bytes_get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* Big-endian 32-bit word from a native-endian read. *)
+let[@inline] word v =
+  Int32.to_int (if Sys.big_endian then v else bswap32 v) land mask
 
 let[@inline] load_string w s base =
   for t = 0 to 15 do
-    let o = base + (4 * t) in
-    Array.unsafe_set w t
-      ((Char.code (String.unsafe_get s o) lsl 24)
-      lor (Char.code (String.unsafe_get s (o + 1)) lsl 16)
-      lor (Char.code (String.unsafe_get s (o + 2)) lsl 8)
-      lor Char.code (String.unsafe_get s (o + 3)))
+    Array.unsafe_set w t (word (string_get32u s (base + (4 * t))))
   done
 
 let[@inline] load_bytes w b base =
   for t = 0 to 15 do
-    let o = base + (4 * t) in
-    Array.unsafe_set w t
-      ((Char.code (Bytes.unsafe_get b o) lsl 24)
-      lor (Char.code (Bytes.unsafe_get b (o + 1)) lsl 16)
-      lor (Char.code (Bytes.unsafe_get b (o + 2)) lsl 8)
-      lor Char.code (Bytes.unsafe_get b (o + 3)))
+    Array.unsafe_set w t (word (bytes_get32u b (base + (4 * t))))
   done
 
 type ctx = {
@@ -144,10 +218,17 @@ let digest msg =
   update ctx msg;
   final ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex msg =
   let d = digest msg in
-  String.concat ""
-    (List.init 32 (fun i -> Printf.sprintf "%02x" (Char.code d.[i])))
+  let b = Bytes.create 64 in
+  for i = 0 to 31 do
+    let c = Char.code (String.unsafe_get d i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 0xf))
+  done;
+  Bytes.unsafe_to_string b
 
 (* HMAC with precomputable key midstates: the inner/outer pad blocks
    depend only on the key, so a reused key (every issuer signature)

@@ -150,6 +150,17 @@ let () =
     (fun (jobs, _, out) ->
       checkf (out = ref_out) "jobs=%d responses byte-identical to jobs=1" jobs)
     (List.tl outputs);
+  (* The fetch cursors live beside the store's files, each with its
+     append-only journal; fsck must count neither as damage. *)
+  let _, jobs2_dir, _ = List.nth outputs 1 in
+  checkf
+    (Sys.file_exists (Filename.concat jobs2_dir "cursors.fetch0.journal"))
+    "the daemon journals its fetch cursors";
+  let report = Store.Db.fsck ~dir:jobs2_dir () in
+  checkf
+    (report.Store.Db.issues = [] && report.Store.Db.usable)
+    "fsck is clean on a daemon store with cursor journals (%d issues)"
+    (List.length report.Store.Db.issues);
   let frames = frames_of ref_out in
   checkf
     (List.length frames = List.length battery + 1)

@@ -151,46 +151,61 @@ let prop_merkle_cache =
           agrees_with_reference t)
         (List.sort_uniq compare (n :: List.filter (fun c -> c < n) cuts)))
 
-(* A snapshot stands in for the tree inside fetch cursors: it must
-   survive a checkpoint file, load from the cache-less tree layout
-   older cursors hold, and keep answering like the reference as the
-   restored tree grows. *)
-let test_merkle_snapshot_checkpoint () =
-  let t = Ctlog.Merkle.create () in
-  grow t 37;
-  ignore (Ctlog.Merkle.root t);
-  let file = Filename.temp_file "unicert-merkle" ".ckpt" in
+(* Fetch cursors journal leaf hashes, and a resumed session rebuilds
+   its running tree from them: the rebuilt tree must answer like the
+   reference and keep doing so as it grows. *)
+let test_merkle_append_hash () =
+  let rebuilt = Ctlog.Merkle.create () in
+  for i = 0 to 36 do
+    check Alcotest.int "index" i
+      (Ctlog.Merkle.append_hash rebuilt
+         (Ctlog.Merkle.leaf_hash (Printf.sprintf "leaf-%d" i)))
+  done;
+  List.iter
+    (fun n ->
+      grow rebuilt n;
+      check Alcotest.bool (Printf.sprintf "rebuilt tree at %d" n) true
+        (agrees_with_reference rebuilt))
+    [ 37; 64; 100 ]
+
+(* Cursor files of checkpoint format v002 held the whole session in one
+   marshalled value; v003 journals it.  A v002 cursor must be refused
+   loudly, naming both versions, not resumed from scratch. *)
+let test_v002_cursor_rejected () =
+  let dir = Filename.temp_file "unicert-cursor" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let base = Filename.concat dir "ckpt" in
+  let file = Ctlog.Fetch.cursor_file base 0 in
   Fun.protect
-    ~finally:(fun () -> Sys.remove file)
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
     (fun () ->
-      Faults.Checkpoint.save file
-        { Faults.Checkpoint.scale = 0; seed = 0; next_index = 37;
-          state = Ctlog.Merkle.snapshot t };
-      let restored =
-        match (Faults.Checkpoint.load file : Ctlog.Merkle.snapshot Faults.Checkpoint.t option) with
-        | Some c -> Ctlog.Merkle.of_snapshot c.Faults.Checkpoint.state
-        | None -> Alcotest.fail "snapshot checkpoint did not load"
-      in
-      check Alcotest.int "restored size" 37 (Ctlog.Merkle.size restored);
-      List.iter
-        (fun n ->
-          grow restored n;
-          check Alcotest.bool (Printf.sprintf "restored tree at %d" n) true
-            (agrees_with_reference restored))
-        [ 37; 64; 100 ]);
-  let module Old = struct
-    type tree = { mutable hashes : string array; mutable len : int }
-  end in
-  let old =
-    { Old.hashes =
-        Array.init 32 (fun i ->
-            if i < 20 then Ctlog.Merkle.leaf_hash (Printf.sprintf "leaf-%d" i) else "");
-      len = 20 }
-  in
-  let snap : Ctlog.Merkle.snapshot = Marshal.from_string (Marshal.to_string old []) 0 in
-  let loaded = Ctlog.Merkle.of_snapshot snap in
-  grow loaded 45;
-  check Alcotest.bool "old cursor layout loads and grows" true (agrees_with_reference loaded)
+      let oc = open_out_bin file in
+      output_string oc "UNICERT-CKPT2\nv002\n";
+      (* v002 cursors carried every delivered DER: more than a v003
+         header slot. *)
+      Marshal.to_channel oc
+        { Faults.Checkpoint.scale = 16; seed = 1; next_index = 0;
+          state = String.make 10_000 'x' }
+        [];
+      close_out oc;
+      let cfg = { Ctlog.Fetch.default_cfg with Ctlog.Fetch.logs = 1 } in
+      match
+        Ctlog.Fetch.corpus ~scale:16 ~seed:1 ~checkpoint:base ~resume:true cfg
+      with
+      | _ -> Alcotest.fail "a v002 cursor was resumed"
+      | exception Faults.Checkpoint.Invalid msg ->
+          let mentions v =
+            let n = String.length v in
+            let rec go i =
+              i + n <= String.length msg && (String.sub msg i n = v || go (i + 1))
+            in
+            go 0
+          in
+          check Alcotest.bool ("names v002: " ^ msg) true (mentions "v002");
+          check Alcotest.bool ("names v003: " ^ msg) true (mentions "v003"))
 
 (* --- wire ---------------------------------------------------------------- *)
 
@@ -365,8 +380,10 @@ let suite =
     Alcotest.test_case "merkle consistency proofs" `Quick test_merkle_consistency;
     Alcotest.test_case "merkle rejects bogus roots" `Quick test_merkle_consistency_rejects;
     qtest prop_merkle_cache;
-    Alcotest.test_case "merkle snapshot survives a checkpoint" `Quick
-      test_merkle_snapshot_checkpoint;
+    Alcotest.test_case "merkle rebuilds from leaf hashes" `Quick
+      test_merkle_append_hash;
+    Alcotest.test_case "v002 fetch cursor is rejected" `Quick
+      test_v002_cursor_rejected;
     Alcotest.test_case "wire hex table" `Quick test_wire_hex;
     Alcotest.test_case "log SCTs" `Quick test_log_scts;
     Alcotest.test_case "dataset determinism" `Quick test_dataset_determinism;

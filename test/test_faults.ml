@@ -199,6 +199,87 @@ let test_checkpoint_roundtrip () =
   check Alcotest.bool "missing loads as None" true
     ((Faults.Checkpoint.load file : int Faults.Checkpoint.t option) = None)
 
+(* A save that raises must not leave a half-written [FILE.tmp] (or an
+   open channel) behind, and must leave the previous checkpoint as it
+   was.  A closure makes Marshal refuse the state. *)
+let test_checkpoint_save_failure () =
+  let file = Filename.temp_file "unicert-ckpt" ".bin" in
+  let ckpt state = { Faults.Checkpoint.scale = 1; seed = 2; next_index = 3; state } in
+  Faults.Checkpoint.save file (ckpt [ 1 ]);
+  (match Faults.Checkpoint.save file (ckpt [ (fun x -> x + 1) ]) with
+  | () -> Alcotest.fail "saving a closure did not raise"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.bool "no .tmp left" false (Sys.file_exists (file ^ ".tmp"));
+  (match (Faults.Checkpoint.load file : int list Faults.Checkpoint.t option) with
+  | Some c -> check Alcotest.(list int) "previous checkpoint intact" [ 1 ] c.state
+  | None -> Alcotest.fail "previous checkpoint lost");
+  Sys.remove file
+
+(* Journaled checkpoints: saves append only their new records, a load
+   reads exactly the prefix the header names, and a tail past it (a
+   crash between the append and the header replace) is ignored and
+   then cut off by the next save. *)
+let test_checkpoint_journal () =
+  let dir = Filename.temp_file "unicert-journal" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let file = Filename.concat dir "ckpt.fetch0" in
+  let journal = Faults.Checkpoint.journal_file file in
+  let ckpt n = { Faults.Checkpoint.scale = 8; seed = 1; next_index = n; state = n } in
+  let load () =
+    match
+      (Faults.Checkpoint.load_journaled file
+        : (int Faults.Checkpoint.t * Faults.Checkpoint.mark * string list) option)
+    with
+    | Some (c, _, records) -> (c.Faults.Checkpoint.state, records)
+    | None -> Alcotest.fail "journaled checkpoint did not load"
+  in
+  let size f = (Unix.stat f).Unix.st_size in
+  let m1 = Faults.Checkpoint.save_journaled file (ckpt 2) ~journal:Faults.Checkpoint.empty_mark [ "a"; "b" ] in
+  let m2 = Faults.Checkpoint.save_journaled file (ckpt 3) ~journal:m1 [ "c" ] in
+  check Alcotest.int "records counted" 3 m2.Faults.Checkpoint.records;
+  check Alcotest.int "bytes counted" (size journal) m2.Faults.Checkpoint.bytes;
+  check Alcotest.(pair int (list string)) "roundtrip" (3, [ "a"; "b"; "c" ]) (load ());
+  let m3 = Faults.Checkpoint.save_journaled file (ckpt 4) ~journal:m2 [] in
+  check Alcotest.bool "an empty save appends nothing" true
+    (m3.Faults.Checkpoint.records = 3 && m3.Faults.Checkpoint.bytes = m2.Faults.Checkpoint.bytes);
+  (* A save killed mid-write tears the slot it was writing: the load
+     falls back to the other slot, the previous save. *)
+  let torn = In_channel.with_open_bin file In_channel.input_all in
+  let slot = (m3.Faults.Checkpoint.saves - 1) mod 2 * 4096 in
+  let b = Bytes.of_string torn in
+  Bytes.set b (slot + 40) (Char.chr (Char.code (Bytes.get b (slot + 40)) lxor 1));
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_bytes oc b);
+  check Alcotest.(pair int (list string)) "a torn slot falls back" (3, [ "a"; "b"; "c" ])
+    (load ());
+  Out_channel.with_open_bin file (fun oc -> output_string oc torn);
+  (* Crash between append and header replace: the journal holds a
+     record the header does not name. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 journal in
+  Marshal.to_channel oc "lost" [];
+  output_string oc "torn";
+  close_out oc;
+  check Alcotest.(pair int (list string)) "tail past the mark ignored" (4, [ "a"; "b"; "c" ])
+    (load ());
+  let m4 = Faults.Checkpoint.save_journaled file (ckpt 5) ~journal:m2 [ "d" ] in
+  check Alcotest.(pair int (list string)) "next save cuts the tail" (5, [ "a"; "b"; "c"; "d" ])
+    (load ());
+  check Alcotest.int "journal ends at the mark" m4.Faults.Checkpoint.bytes (size journal);
+  (* A journal shorter than its header is damage, not a fresh start. *)
+  Unix.truncate journal (m4.Faults.Checkpoint.bytes - 1);
+  (match load () with
+  | _ -> Alcotest.fail "a short journal loaded"
+  | exception Faults.Checkpoint.Invalid _ -> ());
+  (* A journal goes stale with its header. *)
+  let base = Filename.concat dir "ckpt" in
+  check
+    Alcotest.(list string)
+    "stale journal listed"
+    [ file; journal ]
+    (Faults.Checkpoint.stale_cursors base ~active_shards:None ~active_fetch:(Some 0));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir
+
 let test_stale_cursors () =
   let dir = Filename.temp_file "unicert-stale" "" in
   Sys.remove dir;
@@ -554,6 +635,9 @@ let suite =
     Alcotest.test_case "quarantine roundtrip" `Quick test_quarantine_roundtrip;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
     Alcotest.test_case "stale cursors" `Quick test_stale_cursors;
+    Alcotest.test_case "checkpoint save failure leaves no tmp" `Quick
+      test_checkpoint_save_failure;
+    Alcotest.test_case "checkpoint journal" `Quick test_checkpoint_journal;
     Alcotest.test_case "circuit breaker" `Quick test_breaker;
     Alcotest.test_case "injector" `Quick test_injector;
     Alcotest.test_case "injector specs" `Quick test_injector_spec;

@@ -578,6 +578,51 @@ let test_fetch_resume_after_kill () =
       check Alcotest.string "resumed run delivers the full-run bytes" full
         (fps items2))
 
+(* The cursor headers under [dir] whose names start with [prefix],
+   with their bytes.  Putting an earlier copy back over journals that
+   have grown since is exactly what a crash between a save's journal
+   append and its header replace leaves on disk. *)
+let cursor_headers dir prefix =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f ->
+         String.starts_with ~prefix f && not (Filename.check_suffix f ".journal"))
+  |> List.map (fun f ->
+         let p = Filename.concat dir f in
+         (p, In_channel.with_open_bin p In_channel.input_all))
+
+let restore_headers =
+  List.iter (fun (p, data) ->
+      Out_channel.with_open_bin p (fun oc -> output_string oc data))
+
+let journal_sizes headers =
+  List.map
+    (fun (p, _) -> (Unix.stat (Faults.Checkpoint.journal_file p)).Unix.st_size)
+    headers
+
+let test_fetch_resume_journal_tail () =
+  let dir = tmp_dir "unicert-net-tail" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let base = Filename.concat dir "ckpt" in
+      let cfg = small_cfg ~page_cap:2 () in
+      let full = fps (fst (Fetch.corpus ~scale:64 ~seed:5 cfg)) in
+      ignore (Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~stop_after_pages:2 cfg);
+      let early = cursor_headers dir "ckpt.fetch" in
+      let early_sizes = journal_sizes early in
+      ignore
+        (Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~resume:true
+           ~stop_after_pages:2 cfg);
+      restore_headers early;
+      if List.for_all2 ( = ) early_sizes (journal_sizes early) then
+        Alcotest.fail "the journals must run past their restored headers";
+      let items, covs =
+        Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~resume:true cfg
+      in
+      assert_complete covs;
+      check Alcotest.string "a journal tail past the header resumes byte-identically"
+        full (fps items))
+
 let test_fetch_jobs_deterministic () =
   let cfg = small_cfg ~fault_rate:0.15 ~page_cap:4 () in
   let run jobs = Fetch.corpus ~scale:96 ~seed:7 ~jobs cfg in
@@ -697,6 +742,90 @@ let test_feed_restart_resumes () =
         straight
         (summary (tick_feeds reopened ~ticks:8)))
 
+(* A daemon killed between a save's journal append and its header
+   replace: the restarted feeds read the older headers, ignore the
+   journal records past them and refetch those entries. *)
+let test_feed_restart_journal_tail () =
+  let dir = tmp_dir "unicert-net-feeds-tail" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cfg = small_cfg ~page_cap:4 () in
+      let mk sub =
+        Fetch.feeds ~checkpoint:(Filename.concat dir sub) ~scale:64 ~seed:5 cfg
+      in
+      let summary sessions =
+        List.iter
+          (fun s ->
+            let c = s.Fetch.s_cov in
+            if c.Fetch.split_view || not (Fetch.coverage_complete c) then
+              Alcotest.failf "log %s did not verify to completion" c.Fetch.log)
+          sessions;
+        fps (List.concat_map (fun s -> Fetch.items_of_session s) sessions)
+      in
+      let straight = summary (tick_feeds (mk "a") ~ticks:8) in
+      let running = mk "b" in
+      ignore (tick_feeds running ~ticks:1);
+      let early = cursor_headers dir "b.fetch" in
+      let early_sizes = journal_sizes early in
+      ignore (tick_feeds running ~ticks:2);
+      restore_headers early;
+      if List.for_all2 ( = ) early_sizes (journal_sizes early) then
+        Alcotest.fail "the journals must run past their restored headers";
+      let reopened = mk "b" in
+      List.iter
+        (fun f -> Option.iter (Fetch.feed_publish f) (Fetch.feed_trusted f))
+        reopened;
+      check Alcotest.string "restarted feeds deliver the uninterrupted bytes"
+        straight
+        (summary (tick_feeds reopened ~ticks:8)))
+
+(* A poll's cursor saves write the new rows and a small header, never
+   the history: at 1x and 4x prior history, the bytes one poll writes
+   stay under a constant per log plus a per-entry allowance over the
+   DER it fetched.  Rewriting the delivered history (as v002 cursors
+   did) would blow the bound at both sizes. *)
+let test_cursor_save_bytes_bounded () =
+  let dir = tmp_dir "unicert-net-bytes" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let cfg = small_cfg () in
+      let feeds =
+        Fetch.feeds ~checkpoint:(Filename.concat dir "c") ~scale:320 ~seed:5 cfg
+      in
+      let written =
+        Obs.Registry.counter "unicert_checkpoint_bytes_written_total"
+      in
+      (* Publish up to [n] entries per log, poll every log, and return
+         the bytes the polls wrote with the DER bytes they delivered. *)
+      let poll_to n =
+        let before = Obs.Counter.value written in
+        let der =
+          List.fold_left
+            (fun acc f ->
+              let had = Fetch.feed_published f in
+              Fetch.feed_publish f n;
+              let s = Fetch.poll f in
+              List.fold_left
+                (fun acc (_, der) -> acc + String.length der + 256)
+                acc
+                (List.filteri (fun i _ -> i >= had) s.Fetch.s_raw))
+            0 feeds
+        in
+        (int_of_float (Obs.Counter.value written -. before), der)
+      in
+      List.iter
+        (fun (history, label) ->
+          ignore (poll_to history);
+          let bytes, allowance = poll_to (history + 4) in
+          let bound = (1024 * List.length feeds) + allowance in
+          if bytes > bound then
+            Alcotest.failf "%s history: one poll wrote %d bytes (bound %d)" label
+              bytes bound;
+          if allowance = 0 then Alcotest.failf "%s history: nothing fetched" label)
+        [ (16, "1x"); (64, "4x") ])
+
 (* The restored tree must keep verifying: after the restart, log 1's
    new server answers its STH and consistency proof from the real
    tree, then serves pages from a fork with leaf 12 flipped.  Only the
@@ -773,4 +902,10 @@ let suite =
     Alcotest.test_case "items-of-session-from" `Quick test_items_of_session_from;
     Alcotest.test_case "feed-restart-resumes" `Quick test_feed_restart_resumes;
     Alcotest.test_case "feed-restart-verifies" `Quick test_feed_restart_verifies;
+    Alcotest.test_case "fetch-resume-journal-tail" `Quick
+      test_fetch_resume_journal_tail;
+    Alcotest.test_case "feed-restart-journal-tail" `Quick
+      test_feed_restart_journal_tail;
+    Alcotest.test_case "cursor-save-bytes-bounded" `Quick
+      test_cursor_save_bytes_bounded;
   ]

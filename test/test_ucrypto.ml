@@ -13,11 +13,66 @@ let test_sha256_vectors () =
   check Alcotest.string "448-bit"
     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
     (Ucrypto.Sha256.hex "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq");
-  (* exact block boundary *)
-  check Alcotest.string "64 bytes"
-    (Ucrypto.Sha256.hex (String.make 64 'a'))
-    (Ucrypto.Sha256.hex (String.make 64 'a'));
+  (* Padding boundaries: 55 bytes is the longest message whose length
+     fits its last block, 56 the shortest that needs another; 64 and
+     120 end exactly on a block or on the length field of a second
+     one.  Expected values from sha256sum over n bytes of 'a'. *)
+  List.iter
+    (fun (n, want) ->
+      check Alcotest.string
+        (Printf.sprintf "%d bytes" n)
+        want
+        (Ucrypto.Sha256.hex (String.make n 'a')))
+    [
+      (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318");
+      (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a");
+      (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34");
+      (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb");
+      (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb");
+      (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c");
+    ];
+  (* FIPS 180-4 long-message vector. *)
+  check Alcotest.string "one million a"
+    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    (Ucrypto.Sha256.hex (String.make 1_000_000 'a'));
   check Alcotest.int "digest length" 32 (String.length (Ucrypto.Sha256.digest "x"))
+
+(* Streaming a message through [update] in arbitrary chunks must give
+   [digest] of the whole: every split point exercises the partial-block
+   buffer. *)
+let prop_sha256_chunked =
+  QCheck.Test.make ~name:"sha256 init/update over any chunking = digest"
+    ~count:300
+    QCheck.(pair (string_of_size (Gen.int_range 0 300)) (list (int_range 0 80)))
+    (fun (msg, cuts) ->
+      let ctx = Ucrypto.Sha256.init () in
+      let rec feed pos = function
+        | [] -> Ucrypto.Sha256.update ctx (String.sub msg pos (String.length msg - pos))
+        | c :: rest ->
+            let c = min c (String.length msg - pos) in
+            Ucrypto.Sha256.update ctx (String.sub msg pos c);
+            feed (pos + c) rest
+      in
+      feed 0 cuts;
+      String.equal (Ucrypto.Sha256.final ctx) (Ucrypto.Sha256.digest msg))
+
+(* The precomputed-midstate MAC against RFC 2104 spelled out over
+   [digest]; keys up to 150 bytes cover the hashed-key branch. *)
+let prop_hmac_with =
+  let reference ~key msg =
+    let key = if String.length key > 64 then Ucrypto.Sha256.digest key else key in
+    let pad p =
+      String.init 64 (fun i ->
+          Char.chr ((if i < String.length key then Char.code key.[i] else 0) lxor p))
+    in
+    Ucrypto.Sha256.digest (pad 0x5c ^ Ucrypto.Sha256.digest (pad 0x36 ^ msg))
+  in
+  QCheck.Test.make ~name:"hmac_with (hmac_init k) = hmac ~key:k" ~count:200
+    QCheck.(pair (string_of_size (Gen.int_range 0 150)) (string_of_size (Gen.int_range 0 200)))
+    (fun (key, msg) ->
+      let want = reference ~key msg in
+      String.equal (Ucrypto.Sha256.hmac_with (Ucrypto.Sha256.hmac_init key) msg) want
+      && String.equal (Ucrypto.Sha256.hmac ~key msg) want)
 
 let hex s =
   String.concat ""
@@ -195,6 +250,8 @@ let suite =
     Alcotest.test_case "miller-rabin" `Quick test_primality;
     Alcotest.test_case "rsa sign/verify" `Slow test_rsa;
     Alcotest.test_case "prng shuffle" `Quick test_prng_shuffle;
+    qtest prop_sha256_chunked;
+    qtest prop_hmac_with;
     qtest prop_shift_roundtrip;
     qtest prop_gcd;
     qtest prop_divmod;
