@@ -6,7 +6,8 @@
    report is byte-identical across --jobs values (clean and at a 10%
    fault rate), analysing a fetched corpus matches analysing a locally
    generated one, and a persistently dead log degrades coverage without
-   aborting the run. *)
+   aborting the run.  The clean and faulty reports are also pinned to
+   golden SHA-256 digests. *)
 
 let scale = 256
 let seed = 9
@@ -19,6 +20,16 @@ let fail fmt =
     fmt
 
 let report t = Format.asprintf "%a" Unicert.Report.all t
+
+(* SHA-256 of the rendered clean and 10%-fault fetch reports. *)
+let golden_clean =
+  "7993095d34bf49d9ee03c0de87eef29e18fba9379dec5a6892ddfdee24de77bd"
+let golden_faulty =
+  "0c47dc0d351f5b1a362a43d4a1510d794f862ddb46bc016af9f553c191d770f1"
+
+let check_digest what expected bytes =
+  let got = Ucrypto.Sha256.hex bytes in
+  if got <> expected then fail "%s digest %s, expected %s" what got expected
 
 let base_cfg =
   { Ctlog.Fetch.default_cfg with Ctlog.Fetch.logs = 8; net_seed = Some 41 }
@@ -43,6 +54,7 @@ let () =
   let clean4 = run 4 in
   if report clean1 <> report clean4 then
     fail "clean fetch report differs between --jobs 1 and --jobs 4";
+  check_digest "clean fetch report" golden_clean (report clean1);
   if Unicert.Pipeline.coverage_degraded clean1 then
     fail "clean transport must not degrade coverage";
 
@@ -57,6 +69,7 @@ let () =
   let f4 = run ~cfg:faulty_cfg 4 in
   if report f1 <> report f4 then
     fail "faulty fetch report differs between --jobs 1 and --jobs 4";
+  check_digest "faulty fetch report" golden_faulty (report f1);
   (* Retry counts differ in the Coverage section; the analysis must
      not. *)
   if strip_coverage (report f1) <> strip_coverage (report clean1) then

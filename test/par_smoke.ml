@@ -4,7 +4,9 @@
    Runs the full analysis twice — sequentially and across 4 worker
    domains — and asserts the multicore contract: the rendered report is
    byte-identical, and with seeded corruption the quarantine sidecar
-   folded from the per-shard files is byte-identical too. *)
+   folded from the per-shard files is byte-identical too.  Both jobs
+   values run the same sharded driver, so the bytes are also pinned to
+   golden SHA-256 digests. *)
 
 let scale = 400
 let seed = 6
@@ -31,11 +33,26 @@ let read_file path =
 
 let report t = Format.asprintf "%a" Unicert.Report.all t
 
+(* SHA-256 of the rendered report (and sidecar) at each fixed case. *)
+let golden_clean =
+  "748faaa0b87755f437264092bab631cbe3f609879577d65220a2fbc0cc466d47"
+let golden_corrupt_report =
+  "5e853a483ffb23065f42f7a285fb7b048c6123311207f4001b49bb7afb1b4030"
+let golden_corrupt_quarantine =
+  "bdbbf6dfd3ece60edda752cbc951f37c3d15bf96cb90b4c5cf55938e3b487267"
+
+let check_digest what expected bytes =
+  let got = Ucrypto.Sha256.hex bytes in
+  if got <> expected then fail "%s digest %s, expected %s" what got expected
+
 let () =
-  let sequential = report (Unicert.Pipeline.run ~scale ~seed ~jobs:1 ()) in
-  let parallel = report (Unicert.Pipeline.run ~scale ~seed ~jobs:4 ()) in
-  if parallel <> sequential then
-    fail "report differs between --jobs 1 and --jobs 4";
+  List.iter
+    (fun jobs ->
+      check_digest
+        (Printf.sprintf "clean report (jobs=%d)" jobs)
+        golden_clean
+        (report (Unicert.Pipeline.run ~scale ~seed ~jobs ())))
+    [ 1; 2; 4 ];
 
   let corrupt jobs =
     let dir =
@@ -66,4 +83,6 @@ let () =
     fail "corrupted report differs between --jobs 1 and --jobs 4";
   if par_q <> seq_q then
     fail "quarantine sidecar differs between --jobs 1 and --jobs 4";
+  check_digest "corrupt report" golden_corrupt_report seq_report;
+  check_digest "quarantine sidecar" golden_corrupt_quarantine seq_q;
   print_endline "par-smoke: OK"

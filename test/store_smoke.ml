@@ -11,7 +11,10 @@
      remains, so never a total loss);
    - fsck --repair quarantines the damaged pair, and the next run
      regenerates only the lost span, landing back on the identical
-     report with the store complete again. *)
+     report with the store complete again.
+
+   The cold and warm reports are also pinned to a golden SHA-256
+   digest. *)
 
 let scale = 400
 let seed = 6
@@ -31,6 +34,14 @@ let rm_rf dir =
 
 let report t = Format.asprintf "%a" Unicert.Report.all t
 
+(* SHA-256 of the rendered report at this (scale, seed). *)
+let golden =
+  "748faaa0b87755f437264092bab631cbe3f609879577d65220a2fbc0cc466d47"
+
+let check_digest what bytes =
+  let got = Ucrypto.Sha256.hex bytes in
+  if got <> golden then fail "%s digest %s, expected %s" what got golden
+
 let () =
   let dir =
     Filename.concat
@@ -44,12 +55,14 @@ let () =
   (* Cold build. *)
   let cold = report (Unicert.Pipeline.run ~scale ~seed ~jobs:2 ~store:dir ()) in
   if cold <> plain then fail "cold store-backed report differs from storeless run";
+  check_digest "cold report" cold;
   if not (Store.Db.complete (Store.Db.open_ro ~dir)) then
     fail "store not complete after the cold build";
 
   (* Warm replay. *)
   let warm = report (Unicert.Pipeline.run ~scale ~seed ~store:dir ()) in
   if warm <> plain then fail "warm replay report differs";
+  check_digest "warm report" warm;
 
   (* Corrupt a sealed cert segment: fsck must detect it and report the
      store degraded-but-usable. *)

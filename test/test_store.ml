@@ -11,6 +11,10 @@ let report t = Format.asprintf "%a" Unicert.Report.all t
 
 let baseline = lazy (report (Unicert.Pipeline.run ~scale ~seed ~jobs:1 ()))
 
+(* SHA-256 of the rendered report at (scale, seed). *)
+let golden_report =
+  "54e51ca40c8fb479fb96fb4b3628314f046bebe2aabdfa5d56c4217145847951"
+
 let fresh_dir name =
   let dir =
     Filename.concat
@@ -244,6 +248,8 @@ let test_incremental_recompute () =
   let t = run_store ~jobs:1 dir in
   check Alcotest.string "incremental recompute is byte-identical"
     (Lazy.force baseline) (report t);
+  check Alcotest.string "incremental recompute matches the golden digest"
+    golden_report (Ucrypto.Sha256.hex (report t));
   let man'' = Store.Db.manifest (Store.Db.open_ro ~dir) in
   check Alcotest.string "manifest lint set restored to the full signature"
     man.Store.Manifest.lints man''.Store.Manifest.lints;
@@ -264,6 +270,40 @@ let test_incremental_recompute () =
   check Alcotest.int "exactly one rows column per span" 2
     (List.length stray_rows);
   rm_rf dir
+
+(* --- fetch-sourced store builds --- *)
+
+let fetch_cfg =
+  { Ctlog.Fetch.default_cfg with
+    Ctlog.Fetch.logs = 4; net_seed = Some 41; fault_rate = 0.1; page_cap = 8 }
+
+let test_fetch_store () =
+  let source = Unicert.Pipeline.Fetch fetch_cfg in
+  let plain = report (Unicert.Pipeline.run ~scale ~seed ~source ()) in
+  List.iter
+    (fun jobs ->
+      let dir = fresh_dir (Printf.sprintf "fetch-%d" jobs) in
+      let run () =
+        report (Unicert.Pipeline.run ~scale ~seed ~jobs ~source ~store:dir ())
+      in
+      check Alcotest.string
+        (Printf.sprintf "cold fetch-sourced build at jobs=%d" jobs)
+        plain (run ());
+      let addr () = Store.Db.meta (Store.Db.open_ro ~dir) "content" in
+      let a1 = addr () in
+      check Alcotest.bool "content address present" true (a1 <> None);
+      check Alcotest.string
+        (Printf.sprintf "warm replay of the jobs=%d fetch build" jobs)
+        plain (run ());
+      check
+        Alcotest.(option string)
+        "content address stable across warm replays" a1 (addr ());
+      check Alcotest.int
+        (Printf.sprintf "fsck clean after the jobs=%d fetch build" jobs)
+        0
+        (List.length (Store.Db.fsck ~dir ()).Store.Db.issues);
+      rm_rf dir)
+    [ 1; 2 ]
 
 (* --- identity pinning --- *)
 
@@ -332,6 +372,8 @@ let suite =
     Alcotest.test_case "persistent index lookups" `Quick test_indexes;
     Alcotest.test_case "incremental recompute" `Quick
       test_incremental_recompute;
+    Alcotest.test_case "fetch-sourced build, cold and warm" `Quick
+      test_fetch_store;
     Alcotest.test_case "identity mismatch rejected" `Quick
       test_identity_mismatch;
   ]
