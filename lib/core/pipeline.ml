@@ -218,11 +218,10 @@ let encoding_error_fields_of_ctx (ctx : Lint.Ctx.t) =
   (subject, san, policies)
 
 (* The retained reference engine: every stage re-derives its own facts
-   from the certificate (the pre-fusion behavior).  Selected with
-   UNICERT_ENGINE=reference; the differential test drives both engines
+   from the certificate (the pre-fusion behavior).  The differential
+   test selects it with {!use_reference_engine}, drives both engines
    and asserts byte-identical reports. *)
-let reference_engine =
-  ref (Sys.getenv_opt "UNICERT_ENGINE" = Some "reference")
+let reference_engine = ref false
 
 let use_reference_engine b = reference_engine := b
 
@@ -514,12 +513,6 @@ let with_profiling ~index f =
   in
   f ~timer ~note_aggregate
 
-let process t ~index (entry : Ctlog.Dataset.entry) =
-  with_profiling ~index (fun ~timer ~note_aggregate ->
-      let row, nc = row_of_entry ~timer entry ~index in
-      note_aggregate (fun () ->
-          absorb_row t ~issuer:entry.Ctlog.Dataset.issuer row nc))
-
 let fresh ~scale ~seed =
   {
     scale;
@@ -555,11 +548,9 @@ let fresh ~scale ~seed =
 
 (* --- the per-certificate error boundary ----------------------------- *)
 
-exception Abort of string
-
-(* Raised inside a worker domain when another shard aborted the run (or
-   this one hit the global error budget); unwinds the shard loop so the
-   domain can be joined. *)
+(* The one control exception: raised inside a shard when the run
+   aborted (this shard or another hit fail-fast or the error budget);
+   it unwinds the shard loop so the domain can be joined. *)
 exception Shard_stop
 
 (* A fault is a point on the trace timeline, not a span: the
@@ -572,114 +563,44 @@ let trace_fault ~index error =
           ("index", Obs.Trace.Int index) ]
       "fault"
 
-let record_fault t policy quarantine ~index ~der error =
-  let f = t.faults in
-  f.fault_errors <- f.fault_errors + 1;
-  bump f.by_class (Faults.Error.class_name error);
-  Faults.Error.observe error;
-  trace_fault ~index error;
-  (match quarantine with
-  | Some q ->
-      Faults.Quarantine.record q ~index ~error ~der;
-      f.quarantined <- f.quarantined + 1
-  | None -> ());
-  if policy.Faults.Policy.fail_fast then
-    raise (Abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error)));
-  match policy.Faults.Policy.max_errors with
-  | Some m when f.fault_errors >= m ->
-      raise (Abort (Printf.sprintf "max-errors: %d errors reached the limit" m))
-  | _ -> ()
-
-(* [record] is how faults reach the aggregate: the sequential path binds
-   it to {!record_fault} (raises [Abort]); each parallel shard binds a
-   closure over its own part and the shared error budget (raises
-   [Shard_stop]).  Both control exceptions must pass through untouched. *)
-let process_entry t policy ~record index (entry : Ctlog.Dataset.entry) =
-  let guarded () =
-    match policy.Faults.Policy.timeout_seconds with
-    | Some s ->
-        Faults.Watchdog.with_timeout ~stage:"process" ~seconds:s (fun () ->
-            process t ~index entry)
-    | None -> process t ~index entry
+(* The one guarded step over a live entry: analyze it into a row, fold
+   the row into [part] and hand it to [sink].  A failure is
+   classified and handed to [fault]; the control exception and store
+   failures pass through untouched. *)
+let analyze part policy ~fault ~sink index (entry : Ctlog.Dataset.entry) =
+  let der = entry.Ctlog.Dataset.cert.X509.Certificate.der in
+  let work () =
+    with_profiling ~index (fun ~timer ~note_aggregate ->
+        let row, nc = row_of_entry ~timer entry ~index in
+        note_aggregate (fun () ->
+            absorb_row part ~issuer:entry.Ctlog.Dataset.issuer row nc);
+        sink ~der row)
   in
-  match guarded () with
+  match
+    match policy.Faults.Policy.timeout_seconds with
+    | Some s -> Faults.Watchdog.with_timeout ~stage:"process" ~seconds:s work
+    | None -> work ()
+  with
   | () -> ()
-  | exception (Abort _ as e) -> raise e
-  | exception (Shard_stop as e) -> raise e
+  | exception ((Shard_stop | Store.Chaos.Crashed _ | Store.Db.Store_error _) as e)
+    ->
+      raise e
   | exception Faults.Watchdog.Timed_out { stage; seconds } ->
-      record ~index
-        ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        (Faults.Error.Timeout { stage; seconds })
+      fault ~index ~der (Faults.Error.Timeout { stage; seconds })
   | exception e when Faults.Isolation.enabled () ->
-      record ~index
-        ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        (Faults.Error.of_exn ~stage:"process" e)
+      fault ~index ~der (Faults.Error.of_exn ~stage:"process" e)
 
 let snapshot_crashes () =
   List.fold_left (fun acc (_, n, _) -> acc + n) 0 (Lint.Registry.fault_snapshot ())
 
-let run_sequential ~scale ~seed ~policy ~mutator ~drop ~resume =
-  (* Resume only continues a checkpoint for the same run parameters; a
-     stale file for a different (scale, seed) starts fresh. *)
-  let t, start =
-    match
-      if resume then
-        Option.bind policy.Faults.Policy.checkpoint_file Faults.Checkpoint.load
-      else None
-    with
-    | Some c
-      when c.Faults.Checkpoint.scale = scale && c.Faults.Checkpoint.seed = seed ->
-        let t : t = c.Faults.Checkpoint.state in
-        t.faults.resumed_at <- c.Faults.Checkpoint.next_index;
-        t.faults.aborted <- None;
-        (t, c.Faults.Checkpoint.next_index)
-    | _ -> (fresh ~scale ~seed, 0)
-  in
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  let crashes_before = snapshot_crashes () in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let save_checkpoint next_index =
-    match policy.Faults.Policy.checkpoint_file with
-    | Some file ->
-        Faults.Checkpoint.save file
-          { Faults.Checkpoint.scale; seed; next_index; state = t };
-        t.faults.checkpoints_saved <- t.faults.checkpoints_saved + 1
-    | None -> ()
-  in
-  let every = max 1 policy.Faults.Policy.checkpoint_every in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            Ctlog.Dataset.iter_deliveries ~scale ~start ?mutator ~drop ~seed
-              (fun index delivery ->
-                (match delivery with
-                | Ctlog.Dataset.Entry e ->
-                    process_entry t policy
-                      ~record:(record_fault t policy quarantine)
-                      index e
-                | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                    record_fault t policy quarantine ~index ~der error);
-                if (index + 1) mod every = 0 then save_checkpoint (index + 1)));
-        save_checkpoint scale
-      with Abort reason -> t.faults.aborted <- Some reason);
-  t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
-  t.faults.degraded <- Lint.Registry.degraded ();
-  t
-
-(* --- deterministic merge of parallel shard aggregates ---------------- *)
+(* --- deterministic merge of shard aggregates ------------------------- *)
 
 let bump_by tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 (* Fold one shard's aggregate into [dst].  Every field is a sum (or a
    bag, for validity samples), so merging shards in index order yields
-   exactly the totals a sequential pass accumulates.  [lint_crashes],
+   exactly the totals of one pass over the whole range.  [lint_crashes],
    [degraded], [resumed_at] and [aborted] are owned by the coordinator
    and skipped here. *)
 let merge_into dst (src : t) =
@@ -755,7 +676,6 @@ let merge_into dst (src : t) =
     dst.faults.checkpoints_saved + src.faults.checkpoints_saved;
   Hashtbl.iter (fun k v -> bump_by dst.faults.by_class k v) src.faults.by_class
 
-(* --- the parallel (sharded) pass ------------------------------------- *)
 
 (* [Lazy.force] is not domain-safe in OCaml 5: every lazy handle a
    worker can touch must be forced on this domain before any spawn. *)
@@ -768,246 +688,6 @@ let prewarm policy =
   Faults.Breaker.prewarm ();
   Faults.Injector.prewarm ();
   Faults.Quarantine.prewarm ()
-
-let run_parallel ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs =
-  prewarm policy;
-  let crashes_before = snapshot_crashes () in
-  let ranges = Par.shards ~jobs scale in
-  let nshards = List.length ranges in
-  (* fail-fast / max-errors are run-global: the first shard to hit the
-     budget publishes the reason and every shard winds down at its next
-     delivery.  Which certificates the other shards got to before
-     noticing is timing-dependent, so an *aborted* parallel run is not
-     byte-reproducible (a completed one is). *)
-  let stop_flag = Atomic.make false in
-  let global_errors = Atomic.make 0 in
-  let abort_lock = Mutex.create () in
-  let abort_reason = ref None in
-  let set_abort reason =
-    Mutex.protect abort_lock (fun () ->
-        if !abort_reason = None then abort_reason := Some reason);
-    Atomic.set stop_flag true
-  in
-  let run_shard ~shard ~lo ~hi =
-    (* A shard cursor also re-validates its own range: after a --jobs
-       change the shard boundaries move, and a stale cursor whose range
-       does not match would double- or skip-process indices. *)
-    let part, start =
-      match
-        if resume then
-          Option.bind policy.Faults.Policy.checkpoint_file (fun file ->
-              Faults.Checkpoint.load (Faults.Checkpoint.shard_file file shard))
-        else None
-      with
-      | Some c
-        when c.Faults.Checkpoint.scale = scale
-             && c.Faults.Checkpoint.seed = seed
-             && fst c.Faults.Checkpoint.state = lo
-             && c.Faults.Checkpoint.next_index >= lo
-             && c.Faults.Checkpoint.next_index <= hi ->
-          let part : t = snd c.Faults.Checkpoint.state in
-          if c.Faults.Checkpoint.next_index > lo then
-            part.faults.resumed_at <- c.Faults.Checkpoint.next_index;
-          (part, c.Faults.Checkpoint.next_index)
-      | _ -> (fresh ~scale ~seed, lo)
-    in
-    let quarantine =
-      Option.map
-        (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
-        policy.Faults.Policy.quarantine_dir
-    in
-    let record ~index ~der error =
-      let f = part.faults in
-      f.fault_errors <- f.fault_errors + 1;
-      bump f.by_class (Faults.Error.class_name error);
-      Faults.Error.observe error;
-      trace_fault ~index error;
-      (match quarantine with
-      | Some q ->
-          Faults.Quarantine.record q ~index ~error ~der;
-          f.quarantined <- f.quarantined + 1
-      | None -> ());
-      let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-      if policy.Faults.Policy.fail_fast then begin
-        set_abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-        raise Shard_stop
-      end;
-      match policy.Faults.Policy.max_errors with
-      | Some m when seen >= m ->
-          set_abort (Printf.sprintf "max-errors: %d errors reached the limit" m);
-          raise Shard_stop
-      | _ -> ()
-    in
-    let save_checkpoint next_index =
-      match policy.Faults.Policy.checkpoint_file with
-      | Some file ->
-          Faults.Checkpoint.save
-            (Faults.Checkpoint.shard_file file shard)
-            { Faults.Checkpoint.scale; seed; next_index; state = (lo, part) };
-          part.faults.checkpoints_saved <- part.faults.checkpoints_saved + 1
-      | None -> ()
-    in
-    let every = max 1 policy.Faults.Policy.checkpoint_every in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-      (fun () ->
-        try
-          Ctlog.Dataset.iter_deliveries ~scale ~start ~stop:hi ?mutator ~drop ~seed
-            (fun index delivery ->
-              if Atomic.get stop_flag then raise Shard_stop;
-              (match delivery with
-              | Ctlog.Dataset.Entry e -> process_entry part policy ~record index e
-              | Ctlog.Dataset.Corrupt { der; error; _ } -> record ~index ~der error);
-              if (index + 1) mod every = 0 then save_checkpoint (index + 1));
-          save_checkpoint hi
-        with Shard_stop -> ());
-    part
-  in
-  let parts =
-    Obs.Span.with_ "pipeline" (fun () ->
-        Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi -> run_shard ~shard ~lo ~hi))
-  in
-  (* Always fold shard sidecars into the main quarantine file, so an
-     aborted run still keeps every record written so far. *)
-  (match policy.Faults.Policy.quarantine_dir with
-  | Some dir ->
-      ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-  | None -> ());
-  let t = fresh ~scale ~seed in
-  List.iter (fun part -> merge_into t part) parts;
-  t.faults.resumed_at <-
-    List.fold_left
-      (fun acc (part : t) ->
-        let r = part.faults.resumed_at in
-        if r = 0 then acc else if acc = 0 then r else min acc r)
-      0 parts;
-  t.faults.aborted <- !abort_reason;
-  t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
-  t.faults.degraded <- Lint.Registry.degraded ();
-  t
-
-(* --- the fetch source ------------------------------------------------- *)
-
-(* Analysis of a fetched corpus reuses the same boundary and aggregate
-   machinery as the generate source, but iterates the materialized item
-   stream instead of regenerating entries: faults the transport already
-   classified (undecodable bytes, integrity-flagged ranges) go straight
-   through [record], everything else is linted normally. *)
-
-let analyze_item t policy ~record item =
-  match item with
-  | Ctlog.Fetch.Got (index, e) -> process_entry t policy ~record index e
-  | Ctlog.Fetch.Undecodable (index, der, error) -> record ~index ~der error
-
-let analyze_sequential ~scale ~seed ~policy items =
-  let t = fresh ~scale ~seed in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            Array.iter
-              (analyze_item t policy ~record:(record_fault t policy quarantine))
-              items)
-      with Abort reason -> t.faults.aborted <- Some reason);
-  t
-
-let analyze_parallel ~scale ~seed ~policy ~jobs items =
-  let n = Array.length items in
-  let nshards = List.length (Par.shards ~jobs n) in
-  let stop_flag = Atomic.make false in
-  let global_errors = Atomic.make 0 in
-  let abort_lock = Mutex.create () in
-  let abort_reason = ref None in
-  let set_abort reason =
-    Mutex.protect abort_lock (fun () ->
-        if !abort_reason = None then abort_reason := Some reason);
-    Atomic.set stop_flag true
-  in
-  let run_shard ~shard ~lo ~hi =
-    let part = fresh ~scale ~seed in
-    let quarantine =
-      Option.map
-        (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
-        policy.Faults.Policy.quarantine_dir
-    in
-    let record ~index ~der error =
-      let f = part.faults in
-      f.fault_errors <- f.fault_errors + 1;
-      bump f.by_class (Faults.Error.class_name error);
-      Faults.Error.observe error;
-      trace_fault ~index error;
-      (match quarantine with
-      | Some q ->
-          Faults.Quarantine.record q ~index ~error ~der;
-          f.quarantined <- f.quarantined + 1
-      | None -> ());
-      let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-      if policy.Faults.Policy.fail_fast then begin
-        set_abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-        raise Shard_stop
-      end;
-      match policy.Faults.Policy.max_errors with
-      | Some m when seen >= m ->
-          set_abort (Printf.sprintf "max-errors: %d errors reached the limit" m);
-          raise Shard_stop
-      | _ -> ()
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-      (fun () ->
-        try
-          for i = lo to hi - 1 do
-            if Atomic.get stop_flag then raise Shard_stop;
-            analyze_item part policy ~record items.(i)
-          done
-        with Shard_stop -> ());
-    part
-  in
-  let parts =
-    Obs.Span.with_ "pipeline" (fun () ->
-        Par.map_shards ~jobs ~scale:n (fun ~shard ~lo ~hi ->
-            run_shard ~shard ~lo ~hi))
-  in
-  (match policy.Faults.Policy.quarantine_dir with
-  | Some dir ->
-      ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-  | None -> ());
-  let t = fresh ~scale ~seed in
-  List.iter (fun part -> merge_into t part) parts;
-  t.faults.aborted <- !abort_reason;
-  t
-
-let run_fetch ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
-  prewarm policy;
-  Ctlog.Fetch.prewarm ();
-  let crashes_before = snapshot_crashes () in
-  (* The boundary's breaker threshold also governs the per-log fetch
-     breakers, so --breaker-threshold tunes both layers. *)
-  let cfg =
-    { cfg with
-      Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
-  in
-  let items, coverage =
-    Obs.Span.with_ "fetch" (fun () ->
-        Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
-          ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
-  in
-  let items = Array.of_list items in
-  let t =
-    if jobs > 1 && Array.length items > 1 then
-      analyze_parallel ~scale ~seed ~policy ~jobs items
-    else analyze_sequential ~scale ~seed ~policy items
-  in
-  t.coverage <- coverage;
-  t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
-  t.faults.degraded <- Lint.Registry.degraded ();
-  t
 
 let coverage_degraded t =
   List.exists (fun c -> not (Ctlog.Fetch.coverage_complete c)) t.coverage
@@ -1332,21 +1012,23 @@ let save_indexes db named =
 let store_corrupt fmt =
   Printf.ksprintf (fun s -> raise (Store.Db.Store_error s)) fmt
 
-(* Absorb one stored record: cert rows re-enter the aggregate through
-   {!absorb_row} (no parse, no lint), fault records replay through the
+(* Absorb one stored record: cert rows pass through [refresh] and
+   re-enter the aggregate through {!absorb_row} (no parse, no lint
+   unless [refresh] recomputes lints); fault records replay through the
    caller's boundary so quarantine, budgets and robustness reporting
-   match the cold run.  Returns the decoded row for cert records. *)
-let replay_stored t ~record recd rowstr =
+   match the cold run.  Returns the row for cert records. *)
+let replay_stored t ~record ~refresh recd rowstr =
   match recd with
   | Store.Db.Fault { index; class_; detail; der } ->
       record ~index ~der (Faults.Error.of_class ~class_ ~detail);
       None
-  | Store.Db.Cert { index; der = _ } -> (
+  | Store.Db.Cert { index; der } -> (
       match decode_row rowstr with
       | Error e ->
           store_corrupt "stored row %d undecodable (%s); run `unicert-store fsck`"
             index e
       | Ok row -> (
+          let row = refresh ~der row in
           match Ctlog.Dataset.issuer_of_org row.r_org with
           | None ->
               store_corrupt "stored row %d references unknown issuer %S" index
@@ -1356,8 +1038,42 @@ let replay_stored t ~record recd rowstr =
               Obs.Span.with_ "aggregate" (fun () -> absorb_row t ~issuer row nc);
               Some row))
 
-(* --- cold build: process one live entry and land it durably --- *)
+(* Incremental recompute after the lint set changed from [stored]: run
+   only the missing lints over the stored DER and merge them with the
+   stored findings; names of removed lints drop out. *)
+let recompute_lints ~stored =
+  let stored = String.split_on_char ';' stored in
+  let current = List.map (fun (l : Lint.t) -> l.Lint.name) Lint.Registry.all in
+  let missing = List.filter (fun n -> not (List.mem n stored)) current in
+  fun ~der row ->
+    let fresh_nc =
+      if missing = [] then []
+      else
+        match X509.Certificate.parse der with
+        | Error e ->
+            store_corrupt "stored certificate %d unparseable (%s)" row.r_index
+              (Faults.Error.to_string e)
+        | Ok cert ->
+            Lint.Registry.run ~respect_effective_dates:false
+              ~only:(fun l -> List.mem l.Lint.name missing)
+              ~issued:row.r_issued cert
+            |> List.filter_map (fun (f : Lint.finding) ->
+                   if Lint.is_noncompliant f then Some f.Lint.lint.Lint.name
+                   else None)
+    in
+    let keep n = List.mem n row.r_nc || List.mem n fresh_nc in
+    { row with r_nc = List.filter keep current }
 
+let stored_coverage db =
+  match Store.Db.meta db "coverage" with
+  | None -> []
+  | Some s -> (
+      match decode_coverage s with
+      | Ok cov -> cov
+      | Error e -> store_corrupt "stored coverage undecodable (%s)" e)
+
+(* A corrupt delivery lands as a fault record, preserving the fault
+   ledger for warm replays. *)
 let append_fault pw ~index ~der error =
   Store.Db.append pw
     (Store.Db.Fault
@@ -1366,42 +1082,6 @@ let append_fault pw ~index ~der error =
          detail = Faults.Error.detail error;
          der })
     ~row:"F"
-
-let process_store t pw acc policy ~record index (entry : Ctlog.Dataset.entry) =
-  let work () =
-    with_profiling ~index (fun ~timer ~note_aggregate ->
-        let row, nc = row_of_entry ~timer entry ~index in
-        note_aggregate (fun () ->
-            absorb_row t ~issuer:entry.Ctlog.Dataset.issuer row nc);
-        add_index_entries acc row;
-        Store.Db.append pw
-          (Store.Db.Cert
-             { index; der = entry.Ctlog.Dataset.cert.X509.Certificate.der })
-          ~row:(encode_row row))
-  in
-  let guarded () =
-    match policy.Faults.Policy.timeout_seconds with
-    | Some s -> Faults.Watchdog.with_timeout ~stage:"process" ~seconds:s work
-    | None -> work ()
-  in
-  (* A processing fault is also landed as a store fault record, so a
-     warm replay reproduces the cold run's fault ledger. *)
-  match guarded () with
-  | () -> ()
-  | exception (Abort _ as e) -> raise e
-  | exception (Shard_stop as e) -> raise e
-  | exception (Store.Chaos.Crashed _ as e) -> raise e
-  | exception (Store.Db.Store_error _ as e) -> raise e
-  | exception Faults.Watchdog.Timed_out { stage; seconds } ->
-      let error = Faults.Error.Timeout { stage; seconds } in
-      append_fault pw ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        error;
-      record ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der error
-  | exception e when Faults.Isolation.enabled () ->
-      let error = Faults.Error.of_exn ~stage:"process" e in
-      append_fault pw ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der
-        error;
-      record ~index ~der:entry.Ctlog.Dataset.cert.X509.Certificate.der error
 
 (* --- pieces: the interleaving of recovered coverage and gaps --- *)
 
@@ -1419,27 +1099,118 @@ let build_pieces db ~scale =
     (List.map (fun pr -> Stored pr) (Store.Db.spans db))
     (List.map (fun g -> Gap g) (Store.Db.gaps db ~scale))
 
-(* --- the sharded generate-source build --- *)
+(* --- sources: live deliveries over an index range, ascending --- *)
 
-let run_store_generate_build db ~scale ~seed ~policy ~mutator ~drop ~jobs ~lints =
-  prewarm policy;
-  Store.Db.prewarm ();
-  Store.Db.recover db ~lints;
-  let pieces = build_pieces db ~scale in
-  let nshards = List.length (Par.shards ~jobs scale) in
-  let stop_flag = Atomic.make false in
-  let global_errors = Atomic.make 0 in
-  let abort_lock = Mutex.create () in
-  let abort_reason = ref None in
-  let set_abort reason =
-    Mutex.protect abort_lock (fun () ->
-        if !abort_reason = None then abort_reason := Some reason);
-    Atomic.set stop_flag true
+type feed = start:int -> stop:int -> (Ctlog.Fetch.item -> unit) -> unit
+
+let generate_feed ~scale ~seed ~mutator ~drop : feed =
+ fun ~start ~stop f ->
+  Ctlog.Dataset.iter_deliveries ~scale ~start ~stop ?mutator ~drop ~seed
+    (fun index -> function
+      | Ctlog.Dataset.Entry e -> f (Ctlog.Fetch.Got (index, e))
+      | Ctlog.Dataset.Corrupt { der; error; _ } ->
+          f (Ctlog.Fetch.Undecodable (index, der, error)))
+
+(* The fetch source materializes the corpus up front; items arrive
+   ascending by index, so a range starts one binary search in. *)
+let fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
+  (* The boundary's breaker threshold also governs the per-log fetch
+     breakers, so --breaker-threshold tunes both layers. *)
+  let cfg =
+    { cfg with
+      Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
   in
+  let items, coverage =
+    Obs.Span.with_ "fetch" (fun () ->
+        Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
+          ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
+  in
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let index i = Ctlog.Fetch.item_index items.(i) in
+  let feed ~start ~stop f =
+    let rec first a b =
+      if a >= b then a
+      else
+        let m = (a + b) / 2 in
+        if index m < start then first (m + 1) b else first a m
+    in
+    let i = ref (first 0 n) in
+    while !i < n && index !i < stop do
+      f items.(!i);
+      incr i
+    done
+  in
+  (feed, coverage)
+
+(* --- the one sharded driver -------------------------------------------
+
+   Every run maps one task per shard over [0, scale): jobs=1 is a
+   single shard over the whole range.  Each shard folds its range into
+   its own aggregate behind the one fault [record], which shares the
+   stop flag and error budget across shards; the aggregates merge in
+   shard order, so a completed run is byte-identical for every [jobs].
+
+   [body ~lo ~hi ~start part ~record ~each] is a shard's source, step
+   and sink: it processes the indices of [[start, hi)] into [part],
+   wrapping each in [each] (stop check, then cursor save), and returns
+   its sink's output.  A shard that stopped on an abort returns none.
+
+   With [cursor = Some file] each shard resumes from and checkpoints
+   [(lo, part)] to [file.shard<k>]. *)
+
+let drive ~scale ~seed ~policy ~jobs ~cursor ~resume body =
+  prewarm policy;
+  let crashes_before = snapshot_crashes () in
+  let ranges = Par.shards ~jobs scale in
+  let cursor_of shard =
+    Option.map (fun file -> Faults.Checkpoint.shard_file file shard) cursor
+  in
+  (* Cursors load before any shard starts, so the faults they already
+     hold count toward the error budget.  A cursor is reused only when
+     its saved range still matches its shard's: after a --jobs change
+     the boundaries move, and a stale cursor would double- or
+     skip-process indices. *)
+  let resumed =
+    Array.of_list
+      (List.mapi
+         (fun shard (lo, hi) ->
+           match
+             if resume then Option.bind (cursor_of shard) Faults.Checkpoint.load
+             else None
+           with
+           | Some (c : (int * t) Faults.Checkpoint.t)
+             when c.Faults.Checkpoint.scale = scale
+                  && c.Faults.Checkpoint.seed = seed
+                  && fst c.Faults.Checkpoint.state = lo
+                  && c.Faults.Checkpoint.next_index >= lo
+                  && c.Faults.Checkpoint.next_index <= hi ->
+               let part = snd c.Faults.Checkpoint.state in
+               if c.Faults.Checkpoint.next_index > lo then
+                 part.faults.resumed_at <- c.Faults.Checkpoint.next_index;
+               (part, c.Faults.Checkpoint.next_index)
+           | _ -> (fresh ~scale ~seed, lo))
+         ranges)
+  in
+  (* fail-fast / max-errors are run-global: the first shard to hit the
+     budget publishes the reason and every shard winds down at its next
+     index.  Which indices the other shards reached first is
+     timing-dependent, so an aborted run is not byte-reproducible across
+     jobs (a completed one is). *)
+  let stop_flag = Atomic.make false in
+  let errors =
+    Atomic.make
+      (Array.fold_left (fun n ((p : t), _) -> n + p.faults.fault_errors) 0 resumed)
+  in
+  let abort_reason = Atomic.make None in
+  let abort reason =
+    ignore (Atomic.compare_and_set abort_reason None (Some reason));
+    Atomic.set stop_flag true;
+    raise Shard_stop
+  in
+  let every = max 1 policy.Faults.Policy.checkpoint_every in
   let run_shard ~shard ~lo ~hi =
-    let part = fresh ~scale ~seed in
-    let acc = fresh_acc () in
-    let segs = ref [] in
+    let part, start = resumed.(shard) in
     let quarantine =
       Option.map
         (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
@@ -1456,393 +1227,252 @@ let run_store_generate_build db ~scale ~seed ~policy ~mutator ~drop ~jobs ~lints
           Faults.Quarantine.record q ~index ~error ~der;
           f.quarantined <- f.quarantined + 1
       | None -> ());
-      let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-      if policy.Faults.Policy.fail_fast then begin
-        set_abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-        raise Shard_stop
-      end;
+      let seen = 1 + Atomic.fetch_and_add errors 1 in
+      if policy.Faults.Policy.fail_fast then
+        abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
       match policy.Faults.Policy.max_errors with
       | Some m when seen >= m ->
-          set_abort (Printf.sprintf "max-errors: %d errors reached the limit" m);
-          raise Shard_stop
+          abort (Printf.sprintf "max-errors: %d errors reached the limit" m)
       | _ -> ()
+    in
+    let cursor = cursor_of shard in
+    let save next_index =
+      Option.iter
+        (fun file ->
+          Faults.Checkpoint.save file
+            { Faults.Checkpoint.scale; seed; next_index; state = (lo, part) };
+          part.faults.checkpoints_saved <- part.faults.checkpoints_saved + 1)
+        cursor
+    in
+    let each index f =
+      if Atomic.get stop_flag then raise Shard_stop;
+      f ();
+      if (index + 1) mod every = 0 then save (index + 1)
     in
     Fun.protect
       ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
       (fun () ->
-        try
-          List.iter
-            (fun piece ->
-              match piece with
-              | Stored ((c, _) as pr) when c.Store.Manifest.hi > lo && c.Store.Manifest.lo < hi ->
-                  Store.Db.iter_pair db pr (fun recd rowstr ->
-                      let i = Store.Db.index_of_record recd in
-                      if i >= lo && i < hi then begin
-                        if Atomic.get stop_flag then raise Shard_stop;
-                        match replay_stored part ~record recd rowstr with
-                        | Some row -> add_index_entries acc row
-                        | None -> ()
-                      end)
-              | Stored _ -> ()
-              | Gap (glo, ghi) ->
-                  let glo = max glo lo and ghi = min ghi hi in
-                  if glo < ghi then begin
-                    let pw = Store.Db.start_span db ~lints ~lo:glo ~hi:ghi in
-                    match
-                      Ctlog.Dataset.iter_deliveries ~scale ~start:glo ~stop:ghi
-                        ?mutator ~drop ~seed (fun index delivery ->
-                          if Atomic.get stop_flag then raise Shard_stop;
-                          match delivery with
-                          | Ctlog.Dataset.Entry e ->
-                              process_store part pw acc policy ~record index e
-                          | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                              append_fault pw ~index ~der error;
-                              record ~index ~der error)
-                    with
-                    | () -> segs := Store.Db.finish_span pw :: !segs
-                    | exception e ->
-                        Store.Db.close_noerr pw;
-                        raise e
-                  end)
-            pieces
-        with Shard_stop -> ());
-    (part, List.rev !segs, acc)
+        match body ~lo ~hi ~start part ~record ~each with
+        | out ->
+            save hi;
+            (part, Some out)
+        | exception Shard_stop -> (part, None))
   in
   let results =
-    Obs.Span.with_ "pipeline" (fun () ->
-        Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi -> run_shard ~shard ~lo ~hi))
+    Obs.Span.with_ "pipeline" (fun () -> Par.map_shards ~jobs ~scale run_shard)
   in
-  (match policy.Faults.Policy.quarantine_dir with
-  | Some dir ->
-      ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-  | None -> ());
+  (* Always fold shard sidecars into the main quarantine file, so an
+     aborted run still keeps every record written so far. *)
+  Option.iter
+    (fun dir ->
+      ignore
+        (Faults.Quarantine.merge_shards ~dir ~run_seed:seed
+           ~shards:(List.length ranges)))
+    policy.Faults.Policy.quarantine_dir;
   let t = fresh ~scale ~seed in
-  List.iter (fun (part, _, _) -> merge_into t part) results;
-  t.faults.aborted <- !abort_reason;
-  if t.faults.aborted = None then begin
-    let stored =
-      List.filter_map (function Stored pr -> Some pr | Gap _ -> None) pieces
-    in
-    let fresh_pairs = List.concat_map (fun (_, segs, _) -> segs) results in
-    let by_lo =
-      List.sort (fun ((a : Store.Manifest.seg), _) ((b : Store.Manifest.seg), _) ->
-          compare a.Store.Manifest.lo b.Store.Manifest.lo)
-    in
-    let pairs = by_lo (stored @ fresh_pairs) in
-    let indexes =
-      save_indexes db (merge_accs (List.map (fun (_, _, a) -> a) results))
-    in
-    let man : Store.Manifest.t =
-      { state = `Complete;
-        lints;
-        segments = List.map fst pairs;
-        rows = List.map snd pairs;
-        indexes;
-        meta = [] }
-    in
-    let man = { man with Store.Manifest.meta = [ ("content", content_address man) ] } in
-    Store.Db.commit db man
-  end;
-  t
-
-(* --- the sequential fetch-source build ---------------------------------
-
-   Fetch cursors already carry the full fetched history, so a resumed
-   fetch hands back every item; the store pass walks items and
-   recovered spans in index order, writing only the gaps.  The landing
-   pass is sequential — [jobs] still parallelizes the transport. *)
-
-let run_store_fetch_build db ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs
-    ~lints cfg =
-  prewarm policy;
-  Ctlog.Fetch.prewarm ();
-  Store.Db.prewarm ();
-  Store.Db.recover db ~lints;
-  let cfg =
-    { cfg with
-      Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
-  in
-  let items, coverage =
-    Obs.Span.with_ "fetch" (fun () ->
-        Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
-          ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
-  in
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let pieces = build_pieces db ~scale in
-  let t = fresh ~scale ~seed in
-  let acc = fresh_acc () in
-  let segs = ref [] in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let record = record_fault t policy quarantine in
-  let ii = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            List.iter
-              (fun piece ->
-                match piece with
-                | Stored ((c, _) as pr) ->
-                    while
-                      !ii < n
-                      && Ctlog.Fetch.item_index items.(!ii) < c.Store.Manifest.hi
-                    do
-                      incr ii
-                    done;
-                    Store.Db.iter_pair db pr (fun recd rowstr ->
-                        match replay_stored t ~record recd rowstr with
-                        | Some row -> add_index_entries acc row
-                        | None -> ())
-                | Gap (glo, ghi) ->
-                    while !ii < n && Ctlog.Fetch.item_index items.(!ii) < glo do
-                      incr ii
-                    done;
-                    let pw = Store.Db.start_span db ~lints ~lo:glo ~hi:ghi in
-                    (match
-                       while
-                         !ii < n && Ctlog.Fetch.item_index items.(!ii) < ghi
-                       do
-                         (match items.(!ii) with
-                         | Ctlog.Fetch.Got (index, e) ->
-                             process_store t pw acc policy ~record index e
-                         | Ctlog.Fetch.Undecodable (index, der, error) ->
-                             append_fault pw ~index ~der error;
-                             record ~index ~der error);
-                         incr ii
-                       done
-                     with
-                    | () -> segs := Store.Db.finish_span pw :: !segs
-                    | exception e ->
-                        Store.Db.close_noerr pw;
-                        raise e))
-              pieces)
-      with Abort reason -> t.faults.aborted <- Some reason);
-  t.coverage <- coverage;
-  if t.faults.aborted = None then begin
-    let stored =
-      List.filter_map (function Stored pr -> Some pr | Gap _ -> None) pieces
-    in
-    let pairs =
-      List.sort
-        (fun ((a : Store.Manifest.seg), _) (b, _) -> compare a.Store.Manifest.lo b.Store.Manifest.lo)
-        (stored @ List.rev !segs)
-    in
-    let indexes = save_indexes db (merge_accs [ acc ]) in
-    let man : Store.Manifest.t =
-      { state = `Complete;
-        lints;
-        segments = List.map fst pairs;
-        rows = List.map snd pairs;
-        indexes;
-        meta = [] }
-    in
-    let man =
-      { man with
-        Store.Manifest.meta =
-          [ ("content", content_address man);
-            ("coverage", encode_coverage coverage) ] }
-    in
-    Store.Db.commit db man
-  end;
-  t
-
-(* --- warm replay: the store is complete for the current lint set --- *)
-
-let run_store_warm db ~scale ~seed ~policy =
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  Store.Db.prewarm ();
-  let t = fresh ~scale ~seed in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            Store.Db.iter_pairs db (fun recd rowstr ->
-                ignore
-                  (replay_stored t
-                     ~record:(record_fault t policy quarantine)
-                     recd rowstr)))
-      with Abort reason -> t.faults.aborted <- Some reason);
-  (match Store.Db.meta db "coverage" with
-  | Some s -> (
-      match decode_coverage s with
-      | Ok cov -> t.coverage <- cov
-      | Error e -> store_corrupt "stored coverage undecodable (%s)" e)
-  | None -> ());
-  t
-
-(* --- incremental recompute: the lint set changed ----------------------
-
-   Certificates and indexes-by-DER never change; only the analysis rows
-   do.  Run just the missing lints over the stored DER, merge with the
-   stored findings (names of removed lints drop out), and publish the
-   new rows column + indexes in one manifest commit — old columns are
-   deleted only after the commit. *)
-
-let run_store_incremental db ~scale ~seed ~policy ~lints =
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  Store.Db.prewarm ();
-  let stored_lints =
-    String.split_on_char ';' (Store.Db.manifest db).Store.Manifest.lints
-  in
-  let current = List.map (fun (l : Lint.t) -> l.Lint.name) Lint.Registry.all in
-  let missing = List.filter (fun n -> not (List.mem n stored_lints)) current in
-  let t = fresh ~scale ~seed in
-  let acc = fresh_acc () in
-  let new_rows = ref [] in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let record = record_fault t policy quarantine in
-  Fun.protect
-    ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-    (fun () ->
-      try
-        Obs.Span.with_ "pipeline" (fun () ->
-            List.iter
-              (fun (((c : Store.Manifest.seg), _) as pr) ->
-                let rw =
-                  Store.Db.start_rows_span db ~lints ~lo:c.Store.Manifest.lo
-                    ~hi:c.Store.Manifest.hi
-                in
-                match
-                  Store.Db.iter_pair db pr (fun recd rowstr ->
-                      match recd with
-                      | Store.Db.Fault { index; class_; detail; der } ->
-                          record ~index ~der
-                            (Faults.Error.of_class ~class_ ~detail);
-                          Store.Db.append_row rw rowstr
-                      | Store.Db.Cert { index; der } -> (
-                          match decode_row rowstr with
-                          | Error e ->
-                              store_corrupt
-                                "stored row %d undecodable (%s); run `unicert-store fsck`"
-                                index e
-                          | Ok row ->
-                              let fresh_nc =
-                                if missing = [] then []
-                                else
-                                  match X509.Certificate.parse der with
-                                  | Error e ->
-                                      store_corrupt
-                                        "stored certificate %d unparseable (%s)"
-                                        index (Faults.Error.to_string e)
-                                  | Ok cert ->
-                                      Lint.Registry.run
-                                        ~respect_effective_dates:false
-                                        ~only:(fun l ->
-                                          List.mem l.Lint.name missing)
-                                        ~issued:row.r_issued cert
-                                      |> List.filter_map
-                                           (fun (f : Lint.finding) ->
-                                             if Lint.is_noncompliant f then
-                                               Some f.Lint.lint.Lint.name
-                                             else None)
-                              in
-                              let keep n =
-                                List.mem n row.r_nc || List.mem n fresh_nc
-                              in
-                              let row =
-                                { row with r_nc = List.filter keep current }
-                              in
-                              (match Ctlog.Dataset.issuer_of_org row.r_org with
-                              | None ->
-                                  store_corrupt
-                                    "stored row %d references unknown issuer %S"
-                                    index row.r_org
-                              | Some issuer ->
-                                  let nc =
-                                    List.filter_map Lint.Registry.find row.r_nc
-                                  in
-                                  Obs.Span.with_ "aggregate" (fun () ->
-                                      absorb_row t ~issuer row nc));
-                              add_index_entries acc row;
-                              Store.Db.append_row rw (encode_row row)))
-                with
-                | () -> new_rows := Store.Db.finish_rows_span rw :: !new_rows
-                | exception e ->
-                    Store.Db.close_rows_noerr rw;
-                    raise e)
-              (Store.Db.spans db))
-      with Abort reason -> t.faults.aborted <- Some reason);
-  if t.faults.aborted = None then begin
-    let old = Store.Db.manifest db in
-    let rows =
-      List.sort
-        (fun (a : Store.Manifest.seg) b -> compare a.Store.Manifest.lo b.Store.Manifest.lo)
-        (List.rev !new_rows)
-    in
-    let indexes = save_indexes db (merge_accs [ acc ]) in
-    let man : Store.Manifest.t =
-      { state = `Complete;
-        lints;
-        segments = old.Store.Manifest.segments;
-        rows;
-        indexes;
-        meta = [] }
-    in
-    let keep_meta =
-      List.filter (fun (k, _) -> k = "coverage") old.Store.Manifest.meta
-    in
-    let man =
-      { man with
-        Store.Manifest.meta = ("content", content_address man) :: keep_meta }
-    in
-    Store.Db.commit db man
-  end;
-  t
-
-(* --- dispatch --- *)
-
-let run_store ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs ~source ~dir =
-  let lints = lints_signature () in
-  let fingerprint = store_fingerprint ~mutator ~drop ~source in
-  let db = Store.Db.create ~dir ~scale ~seed ~fingerprint in
-  let crashes_before = snapshot_crashes () in
-  let t =
-    if Store.Db.complete db then
-      if (Store.Db.manifest db).Store.Manifest.lints = lints then
-        run_store_warm db ~scale ~seed ~policy
-      else run_store_incremental db ~scale ~seed ~policy ~lints
-    else
-      match source with
-      | Generate ->
-          run_store_generate_build db ~scale ~seed ~policy ~mutator ~drop ~jobs
-            ~lints
-      | Fetch cfg ->
-          run_store_fetch_build db ~scale ~seed ~policy ~mutator ~drop ~resume
-            ~jobs ~lints cfg
-  in
+  List.iter (fun (part, _) -> merge_into t part) results;
+  t.faults.resumed_at <-
+    List.fold_left
+      (fun acc ((part : t), _) ->
+        let r = part.faults.resumed_at in
+        if r = 0 then acc else if acc = 0 then r else min acc r)
+      0 results;
+  t.faults.aborted <- Atomic.get abort_reason;
   t.faults.lint_crashes <- snapshot_crashes () - crashes_before;
   t.faults.degraded <- Lint.Registry.degraded ();
+  (t, List.filter_map snd results)
+
+(* --- steps and sinks ---------------------------------------------------- *)
+
+(* The live step over [feed]'s deliveries in [[start, stop)]: an entry
+   goes through {!analyze}; bytes the source already failed to decode
+   go straight to [fault]. *)
+let live (feed : feed) ~start ~stop ~each part policy ~fault ~sink =
+  feed ~start ~stop (fun item ->
+      each (Ctlog.Fetch.item_index item) (fun () ->
+          match item with
+          | Ctlog.Fetch.Got (index, e) -> analyze part policy ~fault ~sink index e
+          | Ctlog.Fetch.Undecodable (index, der, error) -> fault ~index ~der error))
+
+(* The storeless body: the shard's live deliveries feed the aggregate
+   alone. *)
+let stream feed policy ~lo:_ ~hi ~start part ~record ~each =
+  live feed ~start ~stop:hi ~each part policy ~fault:record
+    ~sink:(fun ~der:_ _ -> ())
+
+(* The store step over a shard's share of [pieces].  Stored records in
+   range replay ([recompute = None]) or gain the missing lints, which
+   rewrites their span's rows column; gaps stream from [feed] and land
+   as new certs + rows pairs.  With [indexing] every row also feeds the
+   shard's index accumulator.  Returns the pairs written and the
+   accumulator. *)
+let land_store db ~lints ~pieces ~feed ~recompute ~indexing policy ~lo ~hi
+    ~start:_ part ~record ~each =
+  let acc = fresh_acc () in
+  let index_row row = if indexing then add_index_entries acc row in
+  (* A writer that fails mid-span is closed unsealed; recovery adopts
+     or drops it on the next run. *)
+  let span w ~finish ~close f =
+    match f w with
+    | () -> finish w
+    | exception e ->
+        close w;
+        raise e
+  in
+  let replay pr ~refresh k =
+    Store.Db.iter_pair db pr (fun recd rowstr ->
+        let i = Store.Db.index_of_record recd in
+        if i >= lo && i < hi then
+          each i (fun () -> k (replay_stored part ~record ~refresh recd rowstr) rowstr))
+  in
+  let written = ref [] in
+  List.iter
+    (function
+      | Stored ((c, _) as pr) when c.Store.Manifest.hi > lo && c.Store.Manifest.lo < hi
+        -> (
+          match recompute with
+          | None ->
+              replay pr ~refresh:(fun ~der:_ row -> row) (fun row _ ->
+                  Option.iter index_row row)
+          | Some refresh ->
+              let rw =
+                Store.Db.start_rows_span db ~lints ~lo:c.Store.Manifest.lo
+                  ~hi:c.Store.Manifest.hi
+              in
+              let rows =
+                span rw ~finish:Store.Db.finish_rows_span
+                  ~close:Store.Db.close_rows_noerr (fun rw ->
+                    replay pr ~refresh (fun row rowstr ->
+                        match row with
+                        | Some row ->
+                            index_row row;
+                            Store.Db.append_row rw (encode_row row)
+                        | None -> Store.Db.append_row rw rowstr))
+              in
+              written := (c, rows) :: !written)
+      | Stored _ -> ()
+      | Gap (glo, ghi) ->
+          let glo = max glo lo and ghi = min ghi hi in
+          if glo < ghi then begin
+            let pw = Store.Db.start_span db ~lints ~lo:glo ~hi:ghi in
+            (* A processing fault also lands as a fault record, so a
+               warm replay reproduces the cold run's fault ledger. *)
+            let fault ~index ~der error =
+              append_fault pw ~index ~der error;
+              record ~index ~der error
+            in
+            let sink ~der row =
+              index_row row;
+              Store.Db.append pw
+                (Store.Db.Cert { index = row.r_index; der })
+                ~row:(encode_row row)
+            in
+            let pair =
+              span pw ~finish:Store.Db.finish_span ~close:Store.Db.close_noerr
+                (fun _ ->
+                  live feed ~start:glo ~stop:ghi ~each part policy ~fault ~sink)
+            in
+            written := pair :: !written
+          end)
+    pieces;
+  (List.rev !written, acc)
+
+(* The one manifest commit: written pairs replace the stored pairs they
+   share a certs segment with, and the indexes built from every shard's
+   rows (in shard order) are sealed beside them. *)
+let commit_store db ~lints ~pieces ~coverage results =
+  let written = List.concat_map fst results in
+  let kept =
+    List.filter_map
+      (function
+        | Stored ((c, _) as pr) when not (List.mem_assoc c written) -> Some pr
+        | _ -> None)
+      pieces
+  in
+  let pairs =
+    List.sort
+      (fun ((a : Store.Manifest.seg), _) ((b : Store.Manifest.seg), _) ->
+        compare a.Store.Manifest.lo b.Store.Manifest.lo)
+      (kept @ written)
+  in
+  let indexes = save_indexes db (merge_accs (List.map snd results)) in
+  let man : Store.Manifest.t =
+    { state = `Complete;
+      lints;
+      segments = List.map fst pairs;
+      rows = List.map snd pairs;
+      indexes;
+      meta = [] }
+  in
+  let coverage =
+    if coverage = [] then [] else [ ("coverage", encode_coverage coverage) ]
+  in
+  Store.Db.commit db
+    { man with Store.Manifest.meta = ("content", content_address man) :: coverage }
+
+(* A store that is not complete is recovered, then built shard by
+   shard: stored spans replay and gaps land from the live source.  A
+   complete store replays as one shard, since its spans need not align
+   with shard ranges; it commits again only when its lint set changed
+   and the rows were recomputed. *)
+let run_store ~scale ~seed ~policy ~jobs ~dir ~fingerprint live_source =
+  let lints = lints_signature () in
+  let db = Store.Db.create ~dir ~scale ~seed ~fingerprint in
+  Store.Db.prewarm ();
+  let stored_lints = (Store.Db.manifest db).Store.Manifest.lints in
+  let complete = Store.Db.complete db in
+  let warm = complete && stored_lints = lints in
+  let feed, coverage =
+    if complete then ((fun ~start:_ ~stop:_ _ -> ()), stored_coverage db)
+    else begin
+      Store.Db.recover db ~lints;
+      live_source ()
+    end
+  in
+  let recompute =
+    if complete && not warm then Some (recompute_lints ~stored:stored_lints)
+    else None
+  in
+  let pieces = build_pieces db ~scale in
+  let t, results =
+    drive ~scale ~seed ~policy
+      ~jobs:(if complete then 1 else jobs)
+      ~cursor:None ~resume:false
+      (land_store db ~lints ~pieces ~feed ~recompute ~indexing:(not warm) policy)
+  in
+  t.coverage <- coverage;
+  if (not warm) && t.faults.aborted = None then
+    commit_store db ~lints ~pieces ~coverage results;
   t
 
 let run ?(scale = Ctlog.Dataset.default_scale) ?(seed = 1)
     ?(policy = Faults.Policy.default) ?mutator ?(drop = false) ?(resume = false)
     ?(jobs = 1) ?(source = Generate) ?store () =
+  let live_source () =
+    match source with
+    | Generate -> (generate_feed ~scale ~seed ~mutator ~drop, [])
+    | Fetch cfg ->
+        fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg
+  in
   match store with
   | Some dir ->
-      run_store ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs ~source ~dir
-  | None -> (
-      match source with
-      | Fetch cfg -> run_fetch ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg
-      | Generate ->
-          if jobs > 1 && scale > 1 then
-            run_parallel ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs
-          else run_sequential ~scale ~seed ~policy ~mutator ~drop ~resume)
+      run_store ~scale ~seed ~policy ~jobs ~dir
+        ~fingerprint:(store_fingerprint ~mutator ~drop ~source)
+        live_source
+  | None ->
+      let feed, coverage = live_source () in
+      (* Only a generated corpus keeps shard cursors: a fetch resumes
+         through its per-log transport cursors instead. *)
+      let cursor =
+        match source with
+        | Generate -> policy.Faults.Policy.checkpoint_file
+        | Fetch _ -> None
+      in
+      let t, _ =
+        drive ~scale ~seed ~policy ~jobs ~cursor ~resume (stream feed policy)
+      in
+      t.coverage <- coverage;
+      t
 
 let year_range t =
   Hashtbl.fold (fun y _ (lo, hi) -> (min lo y, max hi y)) t.years (9999, 0)
@@ -1876,8 +1506,8 @@ let validity_cdf t cls =
       end
 
 (* Both orderings break count ties by name: Hashtbl fold order depends
-   on insertion history, which differs between a sequential pass and a
-   shard merge, and report output must not. *)
+   on insertion history, which differs with the shard partition, and
+   report output must not. *)
 let top_lints t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.lints []
   |> List.sort (fun (ka, a) (kb, b) ->

@@ -101,19 +101,21 @@ val run :
     {!Ctlog.Dataset.default_scale}, seed 1) and computes every
     aggregate.
 
-    [jobs] (default 1) selects parallel execution: the index range is
+    [jobs] (default 1) sets the number of shards: the index range is
     split into [jobs] contiguous shards, each processed on its own
     domain (generation is pure per [(seed, index)], see
     {!Ctlog.Dataset.generate_at}), and the per-shard aggregates are
-    merged in shard order.  A completed run's aggregate — and therefore
-    the rendered report — is byte-identical for every [jobs] value;
-    only wall-clock telemetry differs.  An *aborted* run (fail-fast /
-    max-errors) is not reproducible across [jobs]: which certificates
-    other shards reached before noticing the stop flag is
-    timing-dependent.  Checkpoints are kept per shard
-    ([file.shard<k>], see {!Faults.Checkpoint.shard_file}); resuming
-    reuses a shard cursor only when its saved range matches, so
-    changing [jobs] between runs safely restarts mismatched shards
+    merged in shard order.  Every [jobs] value runs the same driver;
+    [jobs = 1] is one shard over the whole range.  A completed run's
+    aggregate — and therefore the rendered report — is byte-identical
+    for every [jobs] value; only wall-clock telemetry differs.  An
+    *aborted* run (fail-fast / max-errors) is not reproducible across
+    [jobs]: which certificates other shards reached before noticing the
+    stop flag is timing-dependent.  Checkpoints are kept per shard at
+    every [jobs] value ([file.shard<k>], see
+    {!Faults.Checkpoint.shard_file}; [jobs = 1] uses [file.shard0]);
+    resuming reuses a shard cursor only when its saved range matches,
+    so changing [jobs] between runs safely restarts mismatched shards
     from their range start.  Quarantine records go to per-shard
     sidecars folded into the main [quarantine-<seed>.jsonl] in index
     order when the pass ends.
@@ -126,7 +128,10 @@ val run :
     and the pass continues with the next certificate.  [policy]
     controls the boundary ({!Faults.Policy.max_errors},
     [fail_fast], [quarantine_dir], [timeout_seconds],
-    [breaker_threshold], checkpointing).  [mutator] corrupts a
+    [breaker_threshold], checkpointing).  The [max_errors] budget spans
+    a resume: the faults already counted in the reused shard cursors
+    count toward it, at every [jobs] value, so a resume with the same
+    budget aborts once the run as a whole reaches it.  [mutator] corrupts a
     deterministic subset of the corpus before delivery ([drop] delivers
     nothing for those indices instead, so a corrupt run and a drop run
     see byte-identical surviving certificates).  [resume:true] reloads
@@ -150,7 +155,9 @@ val run :
     With [store = Some dir] the run lands in the crash-safe on-disk
     store ({!Store.Db}, DESIGN.md §11) instead of being transient:
 
-    - a {e cold} run populates [dir] shard by shard — every certificate
+    - a {e cold} run populates [dir] shard by shard, from either
+      source (a fetch-sourced build fetches first, then lands its gaps
+      in shards) — every certificate
       and its analysis row are appended to checksummed segments and the
       inventory is committed by atomic rename, so killing the process
       at any point leaves a store that {!Store.Db.recover} normalizes;
@@ -164,6 +171,9 @@ val run :
     - a re-run after the lint registry changed recomputes {e only} the
       missing lint columns from stored DER and republishes the rows
       and indexes in one atomic commit.
+
+    Warm replay and recompute run as a single shard whatever [jobs]
+    is, because the stored spans need not align with shard ranges.
 
     The store records its identity (scale, seed, source + mutation
     fingerprint); reusing a directory under different parameters raises
@@ -191,9 +201,9 @@ val top_issuers_by_nc : t -> (string * issuer_stats) list
 val use_reference_engine : bool -> unit
 (** Select the retained pre-fusion engine ([true]) or the fused
     fact-table engine ([false], the default) for subsequent {!run}
-    calls.  The initial value honours [UNICERT_ENGINE=reference].
-    Both engines must render byte-identical reports — the differential
-    smoke test drives them back to back through this switch. *)
+    calls.  Both engines must render byte-identical reports — the
+    differential smoke test drives them back to back through this
+    switch. *)
 
 val lints_signature : unit -> string
 (** Registry-order lint names joined with [";"] — the engine-interface
@@ -258,11 +268,6 @@ val save_indexes :
   (string * string * string) list
 (** Seal each named index into the store directory; returns manifest
     [(name, file, sha)] descriptors. *)
-
-val append_fault :
-  Store.Db.pair_writer -> index:int -> der:string -> Faults.Error.t -> unit
-(** Land a corrupt delivery as a fault record (row ["F"]), preserving
-    the fault ledger for warm replays. *)
 
 val store_fingerprint :
   mutator:Faults.Mutator.plan option -> drop:bool -> source:source -> string

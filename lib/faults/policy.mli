@@ -4,7 +4,9 @@
 
 type t = {
   max_errors : int option;
-      (** abort after this many per-certificate errors; [None] = unbounded *)
+      (** abort after this many per-certificate errors; [None] = unbounded.
+          The budget spans an abort and its resume: faults held in the
+          resumed checkpoint count toward it, whatever the jobs value. *)
   fail_fast : bool;  (** abort on the first per-certificate error *)
   quarantine_dir : string option;
       (** write offending certs + errors to a sidecar here *)

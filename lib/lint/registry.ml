@@ -200,37 +200,6 @@ let run ?(respect_effective_dates = true) ?(include_new = true) ?only ~issued
   run_checks ~respect_effective_dates ~include_new ~only ~issued
     (Ctx.of_cert cert)
 
-(* Batch entry point: the instrument list is forced and the
-   [include_new]/[only] selection computed once for the whole batch,
-   then each certificate runs just the pre-selected lints over its own
-   fact table. *)
-let run_batch ?(respect_effective_dates = true) ?(include_new = true) ?only
-    entries =
-  let wanted =
-    match only with None -> fun _ -> true | Some p -> p
-  in
-  let selected =
-    List.filter
-      (fun ((l : Types.t), _) -> (include_new || not l.Types.is_new) && wanted l)
-      (List.combine all (Lazy.force instruments))
-  in
-  List.map
-    (fun (issued, cert) ->
-      Obs.Span.with_ "lint" @@ fun () ->
-      let ctx = Ctx.of_cert cert in
-      List.map
-        (fun ((l : Types.t), ins) ->
-          if
-            respect_effective_dates
-            && Asn1.Time.(issued < l.Types.effective_date)
-          then begin
-            Obs.Counter.inc ins.na;
-            { Types.lint = l; status = Types.Na }
-          end
-          else { Types.lint = l; status = checked ins l ctx })
-        selected)
-    entries
-
 let noncompliant ?respect_effective_dates ?include_new ~issued cert =
   run ?respect_effective_dates ?include_new ~issued cert
   |> List.filter Types.is_noncompliant

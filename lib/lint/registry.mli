@@ -46,17 +46,6 @@ val run_ctx :
     encoding-error scan; here the ["lint"] span covers only the checks
     themselves. *)
 
-val run_batch :
-  ?respect_effective_dates:bool ->
-  ?include_new:bool ->
-  ?only:(Types.t -> bool) ->
-  (Asn1.Time.t * X509.Certificate.t) list ->
-  Types.finding list list
-(** [run_batch entries] is [List.map (fun (issued, cert) -> run ~issued
-    cert) entries] with the per-run setup — forcing the instrument
-    list, applying [include_new]/[only] — paid once for the whole
-    batch. *)
-
 val noncompliant :
   ?respect_effective_dates:bool ->
   ?include_new:bool ->

@@ -547,6 +547,8 @@ let test_resume () =
     resumed.Unicert.Pipeline.faults.Unicert.Pipeline.fault_errors;
   check Alcotest.bool "resumed run completed" true
     (resumed.Unicert.Pipeline.faults.Unicert.Pipeline.aborted = None);
+  (* A jobs=1 run keeps its cursor in shard 0's file. *)
+  Sys.remove (Faults.Checkpoint.shard_file file 0);
   Sys.remove file
 
 (* --- harness crash accounting ----------------------------------------- *)
