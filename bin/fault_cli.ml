@@ -43,6 +43,13 @@ let flush_outputs () =
   | None -> ()
   | Some file -> (
       metrics_target := None;
+      (* Name the SHA-256 path the timed run hashed with. *)
+      Obs.Counter.inc
+        (Obs.Counter.Labeled.get
+           (Obs.Registry.labeled_counter ~label:"kernel"
+              ~help:"SHA-256 compression kernel CPUID selected (1 for the one in use)"
+              "unicert_sha256_kernel_info")
+           (Ucrypto.Sha256.kernel ()));
       try Obs.Export.write_file Obs.Registry.default file
       with Sys_error msg ->
         Printf.eprintf "error: cannot write metrics: %s\n" msg;

@@ -291,14 +291,30 @@ exception Stop of string     (* abandon this log *)
 exception Interrupted        (* stop_after_pages test hook *)
 exception Bad_page           (* one failed/malformed page *)
 
+(* Each mapped corpus index of [present] to the one mapped before it in
+   delivery order: what [run_session] needs to tell a dropped index (no
+   coverage gap) from a missing one. *)
+let adjacency_of present =
+  let adjacency = Hashtbl.create (Array.length present) in
+  let last = ref (-1) in
+  Array.iter
+    (fun ci ->
+      if ci >= 0 then begin
+        if !last >= 0 then Hashtbl.replace adjacency ci !last;
+        last := ci
+      end)
+    present;
+  adjacency
+
 (* [present.(tree_index)] is the corpus index an entry maps to, or -1
-   for entries (precertificates) the analysis must skip.  [expected] is
-   the number of mapped entries.  Returns the session and where the
+   for entries (precertificates) the analysis must skip, and
+   [adjacency] is [adjacency_of present].  [expected] is the number of
+   mapped entries.  Returns the session and where the
    next one starts: the last cursor saved (or [start]'s, when none was)
    with the same running tree — every page appended to the tree is
    followed by a save, so the two always agree. *)
 let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
-    ~name ~(present : int array) ~transport ~bucket () =
+    ~name ~(present : int array) ~adjacency ~transport ~bucket () =
   (* The whole per-log session is one trace slice on the worker
      domain's track; page fetches, STH refreshes and consistency
      checks nest inside it, with quarantine/breaker events as instant
@@ -574,15 +590,6 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   (* Coalesce corpus indices into spans, treating indices adjacent in
      [present] (this log's delivery order) as contiguous — a dropped
      index between them is not a coverage gap. *)
-  let adjacency = Hashtbl.create (Array.length present) in
-  let last = ref (-1) in
-  Array.iter
-    (fun ci ->
-      if ci >= 0 then begin
-        if !last >= 0 then Hashtbl.replace adjacency ci !last;
-        last := ci
-      end)
-    present;
   let spans =
     List.rev
       (List.fold_left
@@ -622,7 +629,7 @@ let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
   in
   fst
     (run_session ?ckpt_file ?stop_after_pages ~start ~cfg ~scale ~seed ~name
-       ~present ~transport ~bucket ())
+       ~present ~adjacency:(adjacency_of present) ~transport ~bucket ())
 
 (* --- the corpus source ------------------------------------------------- *)
 
@@ -740,6 +747,7 @@ type feed = {
   f_lo : int;
   f_hi : int;
   f_present : int array;
+  f_adjacency : (int, int) Hashtbl.t;  (* [adjacency_of f_present] *)
   f_server : Server.t;
   f_transport : Net.Transport.t;
   f_bucket : Net.Bucket.t;
@@ -772,6 +780,7 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
         f_lo = lo;
         f_hi = hi;
         f_present = present;
+        f_adjacency = adjacency_of present;
         f_server = server;
         f_transport = transport;
         f_bucket = bucket;
@@ -803,7 +812,8 @@ let poll ?stop_after_pages f =
   match
     run_session ~ckpt_file:f.f_ckpt ?stop_after_pages ~start:(feed_start f)
       ~cfg:f.f_cfg ~scale:f.f_scale ~seed:f.f_seed ~name:f.f_name
-      ~present:f.f_present ~transport:f.f_transport ~bucket:f.f_bucket ()
+      ~present:f.f_present ~adjacency:f.f_adjacency ~transport:f.f_transport
+      ~bucket:f.f_bucket ()
   with
   | session, start ->
       f.f_start <- Some start;

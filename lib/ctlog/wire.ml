@@ -12,57 +12,83 @@ let to_hex s =
   let n = String.length s in
   let b = Bytes.create (2 * n) in
   for i = 0 to n - 1 do
-    let c = Char.code s.[i] in
-    Bytes.set b (2 * i) hex_digits.[c lsr 4];
-    Bytes.set b ((2 * i) + 1) hex_digits.[c land 0xf]
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
+    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 0xf))
   done;
   Bytes.unsafe_to_string b
 
+(* Nibble value of each byte; 0x10 marks a non-hex character, so one
+   OR over every nibble read tells whether the input was all hex. *)
+let nibbles =
+  String.init 256 (fun c ->
+      Char.chr
+        (match Char.chr c with
+        | '0' .. '9' -> c - Char.code '0'
+        | 'a' .. 'f' -> c - Char.code 'a' + 10
+        | 'A' .. 'F' -> c - Char.code 'A' + 10
+        | _ -> 0x10))
+
 let of_hex s =
   let n = String.length s in
-  if n mod 2 <> 0 then None
+  if n land 1 <> 0 then None
   else begin
-    (* -1 marks a non-hex character. *)
-    let nib c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-      | _ -> -1
-    in
     let b = Bytes.create (n / 2) in
-    let ok = ref true in
+    let bad = ref 0 in
     for i = 0 to (n / 2) - 1 do
-      let hi = nib s.[2 * i] and lo = nib s.[(2 * i) + 1] in
-      if hi < 0 || lo < 0 then ok := false
-      else Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
+      let hi = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s (2 * i)))) in
+      let lo = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s ((2 * i) + 1)))) in
+      bad := !bad lor hi lor lo;
+      Bytes.unsafe_set b i (Char.unsafe_chr (((hi lsl 4) lor lo) land 0xff))
     done;
-    if !ok then Some (Bytes.to_string b) else None
+    if !bad < 0x10 then Some (Bytes.unsafe_to_string b) else None
   end
 
+(* The frame is sized up front and filled in place: payload, then the
+   trailer over the payload's bytes. *)
 let seal lines =
-  let payload = String.concat "\n" lines ^ "\n" in
-  payload ^ "end " ^ Ucrypto.Sha256.hex payload ^ "\n"
+  let payload = List.fold_left (fun n l -> n + String.length l + 1) 0 lines in
+  let b = Bytes.create (payload + 69) in
+  let pos =
+    List.fold_left
+      (fun pos l ->
+        let n = String.length l in
+        Bytes.blit_string l 0 b pos n;
+        Bytes.unsafe_set b (pos + n) '\n';
+        pos + n + 1)
+      0 lines
+  in
+  let sum = Ucrypto.Sha256.hex_sub (Bytes.unsafe_to_string b) ~off:0 ~len:pos in
+  Bytes.blit_string "end " 0 b pos 4;
+  Bytes.blit_string sum 0 b (pos + 4) 64;
+  Bytes.unsafe_set b (pos + 68) '\n';
+  Bytes.unsafe_to_string b
+
+(* The non-empty lines of [s] that end before [stop], in order. *)
+let lines_before s stop =
+  let acc = ref [] and lo = ref 0 in
+  for i = 0 to stop - 1 do
+    if String.unsafe_get s i = '\n' then begin
+      if i > !lo then acc := String.sub s !lo (i - !lo) :: !acc;
+      lo := i + 1
+    end
+  done;
+  List.rev !acc
 
 (* Validate the checksum and return the payload lines; [None] for a
-   torn body. *)
+   torn body.  The payload is hashed in place. *)
 let open_ body =
   match String.rindex_opt body '\n' with
   | None -> None
   | Some last ->
       (* The final line is "end <hex>\n"; find its start. *)
-      let body = String.sub body 0 last in
       let start =
-        match String.rindex_opt body '\n' with Some i -> i + 1 | None -> 0
+        match String.rindex_from_opt body (last - 1) '\n' with
+        | Some i -> i + 1
+        | None -> 0
       in
-      let trailer = String.sub body start (String.length body - start) in
-      let payload = String.sub body 0 start in
-      if String.length trailer >= 4 && String.sub trailer 0 4 = "end " then begin
-        let sum = String.sub trailer 4 (String.length trailer - 4) in
-        if String.equal sum (Ucrypto.Sha256.hex payload) then
-          Some
-            (String.split_on_char '\n' payload
-            |> List.filter (fun l -> l <> ""))
-        else None
-      end
+      if last - start = 68
+         && String.sub body start 4 = "end "
+         && String.sub body (start + 4) 64 = Ucrypto.Sha256.hex_sub body ~off:0 ~len:start
+      then Some (lines_before body start)
       else None

@@ -76,26 +76,27 @@ let read_and_verify ~dir ~file =
       then Error "bad index header"
       else
         (* The seal is the final "end <sha>\n" line over everything
-           before it. *)
+           before it; [Ok (s, n, sha)] says the first [n] bytes of [s]
+           are that sealed body. *)
         match String.rindex_opt (String.trim s) '\n' with
         | None -> Error "missing index seal"
         | Some last_nl ->
-            let body = String.sub s 0 (last_nl + 1) in
             let seal_line = String.trim (String.sub s (last_nl + 1) (String.length s - last_nl - 1)) in
             if not (String.length seal_line = 68 && String.sub seal_line 0 4 = "end ") then
               Error "missing index seal"
             else
               let sha = String.sub seal_line 4 64 in
-              if Ucrypto.Sha256.hex body <> sha then Error "index seal mismatch"
-              else Ok (body, sha))
+              if Ucrypto.Sha256.hex_sub s ~off:0 ~len:(last_nl + 1) <> sha then
+                Error "index seal mismatch"
+              else Ok (s, last_nl + 1, sha))
 
-let sha_hex ~dir ~file = Result.map snd (read_and_verify ~dir ~file)
+let sha_hex ~dir ~file = Result.map (fun (_, _, sha) -> sha) (read_and_verify ~dir ~file)
 
 let load ~dir ~file =
   match read_and_verify ~dir ~file with
   | Error e -> Error e
-  | Ok (body, _) ->
-      let lines = String.split_on_char '\n' body in
+  | Ok (s, body_len, _) ->
+      let lines = String.split_on_char '\n' (String.sub s 0 body_len) in
       (* drop the magic line and the trailing empty split *)
       let lines =
         match lines with

@@ -226,6 +226,96 @@ let test_wire_hex () =
         (Ctlog.Wire.of_hex bad))
     [ "0g"; "g0"; "abc"; "a " ]
 
+(* The closure decoder [Wire.of_hex] replaced, kept as the oracle for
+   the table decoder. *)
+let of_hex_reference s =
+  let n = String.length s in
+  if n mod 2 <> 0 then None
+  else begin
+    let nib c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> -1
+    in
+    let b = Bytes.create (n / 2) in
+    let ok = ref true in
+    for i = 0 to (n / 2) - 1 do
+      let hi = nib s.[2 * i] and lo = nib s.[(2 * i) + 1] in
+      if hi < 0 || lo < 0 then ok := false
+      else Bytes.set b i (Char.chr ((hi lsl 4) lor lo))
+    done;
+    if !ok then Some (Bytes.to_string b) else None
+  end
+
+(* Hex text of [raw], with the cases flipped where [upper] says so and
+   [junk] (position, byte) pairs written over it; odd lengths come from
+   [trim]. *)
+let prop_wire_hex =
+  QCheck.Test.make ~name:"wire hex codec = closure decoder" ~count:500
+    QCheck.(
+      quad (string_of_size (Gen.int_range 0 64)) (list bool)
+        (list_of_size (Gen.int_range 0 2) (pair small_nat (int_range 0 255)))
+        bool)
+    (fun (raw, upper, junk, trim) ->
+      let text = Bytes.of_string (Ctlog.Wire.to_hex raw) in
+      List.iteri
+        (fun i up ->
+          if up && i < Bytes.length text then
+            Bytes.set text i (Char.uppercase_ascii (Bytes.get text i)))
+        upper;
+      let n = Bytes.length text in
+      if n > 0 then List.iter (fun (i, c) -> Bytes.set text (i mod n) (Char.chr c)) junk;
+      let text = Bytes.to_string text in
+      let text = if trim && n > 0 then String.sub text 0 (n - 1) else text in
+      Ctlog.Wire.of_hex (Ctlog.Wire.to_hex raw) = Some raw
+      && Ctlog.Wire.of_hex text = of_hex_reference text
+      && (junk <> [] || trim || Ctlog.Wire.of_hex text = Some raw))
+
+(* The copying [Wire.open_] it replaced, the oracle for the slice one. *)
+let open_reference body =
+  match String.rindex_opt body '\n' with
+  | None -> None
+  | Some last ->
+      let body = String.sub body 0 last in
+      let start =
+        match String.rindex_opt body '\n' with Some i -> i + 1 | None -> 0
+      in
+      let trailer = String.sub body start (String.length body - start) in
+      let payload = String.sub body 0 start in
+      if String.length trailer >= 4 && String.sub trailer 0 4 = "end " then begin
+        let sum = String.sub trailer 4 (String.length trailer - 4) in
+        if String.equal sum (Ucrypto.Sha256.hex payload) then
+          Some (String.split_on_char '\n' payload |> List.filter (fun l -> l <> ""))
+        else None
+      end
+      else None
+
+let prop_wire_open =
+  QCheck.Test.make ~name:"wire seal/open_ = copying reference" ~count:500
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 0 6)
+           (string_gen_of_size (Gen.int_range 0 12) (Gen.oneofl [ 'a'; '0'; ' '; '\n' ])))
+        (int_range 0 3) (pair small_nat (int_range 0 255)))
+    (fun (lines, damage, (at, byte)) ->
+      let sealed = Ctlog.Wire.seal lines in
+      let n = String.length sealed in
+      let body =
+        match damage with
+        | 0 -> sealed
+        | 1 -> String.sub sealed 0 (at mod n)
+        | 2 ->
+            String.mapi (fun i c -> if i = at mod n then Char.chr byte else c) sealed
+        | _ -> sealed ^ String.make (at mod 5) (Char.chr byte)
+      in
+      let got = Ctlog.Wire.open_ body in
+      got = open_reference body
+      && (damage <> 0
+         || got = Some (List.concat_map (String.split_on_char '\n') lines
+                        |> List.filter (fun l -> l <> ""))))
+
 (* --- log --------------------------------------------------------------- *)
 
 let test_log_scts () =
@@ -395,4 +485,6 @@ let suite =
     Alcotest.test_case "populate log with precerts" `Slow test_populate_log;
     Alcotest.test_case "issuer table" `Quick test_issuer_table;
     qtest prop_merkle_random;
+    qtest prop_wire_hex;
+    qtest prop_wire_open;
   ]

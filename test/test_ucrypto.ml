@@ -37,6 +37,17 @@ let test_sha256_vectors () =
     (Ucrypto.Sha256.hex (String.make 1_000_000 'a'));
   check Alcotest.int "digest length" 32 (String.length (Ucrypto.Sha256.digest "x"))
 
+(* [update] [ctx] with [msg] cut into pieces of the lengths [cuts]. *)
+let feed_chunks ctx msg cuts =
+  let rec go pos = function
+    | [] -> Ucrypto.Sha256.update ctx (String.sub msg pos (String.length msg - pos))
+    | c :: rest ->
+        let c = min c (String.length msg - pos) in
+        Ucrypto.Sha256.update ctx (String.sub msg pos c);
+        go (pos + c) rest
+  in
+  go 0 cuts
+
 (* Streaming a message through [update] in arbitrary chunks must give
    [digest] of the whole: every split point exercises the partial-block
    buffer. *)
@@ -46,14 +57,7 @@ let prop_sha256_chunked =
     QCheck.(pair (string_of_size (Gen.int_range 0 300)) (list (int_range 0 80)))
     (fun (msg, cuts) ->
       let ctx = Ucrypto.Sha256.init () in
-      let rec feed pos = function
-        | [] -> Ucrypto.Sha256.update ctx (String.sub msg pos (String.length msg - pos))
-        | c :: rest ->
-            let c = min c (String.length msg - pos) in
-            Ucrypto.Sha256.update ctx (String.sub msg pos c);
-            feed (pos + c) rest
-      in
-      feed 0 cuts;
+      feed_chunks ctx msg cuts;
       String.equal (Ucrypto.Sha256.final ctx) (Ucrypto.Sha256.digest msg))
 
 (* The precomputed-midstate MAC against RFC 2104 spelled out over
@@ -73,6 +77,88 @@ let prop_hmac_with =
       let want = reference ~key msg in
       String.equal (Ucrypto.Sha256.hmac_with (Ucrypto.Sha256.hmac_init key) msg) want
       && String.equal (Ucrypto.Sha256.hmac ~key msg) want)
+
+(* --- the two compression kernels ------------------------------------- *)
+
+let sha256_iv =
+  [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+     0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+(* FIPS 180-4 padding spelled out, with the message placed [off] bytes
+   into a string of junk so the kernel reads at an unaligned offset;
+   returns the digest [blocks] computes. *)
+let digest_via blocks ~off msg =
+  let len = String.length msg in
+  let padded = ((len + 9 + 63) / 64) * 64 in
+  let b = Bytes.make (off + padded + 7) '\xa5' in
+  Bytes.blit_string msg 0 b off len;
+  Bytes.set b (off + len) '\x80';
+  Bytes.fill b (off + len + 1) (padded - len - 9) '\000';
+  Bytes.set_int64_be b (off + padded - 8) (Int64.of_int (len * 8));
+  let h = Array.copy sha256_iv in
+  blocks h (Bytes.to_string b) off (padded / 64);
+  String.init 32 (fun i -> Char.chr ((h.(i / 4) lsr (8 * (3 - (i mod 4)))) land 0xFF))
+
+let prop_kernels_agree =
+  QCheck.Test.make ~name:"sha-ni and portable kernels agree" ~count:500
+    QCheck.(
+      triple (string_of_size (Gen.int_range 0 300)) (int_range 0 15)
+        (list (int_range 0 80)))
+    (fun (msg, off, cuts) ->
+      let open Ucrypto.Sha256.Private in
+      let want = digest_via blocks_portable ~off msg in
+      let ctx = Ucrypto.Sha256.init () in
+      feed_chunks ctx msg cuts;
+      String.equal (digest_via blocks_accel ~off msg) want
+      && String.equal (Ucrypto.Sha256.final ctx) want
+      && String.equal (Ucrypto.Sha256.digest msg) want)
+
+let test_kernels_agree () =
+  if Ucrypto.Sha256.Private.accel_available then
+    QCheck.Test.check_exn prop_kernels_agree
+  else print_endline "skipped: this CPU has no SHA-NI, only the portable kernel runs"
+
+let test_kernel_name () =
+  check Alcotest.string "kernel names the selected path"
+    (if Ucrypto.Sha256.Private.accel_available then "sha-ni" else "portable")
+    (Ucrypto.Sha256.kernel ());
+  (* The portable kernel on its own still meets FIPS 180-4. *)
+  check Alcotest.string "portable abc"
+    (Ucrypto.Sha256.digest "abc")
+    (digest_via Ucrypto.Sha256.Private.blocks_portable ~off:3 "abc");
+  check Alcotest.bool "range outside the string rejected" true
+    (try
+       Ucrypto.Sha256.Private.blocks_portable (Array.copy sha256_iv)
+         (String.make 64 'x') 1 1;
+       false
+     with Invalid_argument _ -> true)
+
+(* Slice entries hash exactly the bytes [String.sub] would copy. *)
+let prop_digest_sub =
+  QCheck.Test.make ~name:"digest_sub/hex_sub/update_sub = over String.sub"
+    ~count:300
+    QCheck.(triple (string_of_size (Gen.int_range 0 300)) small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let off = a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      let sub = String.sub s off len in
+      let ctx = Ucrypto.Sha256.init () in
+      Ucrypto.Sha256.update ctx "prefix";
+      Ucrypto.Sha256.update_sub ctx s ~off ~len;
+      String.equal (Ucrypto.Sha256.digest_sub s ~off ~len) (Ucrypto.Sha256.digest sub)
+      && String.equal (Ucrypto.Sha256.hex_sub s ~off ~len) (Ucrypto.Sha256.hex sub)
+      && String.equal (Ucrypto.Sha256.final ctx) (Ucrypto.Sha256.digest ("prefix" ^ sub)))
+
+let test_digest_sub_bounds () =
+  List.iter
+    (fun (off, len) ->
+      check Alcotest.bool (Printf.sprintf "off %d len %d rejected" off len) true
+        (try ignore (Ucrypto.Sha256.digest_sub "abcdef" ~off ~len); false
+         with Invalid_argument _ -> true))
+    [ (-1, 2); (0, 7); (4, 3); (2, -1); (7, 0) ];
+  check Alcotest.string "empty slice at the end" (Ucrypto.Sha256.digest "")
+    (Ucrypto.Sha256.digest_sub "abcdef" ~off:6 ~len:0)
 
 let hex s =
   String.concat ""
@@ -258,4 +344,8 @@ let suite =
     qtest prop_mod_pow;
     qtest prop_mod_inverse;
     qtest prop_bytes_roundtrip;
+    Alcotest.test_case "sha256 kernels agree" `Quick test_kernels_agree;
+    Alcotest.test_case "sha256 kernel name" `Quick test_kernel_name;
+    qtest prop_digest_sub;
+    Alcotest.test_case "sha256 slice bounds" `Quick test_digest_sub_bounds;
   ]
