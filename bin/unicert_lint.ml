@@ -41,267 +41,51 @@ let lint_file ~issued ~ignore_dates path =
           findings
       end
 
-exception Abort of string
-exception Shard_stop
-
-type tally = {
-  counts : (string, int) Hashtbl.t;
-  mutable nc : int;
-  mutable total : int;
-  mutable faulted : int;
-}
-
-let fresh_tally () = { counts = Hashtbl.create 64; nc = 0; total = 0; faulted = 0 }
-
-let merge_tally dst src =
-  dst.nc <- dst.nc + src.nc;
-  dst.total <- dst.total + src.total;
-  dst.faulted <- dst.faulted + src.faulted;
-  Hashtbl.iter
-    (fun k v ->
-      Hashtbl.replace dst.counts k
-        (v + Option.value ~default:0 (Hashtbl.find_opt dst.counts k)))
-    src.counts
-
-(* One certificate through the linter, behind the error boundary.
-   [record] raises Abort (sequential) or Shard_stop (parallel); both
-   must pass through untouched. *)
-let lint_one ~ignore_dates t record index (e : Ctlog.Dataset.entry) =
-  t.total <- t.total + 1;
-  (* This path runs the linter only, so the slow-cert log's dominating
-     stage is always "lint" here. *)
-  let profiling = Obs.Profile.enabled () in
-  let t0 = if profiling then Unix.gettimeofday () else 0. in
-  match
-    Lint.Registry.noncompliant ~respect_effective_dates:(not ignore_dates)
-      ~issued:e.Ctlog.Dataset.issued e.Ctlog.Dataset.cert
-  with
-  | findings ->
-      if profiling then
-        Obs.Profile.note_slow ~index
-          ~seconds:(Unix.gettimeofday () -. t0)
-          ~stage:"lint";
-      if findings <> [] then begin
-        t.nc <- t.nc + 1;
-        List.iter
-          (fun (f : Lint.finding) ->
-            Hashtbl.replace t.counts f.Lint.lint.Lint.name
-              (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts f.Lint.lint.Lint.name)))
-          findings
-      end
-  | exception (Abort _ as ex) -> raise ex
-  | exception (Shard_stop as ex) -> raise ex
-  | exception exn when Faults.Isolation.enabled () ->
-      record ~index ~der:e.Ctlog.Dataset.cert.X509.Certificate.der
-        (Faults.Error.of_exn ~stage:"lint" exn)
-
+(* The corpus run is the one pipeline driver; this binary projects its
+   aggregate onto the linter's histogram, dated or (footnote 4) with
+   every lint applied regardless of its effective date. *)
 let lint_corpus ~scale ~seed ~ignore_dates (fault : Fault_cli.t) =
   let policy = fault.Fault_cli.policy in
-  let jobs = fault.Fault_cli.jobs in
-  Lint.Registry.set_breaker_threshold policy.Faults.Policy.breaker_threshold;
-  let mutator = Fault_cli.mutator ~default_seed:seed fault in
-  let aborted = ref None in
-  let coverage = ref [] in
-  Fault_cli.warn_stale_cursors fault ~scale;
-  let t =
-    Fault_cli.guard @@ fun () ->
-    match fault.Fault_cli.store with
-    | Some dir ->
-        (* Store-backed pass: the full pipeline lands (or replays) the
-           corpus in the store; project its aggregates into the tally
-           this binary prints.  Stored rows encode dated findings, so
-           the date-ablation flag cannot apply to them. *)
-        if ignore_dates then begin
-          Printf.eprintf
-            "error: --ignore-effective-dates is not supported with --store \
-             (stored analysis rows encode effective-dated findings)\n";
-          exit 2
-        end;
-        let source =
-          match fault.Fault_cli.fetch with
-          | Some cfg -> Unicert.Pipeline.Fetch cfg
-          | None -> Unicert.Pipeline.Generate
-        in
-        let p =
-          Unicert.Pipeline.run ~scale ~seed ~policy
-            ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
-            ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume ~jobs
-            ~source ~store:dir ()
-        in
-        aborted := p.Unicert.Pipeline.faults.Unicert.Pipeline.aborted;
-        coverage := p.Unicert.Pipeline.coverage;
-        let t = fresh_tally () in
-        t.total <- p.Unicert.Pipeline.total;
-        t.nc <- p.Unicert.Pipeline.nc_total;
-        t.faulted <-
-          p.Unicert.Pipeline.faults.Unicert.Pipeline.fault_errors;
-        Hashtbl.iter
-          (fun k v -> Hashtbl.replace t.counts k v)
-          p.Unicert.Pipeline.lints;
-        t
-    | None -> (
+  let source =
     match fault.Fault_cli.fetch with
-    | Some cfg ->
-        (* Fetch source: retrieve the corpus from simulated CT logs
-           (parallelism lives in the fetch), then tally the delivered
-           stream in index order. *)
-        let cfg =
-          { cfg with
-            Ctlog.Fetch.breaker_threshold =
-              policy.Faults.Policy.breaker_threshold }
-        in
-        let items, covs =
-          Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop:fault.Fault_cli.drop
-            ?checkpoint:policy.Faults.Policy.checkpoint_file
-            ~resume:fault.Fault_cli.resume ~jobs cfg
-        in
-        coverage := covs;
-        let quarantine =
-          Option.map
-            (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-            policy.Faults.Policy.quarantine_dir
-        in
-        let t = fresh_tally () in
-        let record ~index ~der error =
-          t.faulted <- t.faulted + 1;
-          Faults.Error.observe error;
-          Option.iter (fun q -> Faults.Quarantine.record q ~index ~error ~der) quarantine;
-          if policy.Faults.Policy.fail_fast then
-            raise (Abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error)));
-          match policy.Faults.Policy.max_errors with
-          | Some m when t.faulted >= m ->
-              raise (Abort (Printf.sprintf "max-errors: %d errors reached the limit" m))
-          | _ -> ()
-        in
-        (try
-           List.iter
-             (fun item ->
-               match item with
-               | Ctlog.Fetch.Got (index, e) ->
-                   lint_one ~ignore_dates t record index e
-               | Ctlog.Fetch.Undecodable (index, der, error) ->
-                   record ~index ~der error)
-             items
-         with Abort reason -> aborted := Some reason);
-        Option.iter Faults.Quarantine.close quarantine;
-        t
-    | None ->
-    if jobs > 1 && scale > 1 then begin
-      (* Parallel pass: contiguous shards, per-shard tallies merged in
-         index order — same stdout as the sequential pass for every
-         jobs value (on a completed run). *)
-      Ctlog.Dataset.prewarm ();
-      Faults.Error.prewarm ();
-      Faults.Breaker.prewarm ();
-      Faults.Injector.prewarm ();
-      Faults.Quarantine.prewarm ();
-      let stop_flag = Atomic.make false in
-      let global_errors = Atomic.make 0 in
-      let abort_lock = Mutex.create () in
-      let set_abort reason =
-        Mutex.protect abort_lock (fun () ->
-            if !aborted = None then aborted := Some reason);
-        Atomic.set stop_flag true
-      in
-      let nshards = List.length (Par.shards ~jobs scale) in
-      let parts =
-        Par.map_shards ~jobs ~scale (fun ~shard ~lo ~hi ->
-            let t = fresh_tally () in
-            let quarantine =
-              Option.map
-                (fun dir -> Faults.Quarantine.open_shard ~dir ~run_seed:seed ~shard)
-                policy.Faults.Policy.quarantine_dir
-            in
-            let record ~index ~der error =
-              t.faulted <- t.faulted + 1;
-              Faults.Error.observe error;
-              Option.iter
-                (fun q -> Faults.Quarantine.record q ~index ~error ~der)
-                quarantine;
-              let seen = 1 + Atomic.fetch_and_add global_errors 1 in
-              if policy.Faults.Policy.fail_fast then begin
-                set_abort
-                  (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error));
-                raise Shard_stop
-              end;
-              match policy.Faults.Policy.max_errors with
-              | Some m when seen >= m ->
-                  set_abort
-                    (Printf.sprintf "max-errors: %d errors reached the limit" m);
-                  raise Shard_stop
-              | _ -> ()
-            in
-            Fun.protect
-              ~finally:(fun () -> Option.iter Faults.Quarantine.close quarantine)
-              (fun () ->
-                try
-                  Ctlog.Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator
-                    ~drop:fault.Fault_cli.drop ~seed (fun index delivery ->
-                      if Atomic.get stop_flag then raise Shard_stop;
-                      match delivery with
-                      | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                          record ~index ~der error
-                      | Ctlog.Dataset.Entry e ->
-                          lint_one ~ignore_dates t record index e)
-                with Shard_stop -> ());
-            t)
-      in
-      (match policy.Faults.Policy.quarantine_dir with
-      | Some dir ->
-          ignore (Faults.Quarantine.merge_shards ~dir ~run_seed:seed ~shards:nshards)
-      | None -> ());
-      let t = fresh_tally () in
-      List.iter (merge_tally t) parts;
-      t
-    end
-    else begin
-      let quarantine =
-        Option.map
-          (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-          policy.Faults.Policy.quarantine_dir
-      in
-      let t = fresh_tally () in
-      let record ~index ~der error =
-        t.faulted <- t.faulted + 1;
-        Faults.Error.observe error;
-        Option.iter (fun q -> Faults.Quarantine.record q ~index ~error ~der) quarantine;
-        if policy.Faults.Policy.fail_fast then
-          raise (Abort (Printf.sprintf "fail-fast: %s" (Faults.Error.to_string error)));
-        match policy.Faults.Policy.max_errors with
-        | Some m when t.faulted >= m ->
-            raise (Abort (Printf.sprintf "max-errors: %d errors reached the limit" m))
-        | _ -> ()
-      in
-      (try
-         Ctlog.Dataset.iter_deliveries ~scale ?mutator
-           ~drop:fault.Fault_cli.drop ~seed (fun index delivery ->
-             match delivery with
-             | Ctlog.Dataset.Corrupt { der; error; _ } -> record ~index ~der error
-             | Ctlog.Dataset.Entry e -> lint_one ~ignore_dates t record index e)
-       with Abort reason -> aborted := Some reason);
-      Option.iter Faults.Quarantine.close quarantine;
-      t
-    end)
+    | Some cfg -> Unicert.Pipeline.Fetch cfg
+    | None -> Unicert.Pipeline.Generate
   in
-  Printf.printf "linted %d generated Unicerts: %d noncompliant (%.2f%%)\n" t.total t.nc
-    (100.0 *. float_of_int t.nc /. float_of_int t.total);
-  if t.faulted > 0 then
-    Printf.printf "  %d faulted certificate(s)%s\n" t.faulted
+  Fault_cli.warn_stale_cursors fault ~scale;
+  let p =
+    Fault_cli.guard (fun () ->
+        Unicert.Pipeline.run ~scale ~seed ~policy
+          ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
+          ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume
+          ~jobs:fault.Fault_cli.jobs ~source ?store:fault.Fault_cli.store ())
+  in
+  let faults = p.Unicert.Pipeline.faults in
+  let nc, counts =
+    if ignore_dates then
+      (p.Unicert.Pipeline.nc_ignoring_dates, p.Unicert.Pipeline.lints_ignoring_dates)
+    else (p.Unicert.Pipeline.nc_total, p.Unicert.Pipeline.lints)
+  in
+  let total = p.Unicert.Pipeline.total in
+  Printf.printf "linted %d generated Unicerts: %d noncompliant (%.2f%%)\n" total nc
+    (if total = 0 then 0.0 else 100.0 *. float_of_int nc /. float_of_int total);
+  let faulted = faults.Unicert.Pipeline.fault_errors in
+  if faulted > 0 then
+    Printf.printf "  %d faulted certificate(s)%s\n" faulted
       (match policy.Faults.Policy.quarantine_dir with
       | Some dir -> Printf.sprintf " quarantined under %s" dir
       | None -> "");
   List.iter
     (fun (name, crashes) ->
       Printf.printf "  degraded lint: %s (breaker open, %d crashes)\n" name crashes)
-    (Lint.Registry.degraded ());
-  (match !aborted with
+    faults.Unicert.Pipeline.degraded;
+  (match faults.Unicert.Pipeline.aborted with
   | Some reason ->
       Printf.eprintf "error: run aborted: %s\n" reason;
       Fault_cli.exit_via 3
   | None -> Fault_cli.cleanup_stale_cursors fault ~scale);
   (* Descending count, ties broken by name: deterministic across runs. *)
   let rows =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts []
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
     |> List.sort (fun (ka, va) (kb, vb) ->
            match compare vb va with 0 -> String.compare ka kb | c -> c)
   in
@@ -309,7 +93,7 @@ let lint_corpus ~scale ~seed ~ignore_dates (fault : Fault_cli.t) =
   let findings_total = List.fold_left (fun acc (_, v) -> acc + v) 0 rows in
   Printf.printf "  %-55s %d findings across %d lints\n" "TOTAL" findings_total
     (List.length rows);
-  match !coverage with
+  match p.Unicert.Pipeline.coverage with
   | [] -> 0
   | covs ->
       let healthy =

@@ -48,30 +48,26 @@ let obs_ticks =
     (Obs.Registry.counter ~help:"Ingest ticks processed"
        "unicert_monitord_ticks_total")
 
+(* Stage one analysis row's service material: its subject fields and
+   its index entries, which are derived once and also added to [acc]. *)
+let stage_row service acc row =
+  let id = Unicert.Pipeline.row_index row in
+  Monitors.Service.stage_fields service ~id
+    ~cns:(Unicert.Pipeline.row_cns row)
+    ~sans:(Unicert.Pipeline.row_domains row)
+    ~attrs:(Unicert.Pipeline.row_attrs row);
+  Unicert.Pipeline.add_index_entries acc row ~on_entry:(fun ~index ~key ->
+      Monitors.Service.stage_index service ~index ~key ~id)
+
 (* Stage one fetched item: analyze (Got) or record the fault
-   (Undecodable), queue the durable record, and stage the service
-   material derived from the row alone. *)
+   (Undecodable), queue the durable record, and stage the row's
+   service material. *)
 let stage_item service acc fs item =
   let record, rowstr =
     match (item : Ctlog.Fetch.item) with
     | Ctlog.Fetch.Got (index, entry) ->
         let row = Unicert.Pipeline.analyze_entry entry ~index in
-        Unicert.Pipeline.add_index_entries acc row;
-        Monitors.Service.stage_fields service ~id:index
-          ~cns:(Unicert.Pipeline.row_cns row)
-          ~sans:(Unicert.Pipeline.row_domains row)
-          ~attrs:(Unicert.Pipeline.row_attrs row);
-        let one = Unicert.Pipeline.fresh_acc () in
-        Unicert.Pipeline.add_index_entries one row;
-        List.iter
-          (fun (ix, entries) ->
-            List.iter
-              (fun (key, ids) ->
-                List.iter
-                  (fun id -> Monitors.Service.stage_index service ~index:ix ~key ~id)
-                  ids)
-              entries)
-          (Unicert.Pipeline.merge_accs [ one ]);
+        stage_row service acc row;
         ( Store.Db.Cert
             { index; der = entry.Ctlog.Dataset.cert.X509.Certificate.der },
           Unicert.Pipeline.encode_row row )
@@ -87,27 +83,6 @@ let stage_item service acc fs item =
   in
   fs.pending <- (record, rowstr) :: fs.pending;
   fs.staged_count <- fs.staged_count + 1
-
-(* Stage a replayed committed row (restart path): service material
-   only — the record is already durable. *)
-let stage_replayed service acc row =
-  let id = Unicert.Pipeline.row_index row in
-  Unicert.Pipeline.add_index_entries acc row;
-  Monitors.Service.stage_fields service ~id
-    ~cns:(Unicert.Pipeline.row_cns row)
-    ~sans:(Unicert.Pipeline.row_domains row)
-    ~attrs:(Unicert.Pipeline.row_attrs row);
-  let one = Unicert.Pipeline.fresh_acc () in
-  Unicert.Pipeline.add_index_entries one row;
-  List.iter
-    (fun (ix, entries) ->
-      List.iter
-        (fun (key, ids) ->
-          List.iter
-            (fun i -> Monitors.Service.stage_index service ~index:ix ~key ~id:i)
-            ids)
-        entries)
-    (Unicert.Pipeline.merge_accs [ one ])
 
 (* --- the select-based stdin reader -------------------------------------
 
@@ -264,7 +239,7 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
                         "stored row %d undecodable (%s); run `unicert-store \
                          fsck`"
                         index e))
-            | Ok row -> stage_replayed service acc row)
+            | Ok row -> stage_row service acc row)
       end);
   Monitors.Service.commit service ~upto:!n_committed;
   (* Republish at least the trusted STH before the first poll — a

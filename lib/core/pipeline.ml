@@ -56,6 +56,7 @@ type t = {
   years : (int, year_stats) Hashtbl.t;
   types : (Lint.nc_type, type_stats) Hashtbl.t;
   lints : (string, int) Hashtbl.t;
+  lints_ignoring_dates : (string, int) Hashtbl.t;
   issuers : (string, issuer_stats) Hashtbl.t;
   validity : (validity_class, int list ref) Hashtbl.t;
   fields : (string * string, int * int) Hashtbl.t;
@@ -401,6 +402,7 @@ let absorb_row t ~issuer row (nc : Lint.t list) =
   in
   istats.total <- istats.total + 1;
   if nc <> [] then t.nc_ignoring_dates <- t.nc_ignoring_dates + 1;
+  List.iter (fun (l : Lint.t) -> bump t.lints_ignoring_dates l.Lint.name) nc;
   if List.exists (fun (l : Lint.t) -> not l.Lint.is_new) dated then
     t.nc_old_lints_only <- t.nc_old_lints_only + 1;
   (* Figure 4 heat map: per (issuer, field) unicode usage and deviance. *)
@@ -531,6 +533,7 @@ let fresh ~scale ~seed =
     years = Hashtbl.create 16;
     types = Hashtbl.create 8;
     lints = Hashtbl.create 128;
+    lints_ignoring_dates = Hashtbl.create 128;
     issuers = Hashtbl.create 64;
     validity = Hashtbl.create 4;
     fields = Hashtbl.create 256;
@@ -636,6 +639,9 @@ let merge_into dst (src : t) =
       d.alive <- d.alive + s.alive)
     src.types;
   Hashtbl.iter (fun k v -> bump_by dst.lints k v) src.lints;
+  Hashtbl.iter
+    (fun k v -> bump_by dst.lints_ignoring_dates k v)
+    src.lints_ignoring_dates;
   Hashtbl.iter
     (fun org (s : issuer_stats) ->
       let d =
@@ -956,39 +962,49 @@ let fresh_acc () =
   { ix_issuer = []; ix_lint = []; ix_flaw = []; ix_domain = []; ix_ulabel = [] }
 
 (* Derive every index entry for one certificate from its row alone, so
-   index rebuilds never touch DER. *)
-let add_index_entries acc row =
+   index rebuilds never touch DER.  [on_entry] sees each entry as it is
+   added. *)
+let add_index_entries ?(on_entry = fun ~index:_ ~key:_ -> ()) acc row =
   let i = row.r_index in
   acc.ix_issuer <- (row.r_org, [ i ]) :: acc.ix_issuer;
+  on_entry ~index:"issuer" ~key:row.r_org;
   let dated =
     List.filter_map Lint.Registry.find row.r_nc
     |> List.filter (fun (l : Lint.t) ->
            Asn1.Time.(l.Lint.effective_date <= row.r_issued))
   in
   List.iter
-    (fun (l : Lint.t) -> acc.ix_lint <- (l.Lint.name, [ i ]) :: acc.ix_lint)
+    (fun (l : Lint.t) ->
+      acc.ix_lint <- (l.Lint.name, [ i ]) :: acc.ix_lint;
+      on_entry ~index:"lint" ~key:l.Lint.name)
     dated;
   List.iter
-    (fun ty -> acc.ix_flaw <- (ty, [ i ]) :: acc.ix_flaw)
+    (fun ty ->
+      acc.ix_flaw <- (ty, [ i ]) :: acc.ix_flaw;
+      on_entry ~index:"flaw" ~key:ty)
     (List.sort_uniq compare
        (List.map (fun (l : Lint.t) -> Lint.nc_type_name l.Lint.nc_type) dated));
   let labels =
     List.sort_uniq compare (List.concat_map Idna.Dns.split_labels row.r_domains)
   in
+  let ulabel key =
+    acc.ix_ulabel <- (key, [ i ]) :: acc.ix_ulabel;
+    on_entry ~index:"ulabel" ~key
+  in
   List.iter
     (fun lab ->
       acc.ix_domain <- (lab, [ i ]) :: acc.ix_domain;
+      on_entry ~index:"domain" ~key:lab;
       (* The ulabel index keys the *other* IDNA form: U-label for an
          A-label in the SAN (and vice versa), so lookups work in either
          spelling. *)
       if Idna.Dns.is_a_label_candidate lab then (
         match Idna.label_to_unicode lab with
-        | Ok u when u <> lab && u <> "" ->
-            acc.ix_ulabel <- (u, [ i ]) :: acc.ix_ulabel
+        | Ok u when u <> lab && u <> "" -> ulabel u
         | _ -> ())
       else if String.exists (fun c -> Char.code c > 0x7F) lab then
         match Idna.label_to_ascii lab with
-        | Ok a when a <> "" -> acc.ix_ulabel <- (a, [ i ]) :: acc.ix_ulabel
+        | Ok a when a <> "" -> ulabel a
         | _ -> ())
     labels
 

@@ -64,6 +64,10 @@ type t = {
   years : (int, year_stats) Hashtbl.t;
   types : (Lint.nc_type, type_stats) Hashtbl.t;
   lints : (string, int) Hashtbl.t;   (** NC certs per lint *)
+  lints_ignoring_dates : (string, int) Hashtbl.t;
+      (** NC certs per lint with every lint applied regardless of its
+          effective date: the per-lint view of [nc_ignoring_dates]
+          (footnote 4) *)
   issuers : (string, issuer_stats) Hashtbl.t;
   validity : (validity_class, int list ref) Hashtbl.t;
       (** validity periods in days, per class *)
@@ -256,7 +260,12 @@ type index_acc
     domain, ulabel), fed from rows alone. *)
 
 val fresh_acc : unit -> index_acc
-val add_index_entries : index_acc -> row -> unit
+val add_index_entries :
+  ?on_entry:(index:string -> key:string -> unit) -> index_acc -> row -> unit
+(** Add one row's entries to the accumulator, deriving them (IDNA label
+    conversions included) once; [on_entry] is called with each entry's
+    index name and key as it is added, so a caller staging the same
+    entries elsewhere need not derive them again. *)
 
 val merge_accs : index_acc list -> (string * (string * int list) list) list
 (** Merge per-shard accumulators (shard order) into named index entry

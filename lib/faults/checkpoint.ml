@@ -5,13 +5,27 @@ exception Invalid of string
 (* A magic prefix plus an explicit format-version line let [load]
    reject non-checkpoint files and stale formats loudly, instead of
    relying on Marshal's (unsafe) failure modes or silently restarting
-   a run the operator believed was resumable.  v003 introduced
-   journaled cursors (a small header naming a durable prefix of an
-   append-only [FILE.journal]). *)
+   a run the operator believed was resumable.  The version line is
+   shared by every checkpoint family, so a bump refuses them all. *)
 let magic = "UNICERT-CKPT2\n"
 let old_magics = [ "UNICERT-CKPT1\n" ]
-let version = 3
+let version = 4
 let version_line = Printf.sprintf "v%03d\n" version
+
+(* Why each version bumped; a refusal lists the bumps newer than the
+   file it refuses. *)
+let history =
+  [ (3, "fetch cursors became a header plus an append-only journal");
+    (4, "shard cursors gained the undated per-lint histogram") ]
+
+let changes_since found =
+  let n = Option.value ~default:max_int (Scanf.sscanf_opt found "v%d%!" Fun.id) in
+  match List.filter (fun (v, _) -> v > n) history with
+  | [] -> ""
+  | later ->
+      Printf.sprintf " (%s)"
+        (String.concat "; "
+           (List.map (fun (v, what) -> Printf.sprintf "v%03d: %s" v what) later))
 
 let shard_file path shard = Printf.sprintf "%s.shard%d" path shard
 
@@ -69,12 +83,12 @@ let prefix_error s off =
     else if String.length s < vat + String.length version_line then
       Some "truncated version header"
     else
+      let found = String.trim (String.sub s vat (String.length version_line)) in
       Some
         (Printf.sprintf
-           "checkpoint format version %s does not match this binary's %s; \
+           "checkpoint format version %s does not match this binary's %s%s; \
             delete it or rerun without --resume"
-           (String.trim (String.sub s vat (String.length version_line)))
-           (String.trim version_line))
+           found (String.trim version_line) (changes_since found))
   else
     match List.find_opt (fun m -> has m off) old_magics with
     | Some old ->

@@ -551,6 +551,45 @@ let test_resume () =
   Sys.remove (Faults.Checkpoint.shard_file file 0);
   Sys.remove file
 
+(* Shard cursors marshal [(lo, Pipeline.t)], so a v003 cursor predates
+   the undated per-lint histogram.  [unicert_report --resume] must
+   refuse it with exit 2, naming both versions, not resume from it. *)
+let test_v003_shard_cursor_rejected () =
+  let dir = Filename.temp_file "unicert-v003" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let base = Filename.concat dir "ckpt" in
+  let err = Filename.concat dir "stderr" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let oc = open_out_bin (Faults.Checkpoint.shard_file base 0) in
+      output_string oc "UNICERT-CKPT2\nv003\n";
+      Marshal.to_channel oc
+        { Faults.Checkpoint.scale = 16; seed = 1; next_index = 8; state = (0, ()) }
+        [];
+      close_out oc;
+      let code =
+        Sys.command
+          (Printf.sprintf
+             "../bin/unicert_report.exe summary --scale 16 --seed 1 \
+              --no-progress --checkpoint %s --resume > /dev/null 2> %s"
+             (Filename.quote base) (Filename.quote err))
+      in
+      check Alcotest.int "exit code" 2 code;
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      let mentions v =
+        let n = String.length v in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = v || go (i + 1))
+        in
+        go 0
+      in
+      check Alcotest.bool ("names v003: " ^ msg) true (mentions "v003");
+      check Alcotest.bool ("names v004: " ^ msg) true (mentions "v004"))
+
 (* --- harness crash accounting ----------------------------------------- *)
 
 let test_harness_crash_accounting () =
@@ -653,4 +692,6 @@ let suite =
     Alcotest.test_case "harness crash accounting" `Quick
       test_harness_crash_accounting;
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
+    Alcotest.test_case "v003 shard cursor is rejected" `Quick
+      test_v003_shard_cursor_rejected;
   ]

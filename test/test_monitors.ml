@@ -237,16 +237,11 @@ let test_service_commit_batching () =
       (Ctlog.Dataset.generate ~scale ~seed:5 ())
   in
   let stage service row =
-    S.stage_fields service ~id:(P.row_index row) ~cns:(P.row_cns row)
+    let id = P.row_index row in
+    S.stage_fields service ~id ~cns:(P.row_cns row)
       ~sans:(P.row_domains row) ~attrs:(P.row_attrs row);
-    let one = P.fresh_acc () in
-    P.add_index_entries one row;
-    List.iter
-      (fun (index, entries) ->
-        List.iter
-          (fun (key, ids) -> List.iter (fun id -> S.stage_index service ~index ~key ~id) ids)
-          entries)
-      (P.merge_accs [ one ])
+    P.add_index_entries (P.fresh_acc ()) row ~on_entry:(fun ~index ~key ->
+        S.stage_index service ~index ~key ~id)
   in
   let once = S.create () in
   List.iter (stage once) rows;
