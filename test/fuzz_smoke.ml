@@ -2,7 +2,7 @@
    campaign contract end to end:
 
    - the pinned seed-7 campaign emits byte-identical findings JSONL
-     across --jobs 1/2/4;
+     across --jobs 1/2/4, and those bytes hash to a golden SHA-256;
    - it rediscovers the checked-in reproducer clusters, with at least
      three distinct beyond-Tables-4/5 anomaly classes;
    - the minimize and report subcommands run over real findings;
@@ -80,6 +80,15 @@ let () =
       checkf (b = b1) "findings byte-identical: --jobs 1 vs --jobs %d" jobs)
     [ 2; 4 ];
   checkf (String.length b1 > 0) "seed-7 campaign finds something";
+  (* The jobs comparison above compares one implementation with itself;
+     this pins the bytes.  A fuzz change that is meant to move them must
+     update the constant. *)
+  let golden =
+    "681b672fbeab15e46eb487bbda831b87d11cadd205261d0d367ecb9e3a8f8f97"
+  in
+  let got = Ucrypto.Sha256.hex b1 in
+  checkf (got = golden) "seed-7 findings SHA-256 is the golden %s (got %s)"
+    golden got;
 
   (* --- cluster rediscovery against the checked-in corpus --- *)
   match Fuzz.Findings.read f1 with

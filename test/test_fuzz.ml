@@ -167,6 +167,44 @@ let test_campaign_deterministic () =
     "campaign leaves the default scope clean" []
     (Tlsparsers.Harness.degraded_models ())
 
+(* Golden campaign digests.  [campaign_digest] hashes what the
+   benchmark's fuzz workload pins: the signature count, the first
+   disagreement, the executions and every finding's cluster and
+   signature, in discovery order.  The determinism checks above compare
+   the implementation with itself; these pin its output, so an
+   optimisation of the generator or the evaluator must leave them
+   unchanged, and a fuzz change that is meant must update them. *)
+let campaign_digest (r : Fuzz.Campaign.t) =
+  Ucrypto.Sha256.hex
+    (String.concat "\n"
+       (Printf.sprintf "signatures=%d first=%s executions=%d"
+          r.Fuzz.Campaign.signatures
+          (match r.Fuzz.Campaign.first_disagreement with
+          | Some e -> string_of_int e
+          | None -> "none")
+          r.Fuzz.Campaign.executions
+       :: List.map
+            (fun (f : Fuzz.Findings.finding) ->
+              f.Fuzz.Findings.cluster ^ "/" ^ f.Fuzz.Findings.signature)
+            r.Fuzz.Campaign.findings))
+
+let golden_campaigns =
+  [ (1, 91, "142624dfe32d7819f8472b7c423d0aca277e360de9654823e5add4de3fcb4617");
+    (2, 94, "17b1c6673539f835faffd4254dfad0e753d9abe553de41c1d70918bff9c67eb3") ]
+
+let test_campaign_golden () =
+  List.iter
+    (fun (seed, signatures, digest) ->
+      let r =
+        Fuzz.Campaign.run
+          { Fuzz.Campaign.default_config with Fuzz.Campaign.seed; budget = 2048 }
+      in
+      let label = Printf.sprintf "seed %d" seed in
+      check Alcotest.int (label ^ " executions") 2048 r.Fuzz.Campaign.executions;
+      check Alcotest.int (label ^ " signatures") signatures r.Fuzz.Campaign.signatures;
+      check Alcotest.string (label ^ " digest") digest (campaign_digest r))
+    golden_campaigns
+
 (* The regression corpus: minimized reproducers for anomaly clusters
    beyond Tables 4/5, discovered by the pinned seed-7 campaign.  Each
    must still evaluate to its cluster's class and outcome signature. *)
@@ -226,4 +264,5 @@ let suite =
     Alcotest.test_case "campaign jobs determinism" `Quick
       test_campaign_deterministic;
     Alcotest.test_case "reproducer corpus regression" `Quick test_reproducers;
+    Alcotest.test_case "golden campaign digests" `Quick test_campaign_golden;
   ]
