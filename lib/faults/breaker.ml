@@ -64,7 +64,12 @@ let transition which =
 
 let success t =
   match Atomic.get t.state with
-  | Closed -> Atomic.set t.consecutive 0
+  | Closed ->
+      (* Read before writing: the common case has no failures to clear,
+         and a store there would be an atomic exchange on every call.
+         Skipping it is the linearization in which this success comes
+         before any failure racing with it. *)
+      if Atomic.get t.consecutive <> 0 then Atomic.set t.consecutive 0
   | Half_open ->
       if Atomic.compare_and_set t.state Half_open Closed then begin
         Atomic.set t.consecutive 0;

@@ -90,10 +90,20 @@ let distinct_labels s =
 let contains_ctl s = String.exists (fun c -> c < ' ' && c <> '\x00') s
 let contains_nul s = String.contains s '\x00'
 
+(* Only a code point at or above U+0080 can be a confusable, and an
+   all-ASCII output decodes to none: it skips the UTF-8 decode. *)
 let contains_confusable s =
-  Array.exists
-    (fun cp -> cp >= 0x80 && Unicode.Confusables.lookalike cp <> None)
-    (Unicode.Codec.cps_of_utf8 s)
+  String.exists (fun c -> c >= '\x80') s
+  && Array.exists
+       (fun cp -> cp >= 0x80 && Unicode.Confusables.lookalike cp <> None)
+       (Unicode.Codec.cps_of_utf8 s)
+
+(* The content facets are properties of a string, so each distinct
+   decoded output is scanned once however many models produced it. *)
+let distinct outputs =
+  List.fold_left
+    (fun acc s -> if List.exists (String.equal s) acc then acc else s :: acc)
+    [] outputs
 
 let classify e =
   let any_crash = String.contains e.cn_tokens 'C' || String.contains e.san_tokens 'C' in
@@ -122,13 +132,15 @@ let beyond_tables = function
       true
   | _ -> false
 
+(* "x509=%c%c|cn=%s:%s|san=%s|idna=%s|nul=%d|ctl=%d|conf=%d", built by
+   concatenation: this runs once per execution. *)
 let signature_of e =
-  Printf.sprintf "x509=%c%c|cn=%s:%s|san=%s|idna=%s|nul=%d|ctl=%d|conf=%d"
-    (if e.strict_ok then 'P' else 'E')
-    (if e.lenient_ok then 'P' else 'E')
-    (match e.cn with Some (st, _) -> Asn1.Str_type.name st | None -> "-")
-    e.cn_tokens e.san_tokens e.idna (Bool.to_int e.nul) (Bool.to_int e.ctl)
-    (Bool.to_int e.conf)
+  let pe ok = if ok then "P" else "E" and bit b = if b then "1" else "0" in
+  String.concat ""
+    [ "x509="; pe e.strict_ok; pe e.lenient_ok;
+      "|cn="; (match e.cn with Some (st, _) -> Asn1.Str_type.name st | None -> "-");
+      ":"; e.cn_tokens; "|san="; e.san_tokens; "|idna="; e.idna;
+      "|nul="; bit e.nul; "|ctl="; bit e.ctl; "|conf="; bit e.conf ]
 
 let probe scope model field f =
   if not (model.Tlsparsers.Model.supports field) then `Unsupported
@@ -136,13 +148,17 @@ let probe scope model field f =
 
 let eval ?(threshold = Faults.Breaker.default_threshold) der =
   let scope = Tlsparsers.Harness.Scope.create ~threshold () in
-  let strict_ok =
-    match X509.Certificate.parse ~config:Asn1.Value.strict der with
-    | Ok _ -> true
-    | Error _ -> false
+  (* Strict first: the two configs differ only in the non-minimal
+     length check, which can add a failure and changes nothing else, so
+     a strict [Ok] is the lenient result too.  The lenient parser runs
+     only on what strict rejects. *)
+  let parsed = X509.Certificate.parse ~config:Asn1.Value.strict der in
+  let strict_ok = Result.is_ok parsed in
+  let parsed =
+    if strict_ok then parsed
+    else X509.Certificate.parse ~config:Asn1.Value.lenient der
   in
-  let parsed = X509.Certificate.parse ~config:Asn1.Value.lenient der in
-  let lenient_ok = match parsed with Ok _ -> true | Error _ -> false in
+  let lenient_ok = Result.is_ok parsed in
   let cn, san =
     match parsed with
     | Error _ -> (None, None)
@@ -172,7 +188,7 @@ let eval ?(threshold = Faults.Breaker.default_threshold) der =
                 model.Tlsparsers.Model.decode_gn Tlsparsers.Model.San payload))
       Tlsparsers.Models.all
   in
-  let outputs = decoded_outputs cn_probes @ decoded_outputs san_probes in
+  let outputs = distinct (decoded_outputs cn_probes @ decoded_outputs san_probes) in
   let idna =
     match san with
     | None -> "-"
@@ -185,18 +201,22 @@ let eval ?(threshold = Faults.Breaker.default_threshold) der =
         | [] -> "-"
         | names -> String.concat "+" names)
   in
+  let cn_tokens = tokens_of cn_probes and san_tokens = tokens_of san_probes in
+  (* Every crash, circuit-open or real, shows as a 'C' token. *)
   let crashes =
-    List.map2
-      (fun name (c, s) ->
-        let count o = match o with `Outcome (Tlsparsers.Harness.Crashed r) when r <> "circuit_open" -> 1 | _ -> 0 in
-        (name, count c + count s))
-      model_names
-      (List.combine cn_probes san_probes)
-    |> List.filter (fun (_, n) -> n > 0)
+    if not (String.contains cn_tokens 'C' || String.contains san_tokens 'C') then []
+    else
+      List.map2
+        (fun name (c, s) ->
+          let count o = match o with `Outcome (Tlsparsers.Harness.Crashed r) when r <> "circuit_open" -> 1 | _ -> 0 in
+          (name, count c + count s))
+        model_names
+        (List.combine cn_probes san_probes)
+      |> List.filter (fun (_, n) -> n > 0)
   in
   let e =
     { strict_ok; lenient_ok; cn; san;
-      cn_tokens = tokens_of cn_probes; san_tokens = tokens_of san_probes;
+      cn_tokens; san_tokens;
       nul = List.exists contains_nul outputs;
       ctl = List.exists contains_ctl outputs;
       conf = List.exists contains_confusable outputs;

@@ -53,25 +53,90 @@ let obs_latency =
 
 type decode_outcome = Decoded of string | Rejected | Crashed of string
 
+(* The probe hot path (18 probes per fuzz execution, every Table 4/5
+   probe) resolves nothing by name for a model of [Models.all]: the
+   model's position in that list indexes its telemetry handles and its
+   breaker slot in the scope.  Identity is tried first (every caller
+   iterates [Models.all]); a copy of a listed model falls back to its
+   name, so it shares that model's counters and breaker exactly as it
+   did when both were keyed by name.  [-1] for any other model. *)
+let models = Array.of_list Models.all
+
+let slot_of (model : Model.t) =
+  let n = Array.length models in
+  let rec by_identity i =
+    if i = n then by_name 0
+    else if models.(i) == model then i
+    else by_identity (i + 1)
+  and by_name i =
+    if i = n then -1
+    else if String.equal models.(i).Model.name model.Model.name then i
+    else by_name (i + 1)
+  in
+  by_identity 0
+
+(* One child handle per model of [Models.all] and per family, parallel
+   to that list.  Each is resolved on its first use, as the name lookup
+   it replaces was, so the metrics dump lists exactly the families and
+   children it always did (an error family appears only once a model
+   raised).  Domains racing on a first use resolve the same child: the
+   labeled families are find-or-create under their own lock. *)
+let per_model family get =
+  let cells = Array.map (fun _ -> Atomic.make None) models in
+  fun i ->
+    match Atomic.get cells.(i) with
+    | Some c -> c
+    | None ->
+        let c = get (Lazy.force family) models.(i).Model.name in
+        Atomic.set cells.(i) (Some c);
+        c
+
+let accept_at = per_model obs_accept Obs.Counter.Labeled.get
+let reject_at = per_model obs_reject Obs.Counter.Labeled.get
+let error_at = per_model obs_error Obs.Counter.Labeled.get
+let latency_at = per_model obs_latency Obs.Histogram.Labeled.get
+
 (* Per-model circuit breakers live in a [Scope]: a model that keeps
    raising gets disabled for the rest of the scope's lifetime and
    reported degraded instead of crashing every remaining probe.  The
    process-wide default scope backs [decoding_matrix] and friends; a
    fuzzing campaign creates its own scope so a breaker it opens cannot
-   poison a later in-process harness pass.  Each scope's find-or-create
-   table is shared across domains, so it sits behind a mutex (the
+   poison a later in-process harness pass.  The breakers of
+   [Models.all] sit in [slots], created together on a scope's first
+   probe and read lock-free afterwards; any other model gets a
+   find-or-create entry in [breakers].  Creation and every table
+   access hold [lock], since scopes are shared across domains (the
    breakers themselves are atomic). *)
 module Scope = struct
   type t = {
     lock : Mutex.t;
+    slots : Faults.Breaker.t array option Atomic.t;
     breakers : (string, Faults.Breaker.t) Hashtbl.t;
     mutable threshold : int;
   }
 
   let create ?(threshold = Faults.Breaker.default_threshold) () =
-    { lock = Mutex.create (); breakers = Hashtbl.create 16; threshold }
+    { lock = Mutex.create (); slots = Atomic.make None;
+      breakers = Hashtbl.create 1; threshold }
 
   let default = create ()
+
+  let slots t =
+    match Atomic.get t.slots with
+    | Some a -> a
+    | None ->
+        Mutex.protect t.lock (fun () ->
+            match Atomic.get t.slots with
+            | Some a -> a
+            | None ->
+                let a =
+                  Array.map
+                    (fun (m : Model.t) ->
+                      Faults.Breaker.create ~threshold:t.threshold m.Model.name)
+                    models
+                in
+                Atomic.set t.slots (Some a);
+                a)
 
   let breaker_for t name =
     Mutex.protect t.lock (fun () ->
@@ -82,24 +147,26 @@ module Scope = struct
             Hashtbl.add t.breakers name b;
             b)
 
+  (* Every breaker of the scope; the caller holds [lock]. *)
+  let iter_locked t f =
+    Option.iter (Array.iter f) (Atomic.get t.slots);
+    Hashtbl.iter (fun _ b -> f b) t.breakers
+
   let degraded t =
     Mutex.protect t.lock (fun () ->
-        Hashtbl.fold
-          (fun _ b acc ->
+        let acc = ref [] in
+        iter_locked t (fun b ->
             if Faults.Breaker.tripped b then
-              (Faults.Breaker.name b, Faults.Breaker.crashes b) :: acc
-            else acc)
-          t.breakers [])
+              acc := (Faults.Breaker.name b, Faults.Breaker.crashes b) :: !acc);
+        !acc)
     |> List.sort compare
 
   let set_threshold t n =
     Mutex.protect t.lock (fun () ->
         t.threshold <- n;
-        Hashtbl.iter (fun _ b -> Faults.Breaker.set_threshold b n) t.breakers)
+        iter_locked t (fun b -> Faults.Breaker.set_threshold b n))
 
-  let reset t =
-    Mutex.protect t.lock (fun () ->
-        Hashtbl.iter (fun _ b -> Faults.Breaker.reset b) t.breakers)
+  let reset t = Mutex.protect t.lock (fun () -> iter_locked t Faults.Breaker.reset)
 end
 
 let degraded_models () = Scope.degraded Scope.default
@@ -111,9 +178,16 @@ let reset_faults () = Scope.reset Scope.default
 let injector_target name = "model:" ^ name
 
 let observe_decode ?(scope = Scope.default) (model : Model.t) f =
-  let b = Scope.breaker_for scope model.Model.name in
+  let i = slot_of model in
+  let b =
+    if i >= 0 then (Scope.slots scope).(i) else Scope.breaker_for scope model.Model.name
+  in
   if Faults.Breaker.tripped b then Crashed "circuit_open"
   else begin
+    let handle at family get =
+      if i >= 0 then at i else get (Lazy.force family) model.Model.name
+    in
+    let bump at family = Obs.Counter.inc (handle at family Obs.Counter.Labeled.get) in
     let t0 = Unix.gettimeofday () in
     let result =
       try
@@ -125,22 +199,19 @@ let observe_decode ?(scope = Scope.default) (model : Model.t) f =
       with e when Faults.Isolation.enabled () -> Error e
     in
     Obs.Histogram.observe
-      (Obs.Histogram.Labeled.get (Lazy.force obs_latency) model.Model.name)
+      (handle latency_at obs_latency Obs.Histogram.Labeled.get)
       (Unix.gettimeofday () -. t0);
-    let bump family =
-      Obs.Counter.inc (Obs.Counter.Labeled.get (Lazy.force family) model.Model.name)
-    in
     match result with
     | Ok (Some s) ->
-        bump obs_accept;
+        bump accept_at obs_accept;
         Faults.Breaker.success b;
         Decoded s
     | Ok None ->
-        bump obs_reject;
+        bump reject_at obs_reject;
         Faults.Breaker.success b;
         Rejected
     | Error e ->
-        bump obs_error;
+        bump error_at obs_error;
         Faults.Breaker.failure b;
         let exn_name = Faults.Error.exn_name e in
         Faults.Error.observe

@@ -20,10 +20,14 @@ type t = {
   escaping_claim : [ `Rfc1779 | `Rfc2253 | `Rfc4514 ] list;
 }
 
-let ascii_strict raw =
-  match Unicode.Codec.decode Unicode.Codec.Ascii raw with
-  | Ok cps -> Some (Unicode.Codec.utf8_of_cps cps)
-  | Error _ -> None
+(* A byte below 0x80 decodes to the same code point under ASCII,
+   Latin-1 and UTF-8 and re-encodes to itself in UTF-8, so an all-ASCII
+   payload is its own output under all three; most probed payloads are
+   all ASCII. *)
+let is_ascii raw = not (String.exists (fun c -> c >= '\x80') raw)
+
+(* Strict ASCII decoding fails exactly when some byte is not ASCII. *)
+let ascii_strict raw = if is_ascii raw then Some raw else None
 
 let ascii_hex_escape raw = Unicode.Escape.hex_escape_nonprintable raw
 
@@ -31,12 +35,16 @@ let ascii_replace repl raw =
   Unicode.Codec.utf8_of_cps
     (Unicode.Codec.decode_exn ~policy:(Unicode.Codec.Replace repl) Unicode.Codec.Ascii raw)
 
-let latin1 raw = Unicode.Codec.utf8_of_cps (Unicode.Codec.cps_of_latin1 raw)
+let latin1 raw =
+  if is_ascii raw then raw
+  else Unicode.Codec.utf8_of_cps (Unicode.Codec.cps_of_latin1 raw)
 
 let utf8_strict raw =
-  match Unicode.Codec.decode Unicode.Codec.Utf8 raw with
-  | Ok cps -> Some (Unicode.Codec.utf8_of_cps cps)
-  | Error _ -> None
+  if is_ascii raw then Some raw
+  else
+    match Unicode.Codec.decode Unicode.Codec.Utf8 raw with
+    | Ok cps -> Some (Unicode.Codec.utf8_of_cps cps)
+    | Error _ -> None
 
 let utf8_replace raw = Unicode.Codec.utf8_of_cps (Unicode.Codec.cps_of_utf8 raw)
 

@@ -6,7 +6,10 @@ type mutation =
   | Crldp_uri of string
   | Aia_uri of string
 
-let issuer_key = X509.Certificate.mock_keypair ~seed:"testgen-issuer" ()
+(* Both keys are constants.  The issuer signs every test certificate,
+   so it precomputes its HMAC pads once. *)
+let issuer_key = X509.Certificate.mock_keypair ~signer:true ~seed:"testgen-issuer" ()
+let leaf_key = X509.Certificate.mock_keypair ~seed:"testgen-leaf" ()
 
 let issuer_dn =
   X509.Dn.of_list
@@ -40,14 +43,13 @@ let make mutation =
       [ X509.Extension.authority_info_access
           (List.map (fun gn -> (X509.Extension.Oids.ocsp, gn)) aia) ]
   in
-  let leaf = X509.Certificate.mock_keypair ~seed:"testgen-leaf" () in
   let tbs =
     X509.Certificate.make_tbs ~serial:"\x7A\x01"
       ~issuer:issuer_dn
       ~subject:(X509.Dn.single subject)
       ~not_before:(Asn1.Time.make 2024 1 1)
       ~not_after:(Asn1.Time.make 2025 1 1)
-      ~spki:(X509.Certificate.keypair_spki leaf)
+      ~spki:(X509.Certificate.keypair_spki leaf_key)
       ~sig_alg:X509.Certificate.Oids.mock_signature ~extensions ()
   in
   X509.Certificate.sign issuer_key tbs

@@ -367,6 +367,26 @@ let test_breaker () =
   check Alcotest.bool "reset closes" false (Faults.Breaker.tripped b);
   check Alcotest.int "reset zeroes crashes" 0 (Faults.Breaker.crashes b)
 
+(* [success] on a closed breaker clears a failure streak below the
+   threshold (and stores nothing when there is no streak), so k more
+   failures stay below it. *)
+let test_breaker_success_resets () =
+  let threshold = 4 in
+  for k = 1 to threshold - 1 do
+    let b = Faults.Breaker.create ~threshold "test_success_resets" in
+    for _ = 1 to k do Faults.Breaker.failure b done;
+    check Alcotest.int "streak counted" k (Faults.Breaker.consecutive b);
+    Faults.Breaker.success b;
+    check Alcotest.int "success clears the streak" 0 (Faults.Breaker.consecutive b);
+    Faults.Breaker.success b;
+    check Alcotest.int "a clean streak stays clean" 0 (Faults.Breaker.consecutive b);
+    for _ = 1 to k do Faults.Breaker.failure b done;
+    check Alcotest.bool
+      (Printf.sprintf "%d more failures do not trip" k)
+      false (Faults.Breaker.tripped b);
+    check Alcotest.int "crashes still accumulate" (2 * k) (Faults.Breaker.crashes b)
+  done
+
 (* --- the injection harness -------------------------------------------- *)
 
 let test_injector () =
@@ -680,6 +700,8 @@ let suite =
       test_checkpoint_save_failure;
     Alcotest.test_case "checkpoint journal" `Quick test_checkpoint_journal;
     Alcotest.test_case "circuit breaker" `Quick test_breaker;
+    Alcotest.test_case "breaker success resets the streak" `Quick
+      test_breaker_success_resets;
     Alcotest.test_case "injector" `Quick test_injector;
     Alcotest.test_case "injector specs" `Quick test_injector_spec;
     Alcotest.test_case "watchdog" `Quick test_watchdog;

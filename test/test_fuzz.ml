@@ -1,8 +1,9 @@
 (* Fuzzer unit tests: generator purity, evaluation determinism,
    breaker-scope isolation (the process-global reset_faults regression),
-   mutator exhaustion guard, minimizer contract, findings JSONL
-   round-trip, an in-process campaign determinism check, and the
-   regression corpus of minimized reproducers. *)
+   probe telemetry, the strict-first parse, mutator exhaustion guard,
+   minimizer contract, findings JSONL round-trip, an in-process campaign
+   determinism check, golden campaign digests, and the regression
+   corpus of minimized reproducers. *)
 
 let check = Alcotest.check
 
@@ -60,6 +61,29 @@ let test_scope_isolation () =
   (match Tlsparsers.Harness.observe_decode model (fun () -> Some "ok") with
   | Tlsparsers.Harness.Decoded "ok" -> ()
   | _ -> Alcotest.fail "default scope must still invoke the model");
+  (* a model outside Models.all keeps its own name-keyed breaker *)
+  let outsider = { model with Tlsparsers.Model.name = "outside-models-all" } in
+  let scope = Tlsparsers.Harness.Scope.create ~threshold:2 () in
+  ignore (Tlsparsers.Harness.observe_decode ~scope outsider boom);
+  ignore (Tlsparsers.Harness.observe_decode ~scope outsider boom);
+  (match Tlsparsers.Harness.observe_decode ~scope outsider (fun () -> Some "x") with
+  | Tlsparsers.Harness.Crashed "circuit_open" -> ()
+  | _ -> Alcotest.fail "expected the outsider's scoped breaker to be open");
+  check
+    Alcotest.(list (pair string int))
+    "only the outsider is degraded" [ ("outside-models-all", 2) ]
+    (Tlsparsers.Harness.Scope.degraded scope);
+  (match Tlsparsers.Harness.observe_decode ~scope model (fun () -> Some "x") with
+  | Tlsparsers.Harness.Decoded "x" -> ()
+  | _ -> Alcotest.fail "the listed model's breaker must stay closed");
+  (* a copy of a listed model shares that model's breaker, by name *)
+  let copy = { model with Tlsparsers.Model.name = model.Tlsparsers.Model.name } in
+  let scope = Tlsparsers.Harness.Scope.create ~threshold:2 () in
+  ignore (Tlsparsers.Harness.observe_decode ~scope copy boom);
+  ignore (Tlsparsers.Harness.observe_decode ~scope model boom);
+  (match Tlsparsers.Harness.observe_decode ~scope model (fun () -> Some "x") with
+  | Tlsparsers.Harness.Crashed "circuit_open" -> ()
+  | _ -> Alcotest.fail "a copy's crashes must count on the model's breaker");
   (* per-evaluation scopes mean campaign crashes cannot leak either *)
   let der = Fuzz.Gen.build Fuzz.Gen.Cn Asn1.Str_type.Printable_string "test.com" in
   ignore (Fuzz.Exec.eval der);
@@ -67,6 +91,188 @@ let test_scope_isolation () =
     Alcotest.(list (pair string int))
     "default scope untouched after eval" []
     (Tlsparsers.Harness.degraded_models ())
+
+(* Probe telemetry: one evaluation moves each model's
+   accept+reject+error sum, and its latency histogram count, by exactly
+   the number of probes it made on that model. *)
+let parser_probe_totals name =
+  let child children = List.assoc_opt name children in
+  let counter family =
+    match Obs.Registry.find Obs.Registry.default family with
+    | Some (Obs.Registry.Labeled_counter lc) -> (
+        match child (Obs.Counter.Labeled.children lc) with
+        | Some c -> int_of_float (Obs.Counter.value c)
+        | None -> 0)
+    | _ -> 0
+  in
+  let observed =
+    match Obs.Registry.find Obs.Registry.default "unicert_parser_decode_seconds" with
+    | Some (Obs.Registry.Labeled_histogram lh) -> (
+        match child (Obs.Histogram.Labeled.children lh) with
+        | Some h -> Obs.Histogram.count h
+        | None -> 0)
+    | _ -> 0
+  in
+  ( counter "unicert_parser_accept_total" + counter "unicert_parser_reject_total"
+    + counter "unicert_parser_error_total",
+    observed )
+
+let test_probe_telemetry () =
+  let der =
+    Fuzz.Gen.build Fuzz.Gen.Cn Asn1.Str_type.Printable_string "pay\x00pal.com"
+  in
+  let names = List.map (fun m -> m.Tlsparsers.Model.name) Tlsparsers.Models.all in
+  let before = List.map parser_probe_totals names in
+  let e = Fuzz.Exec.eval der in
+  let after = List.map parser_probe_totals names in
+  (* '-' is an unsupported field and 'X' a field with no payload: no
+     probe; every other token is one probe. *)
+  let probed tokens i = if String.contains "-X" tokens.[i] then 0 else 1 in
+  List.iteri
+    (fun i name ->
+      let n = probed e.Fuzz.Exec.cn_tokens i + probed e.Fuzz.Exec.san_tokens i in
+      let (c0, h0), (c1, h1) = (List.nth before i, List.nth after i) in
+      check Alcotest.int (name ^ " accept+reject+error") n (c1 - c0);
+      check Alcotest.int (name ^ " decode_seconds count") n (h1 - h0))
+    names;
+  check Alcotest.bool "the candidate probes both fields" true
+    (String.length e.Fuzz.Exec.cn_tokens = 9 && e.Fuzz.Exec.san <> None)
+
+(* --- strict-first parsing ------------------------------------------ *)
+
+(* A minimal TLV tree, enough to re-encode a certificate with one
+   length in non-minimal long form and every enclosing length
+   recomputed. *)
+type tlv = Leaf of char * string | Node of char * tlv list
+
+let rec tlvs s off stop =
+  if off >= stop then []
+  else begin
+    let l0 = Char.code s.[off + 1] in
+    let len, hdr =
+      if l0 < 0x80 then (l0, 2)
+      else begin
+        let k = l0 land 0x7F in
+        let n = ref 0 in
+        for j = 1 to k do
+          n := (!n lsl 8) lor Char.code s.[off + 1 + j]
+        done;
+        (!n, 2 + k)
+      end
+    in
+    let c = off + hdr in
+    let t =
+      if Char.code s.[off] land 0x20 <> 0 then Node (s.[off], tlvs s c (c + len))
+      else Leaf (s.[off], String.sub s c len)
+    in
+    t :: tlvs s (c + len) stop
+  end
+
+let be_bytes n =
+  let rec go n acc = if n = 0 then acc else go (n lsr 8) (String.make 1 (Char.chr (n land 0xFF)) ^ acc) in
+  go n ""
+
+let length_octets ~long n =
+  if n < 0x80 then if long then "\x81" ^ String.make 1 (Char.chr n) else String.make 1 (Char.chr n)
+  else begin
+    let b = be_bytes n in
+    if long then String.make 1 (Char.chr (0x80 lor (String.length b + 1))) ^ "\x00" ^ b
+    else String.make 1 (Char.chr (0x80 lor String.length b)) ^ b
+  end
+
+(* Re-encode [der], writing in long form the length of the last element
+   of the first SEQUENCE that starts with OBJECT IDENTIFIER [oid]: the
+   value of an AttributeTypeAndValue, or an extension's extnValue. *)
+let long_length_after ~oid der =
+  let oid = Asn1.Oid.encode (Asn1.Oid.of_string_exn oid) in
+  let pending = ref true in
+  let rec enc ~long t =
+    let tag, body =
+      match t with
+      | Leaf (tag, body) -> (tag, body)
+      | Node (tag, kids) ->
+          let mark =
+            match kids with
+            | Leaf ('\x06', o) :: _ when tag = '\x30' && !pending && o = oid ->
+                pending := false;
+                true
+            | _ -> false
+          in
+          let last = List.length kids - 1 in
+          (tag, String.concat "" (List.mapi (fun i k -> enc ~long:(mark && i = last) k) kids))
+    in
+    String.make 1 tag ^ length_octets ~long (String.length body) ^ body
+  in
+  String.concat "" (List.map (enc ~long:false) (tlvs der 0 (String.length der)))
+
+let cn_oid = "2.5.4.3"
+let san_oid = "2.5.29.17"
+
+let parse_config config der = X509.Certificate.parse ~config der
+
+(* The exactness claim behind the strict-first parse, and [eval]'s
+   flags against two independent parses. *)
+let parse_once_exact der =
+  let strict = parse_config Asn1.Value.strict der
+  and lenient = parse_config Asn1.Value.lenient der in
+  let implied =
+    match (strict, lenient) with
+    | Ok c, Ok c' -> c = c'
+    | Ok _, Error _ -> false
+    | Error _, _ -> true
+  in
+  let e = Fuzz.Exec.eval der in
+  implied
+  && e.Fuzz.Exec.strict_ok = Result.is_ok strict
+  && e.Fuzz.Exec.lenient_ok = Result.is_ok lenient
+
+let seed_corpus =
+  [| Fuzz.Gen.build Fuzz.Gen.Cn Asn1.Str_type.Printable_string "test.com";
+     Fuzz.Gen.build Fuzz.Gen.San Asn1.Str_type.Ia5_string "caf\xC3\xA9.example" |]
+
+let candidate_der ?(corpus = seed_corpus) (seed, round, index) =
+  (Fuzz.Gen.candidate ~seed ~round ~index ~corpus).Fuzz.Gen.der
+
+let draw = QCheck.Gen.(triple (int_bound 10_000) (int_bound 63) (int_bound 63))
+let arb = QCheck.make ~print:(fun (s, r, i) -> Printf.sprintf "seed %d round %d index %d" s r i) draw
+
+let prop_parse_once_candidates =
+  QCheck.Test.make ~name:"parse once is exact: candidates" ~count:300 arb (fun t ->
+      parse_once_exact (candidate_der t))
+
+let prop_parse_once_mutants =
+  QCheck.Test.make ~name:"parse once is exact: mutator outputs" ~count:300 arb
+    (fun (seed, k, index) ->
+      let plan = Faults.Mutator.plan ~seed ~rate:1.0 () in
+      let der, _ = Faults.Mutator.mutate plan ~index seed_corpus.(k land 1) in
+      parse_once_exact der)
+
+let prop_parse_once_long_lengths =
+  QCheck.Test.make ~name:"parse once is exact: non-minimal CN/SAN lengths" ~count:300
+    QCheck.(pair bool arb)
+    (fun (cn, t) ->
+      (* an empty corpus draws structured candidates only: well-formed DER *)
+      let der = candidate_der ~corpus:[||] t in
+      parse_once_exact (long_length_after ~oid:(if cn then cn_oid else san_oid) der))
+
+(* The rewrite does reach the lenient-only path, and the lenient parse
+   still yields the payloads the models are probed with. *)
+let test_lenient_only_path () =
+  let der = Fuzz.Gen.build Fuzz.Gen.Cn Asn1.Str_type.Utf8_string "caf\xC3\xA9.example" in
+  let plain = Fuzz.Exec.eval der in
+  List.iter
+    (fun oid ->
+      let long = long_length_after ~oid der in
+      check Alcotest.bool (oid ^ " rewritten") true (long <> der);
+      check Alcotest.bool (oid ^ " strict rejects") true
+        (Result.is_error (parse_config Asn1.Value.strict long));
+      let e = Fuzz.Exec.eval long in
+      check Alcotest.bool (oid ^ " eval strict_ok") false e.Fuzz.Exec.strict_ok;
+      check Alcotest.bool (oid ^ " eval lenient_ok") true e.Fuzz.Exec.lenient_ok;
+      check Alcotest.bool (oid ^ " same CN") true (e.Fuzz.Exec.cn = plain.Fuzz.Exec.cn);
+      check Alcotest.(option string) (oid ^ " same SAN") plain.Fuzz.Exec.san e.Fuzz.Exec.san;
+      check Alcotest.bool (oid ^ " parse-once exact") true (parse_once_exact long))
+    [ cn_oid; san_oid ]
 
 let test_mutate_rejected () =
   let der = Fuzz.Gen.build Fuzz.Gen.Cn Asn1.Str_type.Printable_string "test.com" in
@@ -256,6 +462,11 @@ let suite =
     Alcotest.test_case "generator purity" `Quick test_gen_pure;
     Alcotest.test_case "evaluation determinism" `Quick test_eval_pure;
     Alcotest.test_case "breaker scope isolation" `Quick test_scope_isolation;
+    Alcotest.test_case "probe telemetry per model" `Quick test_probe_telemetry;
+    Alcotest.test_case "lenient-only path" `Quick test_lenient_only_path;
+    QCheck_alcotest.to_alcotest prop_parse_once_candidates;
+    QCheck_alcotest.to_alcotest prop_parse_once_mutants;
+    QCheck_alcotest.to_alcotest prop_parse_once_long_lengths;
     Alcotest.test_case "mutate_rejected exhaustion guard" `Quick
       test_mutate_rejected;
     Alcotest.test_case "new mutation kinds" `Quick test_new_mutation_kinds;

@@ -249,6 +249,90 @@ let test_api_table () =
     (Some "gnutls_x509_crt_get_crl_dist_points()")
     (Tlsparsers.Apis.api_for "GnuTLS" Tlsparsers.Model.Crldp)
 
+(* --- ASCII fast paths ---------------------------------------------- *)
+
+(* [ascii_strict], [latin1] and [utf8_strict] hand an all-ASCII input
+   back as is.  These are the codec formulas they stand for. *)
+let ref_ascii_strict raw =
+  match Unicode.Codec.decode Unicode.Codec.Ascii raw with
+  | Ok cps -> Some (Unicode.Codec.utf8_of_cps cps)
+  | Error _ -> None
+
+let ref_latin1 raw = Unicode.Codec.utf8_of_cps (Unicode.Codec.cps_of_latin1 raw)
+
+let ref_utf8_strict raw =
+  match Unicode.Codec.decode Unicode.Codec.Utf8 raw with
+  | Ok cps -> Some (Unicode.Codec.utf8_of_cps cps)
+  | Error _ -> None
+
+let blocks_agree raw =
+  Tlsparsers.Model.ascii_strict raw = ref_ascii_strict raw
+  && Tlsparsers.Model.latin1 raw = ref_latin1 raw
+  && Tlsparsers.Model.utf8_strict raw = ref_utf8_strict raw
+
+let single_bytes = List.init 256 (fun b -> String.make 1 (Char.chr b))
+
+(* Mostly ASCII with the odd high byte, like real probe payloads. *)
+let ascii_heavy_char g =
+  if Ucrypto.Prng.int g 8 = 0 then Char.chr (0x80 + Ucrypto.Prng.int g 0x80)
+  else Char.chr (Ucrypto.Prng.int g 0x80)
+
+let seeded_ascii_heavy =
+  let g = Ucrypto.Prng.create 18 in
+  List.init 256 (fun _ -> String.init (Ucrypto.Prng.int g 24) (fun _ -> ascii_heavy_char g))
+
+let test_fast_path_blocks () =
+  List.iter
+    (fun raw ->
+      check Alcotest.bool (Printf.sprintf "blocks agree on %S" raw) true (blocks_agree raw))
+    (single_bytes @ Tlsparsers.Testgen.byte_battery @ seeded_ascii_heavy)
+
+let prop_fast_path_blocks =
+  QCheck.Test.make ~name:"ascii fast paths match the codec" ~count:1000
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(
+          string_size (int_range 0 40)
+            ~gen:(frequency [ (7, map Char.chr (int_range 0 0x7F)); (1, char) ])))
+    blocks_agree
+
+(* Every model's output over the same inputs, for every declared string
+   type and every GeneralName field, folded into one digest.  The
+   constant was computed with the codec-only building blocks, before
+   the ASCII fast paths existed; a model change that is meant to alter
+   decoding must update it. *)
+let model_outputs_digest () =
+  let buf = Buffer.create (1 lsl 16) in
+  let out r =
+    Buffer.add_string buf
+      (match r with
+      | Ok (Some s) -> "S" ^ string_of_int (String.length s) ^ ":" ^ s
+      | Ok None -> "N"
+      | Error e -> "E" ^ Printexc.to_string e);
+    Buffer.add_char buf '\n'
+  in
+  let inputs = single_bytes @ Tlsparsers.Testgen.byte_battery @ seeded_ascii_heavy in
+  List.iter
+    (fun (m : Tlsparsers.Model.t) ->
+      List.iter
+        (fun raw ->
+          List.iter
+            (fun st ->
+              out (try Ok (m.Tlsparsers.Model.decode_name_attr st raw) with e -> Error e))
+            Asn1.Str_type.all;
+          List.iter
+            (fun field ->
+              out (try Ok (m.Tlsparsers.Model.decode_gn field raw) with e -> Error e))
+            Tlsparsers.Model.all_fields)
+        inputs)
+    Tlsparsers.Models.all;
+  Ucrypto.Sha256.hex (Buffer.contents buf)
+
+let test_model_outputs_golden () =
+  check Alcotest.string "model outputs digest"
+    "3c34db3a5eaaa873230fda9afad8b8aac90900903b9c16723e7bb587c2de3bbf"
+    (model_outputs_digest ())
+
 let suite =
   [
     Alcotest.test_case "gnutls utf8 everywhere" `Quick test_gnutls_utf8_everywhere;
@@ -267,4 +351,7 @@ let suite =
       test_every_library_has_a_violation;
     Alcotest.test_case "test cert generator" `Quick test_testgen;
     Alcotest.test_case "appendix E api table" `Quick test_api_table;
+    Alcotest.test_case "ascii fast paths match the codec" `Quick test_fast_path_blocks;
+    QCheck_alcotest.to_alcotest prop_fast_path_blocks;
+    Alcotest.test_case "model outputs golden" `Quick test_model_outputs_golden;
   ]
