@@ -33,7 +33,14 @@ type eval = {
 
 val eval : ?threshold:int -> string -> eval
 (** [eval der] probes one candidate.  [threshold] seeds the private
-    scope's circuit breakers.  Pure in [der]. *)
+    scope's circuit breakers.  Pure in [der].
+
+    [der] is parsed once with {!Asn1.Value.strict}; an [Ok] result is
+    also the lenient result, and {!Asn1.Value.lenient} runs only when
+    the strict parse fails.  This is exact: the two configs differ only
+    in [forbid_nonminimal_length], which adds one failure (a long-form
+    length that fits a shorter form) and changes nothing else, so a
+    strict success is a lenient success with an equal certificate. *)
 
 val beyond_tables : string -> bool
 (** Classes outside the paper's Table-4/5 taxonomy. *)

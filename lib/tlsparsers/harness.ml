@@ -76,11 +76,11 @@ let slot_of (model : Model.t) =
   by_identity 0
 
 (* One child handle per model of [Models.all] and per family, parallel
-   to that list.  Each is resolved on its first use, as the name lookup
-   it replaces was, so the metrics dump lists exactly the families and
-   children it always did (an error family appears only once a model
-   raised).  Domains racing on a first use resolve the same child: the
-   labeled families are find-or-create under their own lock. *)
+   to that list.  Each is resolved on its first use, never ahead of it,
+   so the metrics dump lists only families and children a probe
+   touched (an error family appears only once a model raised).
+   Domains racing on a first use resolve the same child: the labeled
+   families are find-or-create under their own lock. *)
 let per_model family get =
   let cells = Array.map (fun _ -> Atomic.make None) models in
   fun i ->

@@ -38,7 +38,9 @@ val decoding_matrix : unit -> (scenario * cell list) list
 (** Campaign-scoped breaker state.  Breakers used to be process-global:
     one fuzzing campaign that tripped a model's breaker silently
     degraded every later in-process {!decoding_matrix} call.  A [Scope]
-    owns its own per-model breaker table; the harness entry points
+    owns its own per-model breakers (one slot per model of
+    {!Models.all}, read without a lock, plus a name-keyed table for
+    any other model); the harness entry points
     default to {!Scope.default} (the process-wide scope the binaries'
     one-shot table passes use), while long-running campaigns create a
     private scope and pass it to {!observe_decode}. *)
@@ -75,7 +77,9 @@ val observe_decode :
     boundary: telemetry counted, injection ticked, crashes recorded on
     the model's breaker in [scope] (default {!Scope.default}).  Once
     the breaker is open the model is not invoked and the outcome reads
-    [Crashed "circuit_open"]. *)
+    [Crashed "circuit_open"].  A model of {!Models.all} (or a copy
+    carrying its name) finds its counters, histogram and breaker by
+    position, with no lock and no string hashing. *)
 
 val degraded_models : unit -> (string * int) list
 (** [Scope.degraded Scope.default]. *)

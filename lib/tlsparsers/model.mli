@@ -34,6 +34,9 @@ type t = {
 (** {1 Decoder building blocks shared by the models} *)
 
 val ascii_strict : string -> string option
+(** [ascii_strict], {!latin1} and {!utf8_strict} return an all-ASCII
+    input itself, the same bytes the codec round trip produces. *)
+
 val ascii_hex_escape : string -> string
 (** OpenSSL-style: bytes above printable ASCII become [\xNN]. *)
 

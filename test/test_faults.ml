@@ -700,8 +700,6 @@ let suite =
       test_checkpoint_save_failure;
     Alcotest.test_case "checkpoint journal" `Quick test_checkpoint_journal;
     Alcotest.test_case "circuit breaker" `Quick test_breaker;
-    Alcotest.test_case "breaker success resets the streak" `Quick
-      test_breaker_success_resets;
     Alcotest.test_case "injector" `Quick test_injector;
     Alcotest.test_case "injector specs" `Quick test_injector_spec;
     Alcotest.test_case "watchdog" `Quick test_watchdog;
@@ -716,4 +714,6 @@ let suite =
     Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
     Alcotest.test_case "v003 shard cursor is rejected" `Quick
       test_v003_shard_cursor_rejected;
+    Alcotest.test_case "breaker success resets the streak" `Quick
+      test_breaker_success_resets;
   ]

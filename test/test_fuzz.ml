@@ -462,11 +462,6 @@ let suite =
     Alcotest.test_case "generator purity" `Quick test_gen_pure;
     Alcotest.test_case "evaluation determinism" `Quick test_eval_pure;
     Alcotest.test_case "breaker scope isolation" `Quick test_scope_isolation;
-    Alcotest.test_case "probe telemetry per model" `Quick test_probe_telemetry;
-    Alcotest.test_case "lenient-only path" `Quick test_lenient_only_path;
-    QCheck_alcotest.to_alcotest prop_parse_once_candidates;
-    QCheck_alcotest.to_alcotest prop_parse_once_mutants;
-    QCheck_alcotest.to_alcotest prop_parse_once_long_lengths;
     Alcotest.test_case "mutate_rejected exhaustion guard" `Quick
       test_mutate_rejected;
     Alcotest.test_case "new mutation kinds" `Quick test_new_mutation_kinds;
@@ -476,4 +471,9 @@ let suite =
       test_campaign_deterministic;
     Alcotest.test_case "reproducer corpus regression" `Quick test_reproducers;
     Alcotest.test_case "golden campaign digests" `Quick test_campaign_golden;
+    Alcotest.test_case "probe telemetry per model" `Quick test_probe_telemetry;
+    Alcotest.test_case "lenient-only path" `Quick test_lenient_only_path;
+    QCheck_alcotest.to_alcotest prop_parse_once_candidates;
+    QCheck_alcotest.to_alcotest prop_parse_once_mutants;
+    QCheck_alcotest.to_alcotest prop_parse_once_long_lengths;
   ]
