@@ -1,11 +1,77 @@
-(* unicert-report: run one experiment by its DESIGN.md id. *)
+(* unicert-report: run one experiment by its DESIGN.md id, or the whole
+   evaluation with [paper]. *)
 
 open Cmdliner
+
+let banner ppf title =
+  Format.fprintf ppf "@.%s@.%s@.@." title (String.make (String.length title) '=')
+
+(* Every section of the paper's evaluation in order: RQ1 from the
+   corpus pipeline, RQ2-RQ3 and Appendix F.1 from fixed inputs. *)
+let paper ppf (t : Unicert.Pipeline.t) =
+  Format.fprintf ppf "unicert experiment harness — corpus scale %d, seed %d@."
+    t.Unicert.Pipeline.scale t.Unicert.Pipeline.seed;
+  banner ppf "RQ1 — Unicert issuance compliance (FIG2, TAB1, TAB2, FIG3, FIG4, TAB11, SEC51)";
+  Unicert.Report.all ppf t;
+  banner ppf "RQ2 — TLS library parsing (TAB4, TAB5, Appendix E)";
+  Tlsparsers.Apis.render ppf;
+  Format.fprintf ppf "@.";
+  Tlsparsers.Harness.render ppf;
+  banner ppf "RQ3 — CT monitor misleading (TAB6)";
+  Monitors.Audit.render ppf;
+  banner ppf "RQ3 — Traffic obfuscation (TAB3, SEC62)";
+  Middlebox.Obfuscation.render ppf;
+  Middlebox.Evasion.render ppf;
+  banner ppf "Appendix F.1 — Browser rendering (TAB14, FIG7)";
+  Unicert.Browsers.render ppf
+
+(* Single-table ids annotate fetch coverage after their table ([all]
+   and [paper] already render the section themselves). *)
+let with_coverage render ppf t =
+  render ppf t;
+  Unicert.Report.coverage ppf t
+
+(* Every experiment id and its renderer.  A corpus renderer forces the
+   pipeline run; a fixed one never starts it. *)
+let experiments =
+  let corpus render ppf pipeline = render ppf (Lazy.force pipeline) in
+  let fixed render ppf _ = render ppf in
+  [
+    ("fig2", corpus (with_coverage Unicert.Report.figure2));
+    ("tab1", corpus (with_coverage Unicert.Report.table1));
+    ("tab2", corpus (with_coverage Unicert.Report.table2));
+    ("fig3", corpus (with_coverage Unicert.Report.figure3));
+    ("fig4", corpus (with_coverage Unicert.Report.figure4));
+    ("tab11", corpus (with_coverage Unicert.Report.table11));
+    ("sec51", corpus (with_coverage Unicert.Report.section51));
+    ("ablations", corpus (with_coverage Unicert.Report.ablations));
+    ("summary", corpus (with_coverage Unicert.Report.summary));
+    ("tab3", fixed Middlebox.Obfuscation.render);
+    ("tab4", fixed Tlsparsers.Harness.render);
+    ("tab5", fixed Tlsparsers.Harness.render);
+    ("tab6", fixed Monitors.Audit.render);
+    ("sec62", fixed Middlebox.Evasion.render);
+    ("tab14", fixed Unicert.Browsers.render);
+    ("fig7", fixed Unicert.Browsers.render);
+    ("apis", fixed Tlsparsers.Apis.render);
+    ("rules", fixed Lint.Rulebook.render_catalogue);
+    ("all", corpus Unicert.Report.all);
+    ("paper", corpus paper);
+  ]
+
+let ids = String.concat " " (List.map fst experiments)
 
 let run id scale seed (fault : Fault_cli.t) metrics progress no_progress =
   if progress then Obs.Progress.set_override (Some true)
   else if no_progress then Obs.Progress.set_override (Some false);
   Fault_cli.set_metrics metrics;
+  let render =
+    match List.assoc_opt (String.lowercase_ascii id) experiments with
+    | Some render -> render
+    | None ->
+        Printf.eprintf "error: unknown experiment %S; ids: %s\n" id ids;
+        Fault_cli.exit_via 2
+  in
   Tlsparsers.Harness.set_breaker_threshold
     fault.Fault_cli.policy.Faults.Policy.breaker_threshold;
   let ppf = Format.std_formatter in
@@ -17,48 +83,21 @@ let run id scale seed (fault : Fault_cli.t) metrics progress no_progress =
     | None -> Unicert.Pipeline.Generate
   in
   Fault_cli.warn_stale_cursors fault ~scale;
-  let pipeline () =
-    let t =
-      Fault_cli.guard (fun () ->
-          Unicert.Pipeline.run ~scale ~seed ~policy:fault.Fault_cli.policy
-            ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
-            ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume
-            ~jobs:fault.Fault_cli.jobs ~source ?store:fault.Fault_cli.store ())
-    in
-    aborted := t.Unicert.Pipeline.faults.Unicert.Pipeline.aborted;
-    degraded := Unicert.Pipeline.coverage_degraded t;
-    if !aborted = None then Fault_cli.cleanup_stale_cursors fault ~scale;
-    t
+  let pipeline =
+    lazy
+      (let t =
+         Fault_cli.guard (fun () ->
+             Unicert.Pipeline.run ~scale ~seed ~policy:fault.Fault_cli.policy
+               ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
+               ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume
+               ~jobs:fault.Fault_cli.jobs ~source ?store:fault.Fault_cli.store ())
+       in
+       aborted := t.Unicert.Pipeline.faults.Unicert.Pipeline.aborted;
+       degraded := Unicert.Pipeline.coverage_degraded t;
+       if !aborted = None then Fault_cli.cleanup_stale_cursors fault ~scale;
+       t)
   in
-  (* Single-table ids annotate fetch coverage after their table ("all"
-     already renders the section itself). *)
-  let with_coverage render t =
-    render ppf t;
-    Unicert.Report.coverage ppf t
-  in
-  (match String.lowercase_ascii id with
-  | "fig2" -> with_coverage Unicert.Report.figure2 (pipeline ())
-  | "tab1" -> with_coverage Unicert.Report.table1 (pipeline ())
-  | "tab2" -> with_coverage Unicert.Report.table2 (pipeline ())
-  | "fig3" -> with_coverage Unicert.Report.figure3 (pipeline ())
-  | "fig4" -> with_coverage Unicert.Report.figure4 (pipeline ())
-  | "tab11" -> with_coverage Unicert.Report.table11 (pipeline ())
-  | "sec51" -> with_coverage Unicert.Report.section51 (pipeline ())
-  | "ablations" -> with_coverage Unicert.Report.ablations (pipeline ())
-  | "summary" -> with_coverage Unicert.Report.summary (pipeline ())
-  | "tab4" | "tab5" -> Tlsparsers.Harness.render ppf
-  | "apis" -> Tlsparsers.Apis.render ppf
-  | "rules" -> Lint.Rulebook.render_catalogue ppf
-  | "tab6" -> Monitors.Audit.render ppf
-  | "tab3" -> Middlebox.Obfuscation.render ppf
-  | "sec62" -> Middlebox.Evasion.render ppf
-  | "tab14" | "fig7" -> Unicert.Browsers.render ppf
-  | "all" -> Unicert.Report.all ppf (pipeline ())
-  | other ->
-      Format.fprintf ppf
-        "unknown experiment %S; ids: fig2 tab1 tab2 fig3 fig4 tab11 sec51 ablations \
-         summary tab3 tab4 tab5 tab6 sec62 tab14 apis rules all@."
-        other);
+  render ppf pipeline;
   Format.pp_print_flush ppf ();
   (* Exit codes: 3 = the pass aborted (fail-fast / max-errors), 4 = it
      completed but with degraded fetch coverage (abandoned log, split
@@ -80,7 +119,9 @@ let run id scale seed (fault : Fault_cli.t) metrics progress no_progress =
   in
   Fault_cli.exit_via code
 
-let id = Arg.(value & pos 0 string "summary" & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id from DESIGN.md")
+let id =
+  Arg.(value & pos 0 string "summary"
+       & info [] ~docv:"EXPERIMENT" ~doc:("Experiment id from DESIGN.md, one of: " ^ ids))
 let scale = Arg.(value & opt int Ctlog.Dataset.default_scale & info [ "scale" ] ~doc:"Corpus size")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Corpus seed")
 let metrics =
@@ -92,7 +133,7 @@ let no_progress =
   Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
 
 let cmd =
-  let doc = "regenerate one of the paper's tables or figures" in
+  let doc = "regenerate one of the paper's tables or figures, or all of them" in
   Cmd.v (Cmd.info "unicert-report" ~doc)
     Term.(const run $ id $ scale $ seed $ Fault_cli.term $ metrics $ progress
           $ no_progress)

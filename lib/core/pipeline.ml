@@ -590,7 +590,7 @@ let analyze part policy ~fault ~sink index (entry : Ctlog.Dataset.entry) =
       raise e
   | exception Faults.Watchdog.Timed_out { stage; seconds } ->
       fault ~index ~der (Faults.Error.Timeout { stage; seconds })
-  | exception e when Faults.Isolation.enabled () ->
+  | exception e ->
       fault ~index ~der (Faults.Error.of_exn ~stage:"process" e)
 
 let snapshot_crashes () =

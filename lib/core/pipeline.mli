@@ -211,7 +211,7 @@ val use_reference_engine : bool -> unit
 
 val lints_signature : unit -> string
 (** Registry-order lint names joined with [";"] — the engine-interface
-    fingerprint stores and recorded benchmarks are validated against. *)
+    fingerprint stores are validated against. *)
 
 (** {2 Store-row ingest surface}
 

@@ -1,5 +1,5 @@
 (** Rendering of every evaluation table and figure from a completed
-    {!Pipeline} run.  Each function prints paper-shaped rows so bench
+    {!Pipeline} run.  Each function prints paper-shaped rows so report
     output can be compared side by side with the publication. *)
 
 val figure2 : Format.formatter -> Pipeline.t -> unit

@@ -41,12 +41,7 @@ type entry = {
 }
 
 val default_scale : int
-(** 60_000 — overridable via the [UNICERT_SCALE] environment variable
-    read by the binaries (not here). *)
-
-val generate_entry : Ucrypto.Prng.t -> issuer -> entry
-(** [generate_entry g issuer] draws one certificate from the issuer's
-    distribution. *)
+(** 60_000 — the corpus size when no [--scale] is given. *)
 
 val generate_at : seed:int -> int -> entry
 (** [generate_at ~seed index] is corpus entry [index]: a pure function

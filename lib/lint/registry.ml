@@ -132,9 +132,8 @@ let checked ins (l : Types.t) ctx =
         | Types.Na | Types.Pass -> ());
         status
     (* The error boundary: one crashing lint degrades to NA for this
-       certificate instead of killing the run.  Disabled only by the
-       benchmark kill-switch. *)
-    | exception e when Faults.Isolation.enabled () ->
+       certificate instead of killing the run. *)
+    | exception e ->
         Faults.Breaker.failure ins.breaker;
         Faults.Error.observe
           (Faults.Error.Lint_crash

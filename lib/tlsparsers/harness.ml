@@ -196,7 +196,7 @@ let observe_decode ?(scope = Scope.default) (model : Model.t) f =
         (* Sampled like the per-lint spans: 9 models per harness pass
            add up fast at corpus scale. *)
         Ok (Obs.Trace.sampled_span ~cat:"model" model.Model.name f)
-      with e when Faults.Isolation.enabled () -> Error e
+      with e -> Error e
     in
     Obs.Histogram.observe
       (handle latency_at obs_latency Obs.Histogram.Labeled.get)

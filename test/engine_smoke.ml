@@ -5,11 +5,10 @@
    The two engines derive the same row facts in structurally different
    ways (one Ctx traversal + table lookups vs. per-stage re-derivation
    from the certificate), so every drift between them is a correctness
-   bug in the fusion.  The rendered report must be byte-identical at
-   both corpus scales, for every jobs value, with and without seeded
-   corruption. *)
+   bug in the fusion.  The rendered report must be byte-identical for
+   every case: several corpus seeds and scales, every jobs value, with
+   and without seeded corruption. *)
 
-let seed = 7
 let rate = 0.08
 
 let fail fmt =
@@ -21,7 +20,7 @@ let fail fmt =
 
 let report t = Format.asprintf "%a" Unicert.Report.all t
 
-let run ~reference ~scale ~jobs ~corrupt =
+let run ~reference ~seed ~scale ~jobs ~corrupt =
   Unicert.Pipeline.use_reference_engine reference;
   Fun.protect
     ~finally:(fun () -> Unicert.Pipeline.use_reference_engine false)
@@ -30,24 +29,28 @@ let run ~reference ~scale ~jobs ~corrupt =
       let t = Unicert.Pipeline.run ~scale ~seed ?mutator ~jobs () in
       (match t.Unicert.Pipeline.faults.Unicert.Pipeline.aborted with
       | Some reason ->
-          fail "run (scale=%d jobs=%d corrupt=%b) aborted: %s" scale jobs corrupt
-            reason
+          fail "run (seed=%d scale=%d jobs=%d corrupt=%b) aborted: %s" seed scale
+            jobs corrupt reason
       | None -> ());
       report t)
 
 let () =
   Obs.Progress.set_override (Some false);
+  (* (seed, scale, jobs, corrupt) *)
   let cases =
-    [ (500, 1, false); (500, 2, false); (500, 4, false);
-      (500, 1, true); (500, 2, true); (500, 4, true);
-      (8000, 1, false); (8000, 2, false); (8000, 4, false); (8000, 1, true) ]
+    [ (7, 500, 1, false); (7, 500, 2, false); (7, 500, 4, false);
+      (7, 500, 1, true); (7, 500, 2, true); (7, 500, 4, true);
+      (7, 8000, 1, false); (7, 8000, 2, false); (7, 8000, 4, false);
+      (7, 8000, 1, true); (3, 300, 1, false) ]
   in
   List.iter
-    (fun (scale, jobs, corrupt) ->
-      let fused = run ~reference:false ~scale ~jobs ~corrupt in
-      let reference = run ~reference:true ~scale ~jobs ~corrupt in
+    (fun (seed, scale, jobs, corrupt) ->
+      let fused = run ~reference:false ~seed ~scale ~jobs ~corrupt in
+      let reference = run ~reference:true ~seed ~scale ~jobs ~corrupt in
       if fused <> reference then
-        fail "fused and reference reports differ (scale=%d jobs=%d corrupt=%b)"
-          scale jobs corrupt)
+        fail
+          "fused and reference reports differ (seed=%d scale=%d jobs=%d \
+           corrupt=%b)"
+          seed scale jobs corrupt)
     cases;
   print_endline "engine-smoke: OK"

@@ -9,6 +9,10 @@
    - SIGTERM is a clean shutdown: final manifest commit, exit 0, the
      store passes fsck — and a restarted daemon resumes from its
      cursors and converges to the byte-identical battery responses;
+   - kill -9 after a commit and further uncommitted ticks loses only
+     the uncommitted tail: after fsck --repair the store holds exactly
+     the acknowledged prefix, and a restarted daemon answers the
+     battery byte-identically to an independent replay of it;
    - a request line over the 64 KiB cap gets a sealed refusal and the
      daemon keeps serving.
 
@@ -115,6 +119,28 @@ let first_line = function l :: _ -> l | [] -> "(empty frame)"
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
+
+(* Stage one stored row's serving material into [service] the way a
+   fresh replay would: subject fields, then the five index families
+   merged from the row's own accumulator.  The oracle for the kill -9
+   check, independent of the daemon's own replay. *)
+let stage_row service row =
+  Monitors.Service.stage_fields service
+    ~id:(Unicert.Pipeline.row_index row)
+    ~cns:(Unicert.Pipeline.row_cns row)
+    ~sans:(Unicert.Pipeline.row_domains row)
+    ~attrs:(Unicert.Pipeline.row_attrs row);
+  let one = Unicert.Pipeline.fresh_acc () in
+  Unicert.Pipeline.add_index_entries one row;
+  List.iter
+    (fun (index, entries) ->
+      List.iter
+        (fun (key, ids) ->
+          List.iter
+            (fun id -> Monitors.Service.stage_index service ~index ~key ~id)
+            ids)
+        entries)
+    (Unicert.Pipeline.merge_accs [ one ])
 
 let rm_rf dir =
   if Sys.file_exists dir then begin
@@ -226,7 +252,132 @@ let () =
   rm_rf dir;
   List.iter (fun (_, d, _) -> rm_rf d) (List.tl outputs);
 
-  (* --- 3. request lines are capped at 64 KiB ------------------------- *)
+  (* --- 3. kill -9: fsck --repair, then answer from the committed prefix *)
+  (* Cut deterministically through the stdin protocol: four ticks (the
+     fourth commits), an explicit commit, then three ticks that stage
+     rows and journal fetch cursors past it but never commit.  SIGKILL
+     lands once the last tick has answered. *)
+  let dir = tmp "kill9" in
+  rm_rf dir;
+  let args =
+    Array.of_list
+      ((daemon :: "--store" :: dir :: base_args) @ [ "--ticks"; "0" ])
+  in
+  let out_r, out_w = Unix.pipe () in
+  let in_r, in_w = Unix.pipe () in
+  let pid = Unix.create_process daemon args in_r out_w Unix.stderr in
+  Unix.close out_w;
+  Unix.close in_r;
+  let script =
+    [ "tick"; "tick"; "tick"; "tick"; "commit"; "tick"; "tick"; "tick" ]
+  in
+  let to_daemon = Unix.out_channel_of_descr in_w in
+  List.iter (fun l -> output_string to_daemon (l ^ "\n")) script;
+  flush to_daemon;
+  let from_daemon = Unix.in_channel_of_descr out_r in
+  let replies = Buffer.create 1024 in
+  let rec await n =
+    n = 0
+    ||
+    match input_line from_daemon with
+    | line ->
+        Buffer.add_string replies (line ^ "\n");
+        await (if starts_with "end " line then n - 1 else n)
+    | exception End_of_file -> false
+  in
+  let answered = await (List.length script) in
+  Unix.kill pid Sys.sigkill;
+  let _, status = Unix.waitpid [] pid in
+  close_out_noerr to_daemon;
+  close_in_noerr from_daemon;
+  checkf answered "the daemon answered every scripted line before the kill";
+  checkf (status = Unix.WSIGNALED Sys.sigkill) "the daemon died of SIGKILL";
+  let acknowledged, staged =
+    match List.map first_line (frames_of (Buffer.contents replies)) with
+    | [ _; _; _; _; commit; _; _; last ] -> (
+        match
+          ( Scanf.sscanf_opt commit "committed %d" Fun.id,
+            Scanf.sscanf_opt last "tick 7 committed=%d staged=%d" (fun c s ->
+                (c, s)) )
+        with
+        | Some n, Some (c, s) when c = n -> (n, s)
+        | _ -> (-1, -1))
+    | _ -> (-1, -1)
+  in
+  checkf
+    (acknowledged > 0 && staged > acknowledged)
+    "rows were staged past the last commit (committed %d, staged %d)"
+    acknowledged staged;
+  let report = Store.Db.fsck ~repair:true ~dir () in
+  checkf report.Store.Db.usable "store usable after kill -9 + fsck --repair";
+  (* Replay exactly the committed contiguous prefix of each log's
+     partition into a fresh service, and frame the battery answers the
+     way the daemon does. *)
+  let db = Store.Db.open_ro ~dir in
+  let spans =
+    List.map fst (Store.Db.spans db)
+    |> List.sort (fun (a : Store.Manifest.seg) b ->
+           compare a.Store.Manifest.lo b.Store.Manifest.lo)
+  in
+  let marks =
+    List.map
+      (fun (lo, hi) ->
+        let mark = ref lo in
+        List.iter
+          (fun (s : Store.Manifest.seg) ->
+            if s.Store.Manifest.lo <= !mark && s.Store.Manifest.hi > !mark
+               && s.Store.Manifest.lo < hi then
+              mark := min s.Store.Manifest.hi hi)
+          spans;
+        (lo, hi, !mark))
+      (Par.shards ~jobs:8 scale)
+  in
+  let mark_of index =
+    match
+      List.find_opt (fun (lo, hi, _) -> index >= lo && index < hi) marks
+    with
+    | Some (_, _, m) -> m
+    | None -> 0
+  in
+  let service = Monitors.Service.create () in
+  let recovered = ref 0 and undecodable = ref 0 in
+  Store.Db.iter_pairs db (fun recd rowstr ->
+      let index = Store.Db.index_of_record recd in
+      if index < mark_of index then begin
+        incr recovered;
+        match recd with
+        | Store.Db.Fault _ -> ()
+        | Store.Db.Cert _ -> (
+            match Unicert.Pipeline.decode_row rowstr with
+            | Error _ -> incr undecodable
+            | Ok row -> stage_row service row)
+      end);
+  Monitors.Service.commit service ~upto:!recovered;
+  checkf (!undecodable = 0) "every committed row decodes (%d do not)"
+    !undecodable;
+  checkf
+    (!recovered = acknowledged && !recovered < scale)
+    "the store holds exactly the acknowledged partial prefix (%d of %d, \
+     acknowledged %d)"
+    !recovered scale acknowledged;
+  let expected =
+    String.concat ""
+      (List.map
+         (fun line -> Ctlog.Wire.seal (Monitors.Service.respond service line))
+         battery)
+    ^ Ctlog.Wire.seal [ "bye" ]
+  in
+  let stdout_s, stderr_s, status =
+    run_daemon ~dir ~extra:[ "--ticks"; "0" ] ~input:(battery @ [ "quit" ]) ()
+  in
+  checkf (status = Unix.WEXITED 0) "daemon restarted after kill -9 exits 0 \
+    (stderr: %s)" (String.trim stderr_s);
+  checkf (stdout_s = expected)
+    "restart after kill -9 answers byte-identically to a replay of the \
+     committed prefix";
+  rm_rf dir;
+
+  (* --- 4. request lines are capped at 64 KiB ------------------------- *)
   let dir = tmp "longline" in
   rm_rf dir;
   let at_cap = "q crtsh " ^ String.make (65536 - 8) 'a' in

@@ -682,6 +682,30 @@ let test_exit_precedence () =
   check Alcotest.int "fold order-independent" (fold [ 2; 3; 4 ])
     (fold [ 4; 3; 2 ])
 
+(* An unknown experiment id is a usage error: exit 2, nothing on
+   stdout, and a stderr message that lists every valid id. *)
+let test_unknown_experiment_id () =
+  let out = Filename.temp_file "unicert-report" ".out" in
+  let err = Filename.temp_file "unicert-report" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out; Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/unicert_report.exe bogus > %s 2> %s"
+             (Filename.quote out) (Filename.quote err))
+      in
+      check Alcotest.int "exit code" 2 code;
+      check Alcotest.string "stdout" ""
+        (In_channel.with_open_bin out In_channel.input_all);
+      let msg = In_channel.with_open_bin err In_channel.input_all in
+      let words = String.split_on_char ' ' (String.trim msg) in
+      List.iter
+        (fun id -> check Alcotest.bool ("names " ^ id) true (List.mem id words))
+        [ "fig2"; "tab1"; "tab2"; "fig3"; "fig4"; "tab11"; "sec51";
+          "ablations"; "summary"; "tab3"; "tab4"; "tab5"; "tab6"; "sec62";
+          "tab14"; "fig7"; "apis"; "rules"; "all"; "paper" ])
+
 let suite =
   [
     Alcotest.test_case "exit-code precedence" `Quick test_exit_precedence;
@@ -716,4 +740,6 @@ let suite =
       test_v003_shard_cursor_rejected;
     Alcotest.test_case "breaker success resets the streak" `Quick
       test_breaker_success_resets;
+    Alcotest.test_case "unknown experiment id exits 2" `Quick
+      test_unknown_experiment_id;
   ]
