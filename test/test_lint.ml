@@ -267,6 +267,117 @@ let test_obs_instrumentation () =
     (float_of_int (List.length nc))
     (delta (fun o -> o.Lint.Registry.failed +. o.Lint.Registry.warned))
 
+(* --- pinned outputs ----------------------------------------------------- *)
+
+(* Every lint verdict with its detail strings, plus the IDNA facts the
+   lints read, over seeds 1 and 2 (indices 0..1999) and every fuzz
+   corpus reproducer that parses.  [@lint-golden] pins only lint names
+   and counts; this digest pins the detail strings too, so a rewrite of
+   a lint body, the runner or the IDNA checks that changes one byte of
+   a verdict fails here.  A deliberate lint change updates the digest
+   (the failure message prints the new value). *)
+let golden_corpus () =
+  let generated =
+    List.concat_map
+      (fun seed ->
+        List.init 2000 (fun i ->
+            let e = Ctlog.Dataset.generate_at ~seed i in
+            (e.Ctlog.Dataset.cert, e.Ctlog.Dataset.issued)))
+      [ 1; 2 ]
+  in
+  let reproducers =
+    Sys.readdir "fuzz_corpus" |> Array.to_list |> List.sort compare
+    |> List.filter_map (fun file ->
+           let ic = open_in_bin (Filename.concat "fuzz_corpus" file) in
+           let pem = really_input_string ic (in_channel_length ic) in
+           close_in ic;
+           match X509.Certificate.of_pem pem with
+           | Ok cert ->
+               Some (cert, fst cert.X509.Certificate.tbs.X509.Certificate.not_before)
+           | Error _ -> None)
+  in
+  generated @ reproducers
+
+let verdict_digest corpus =
+  let buf = Buffer.create (1 lsl 22) in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let details = String.concat "\x1f" in
+  let issues pp l = String.concat ";" (List.map (Format.asprintf "%a" pp) l) in
+  List.iteri
+    (fun i (cert, issued) ->
+      line "cert %d" i;
+      List.iter
+        (fun (f : Lint.finding) ->
+          let name = f.Lint.lint.Lint.name in
+          match f.Lint.status with
+          | Lint.Na -> line "%s NA" name
+          | Lint.Pass -> line "%s P" name
+          | Lint.Warn d -> line "%s W %s" name (details d)
+          | Lint.Fail d -> line "%s F %s" name (details d))
+        (Lint.Registry.run ~respect_effective_dates:false ~issued cert);
+      List.iter
+        (fun name ->
+          line "dns %s %s" name (issues Idna.Dns.pp_issue (Idna.Dns.check name));
+          List.iter
+            (fun label ->
+              line "label %s %s" label
+                (issues Idna.pp_issue (Idna.alabel_issues label)))
+            (Idna.Dns.split_labels name))
+        (Lint.Ctx.dns_names (Lint.Ctx.of_cert cert)))
+    corpus;
+  Ucrypto.Sha256.hex (Buffer.contents buf)
+
+let test_verdict_golden () =
+  let corpus = golden_corpus () in
+  check Alcotest.int "corpus size" 4004 (List.length corpus);
+  check Alcotest.string "verdict digest"
+    "4e4a4d4cc5c3e57c77b378cd3efb52d0170a59460c208fe2671c1c74e575a8b8"
+    (verdict_digest corpus)
+
+(* Lint telemetry over a whole pipeline run, pinned at the values the
+   list-building runner recorded: the runner may change how it counts,
+   never what.  [est_seconds] is a sampled estimate, so only its
+   presence is checked: every lint that ran has been timed at least
+   once (the counters are process-cumulative, and by now every lint has
+   run thousands of times). *)
+let pipeline_lint_deltas ~jobs =
+  let counts () =
+    List.map
+      (fun (o : Lint.Registry.lint_obs) ->
+        [ o.Lint.Registry.invoked; o.Lint.Registry.failed;
+          o.Lint.Registry.warned; o.Lint.Registry.skipped_na ])
+      (Lint.Registry.obs_snapshot ())
+  in
+  let before = counts () in
+  ignore (Sys.opaque_identity (Unicert.Pipeline.run ~scale:300 ~seed:1 ~jobs ()));
+  let deltas =
+    List.map2 (List.map2 (fun a b -> int_of_float (b -. a))) before (counts ())
+  in
+  ( List.fold_left (List.map2 ( + )) [ 0; 0; 0; 0 ] deltas,
+    Ucrypto.Sha256.hex
+      (String.concat "\n"
+         (List.map2
+            (fun (l : Lint.t) d ->
+              l.Lint.name ^ "=" ^ String.concat "," (List.map string_of_int d))
+            Lint.Registry.all deltas)) )
+
+let test_pipeline_telemetry_pinned () =
+  List.iter
+    (fun jobs ->
+      let label = Printf.sprintf "jobs=%d " jobs in
+      let totals, per_lint = pipeline_lint_deltas ~jobs in
+      check
+        Alcotest.(list int)
+        (label ^ "invoked, failed, warned, na") [ 28500; 17; 4; 0 ] totals;
+      check Alcotest.string (label ^ "per-lint deltas") "2108393c5d00e08d2fcd6891735a8ceabdfecb060cf3c43a46e5280ac86c0b82" per_lint)
+    [ 1; 2 ];
+  List.iter
+    (fun (o : Lint.Registry.lint_obs) ->
+      if o.Lint.Registry.invoked > 0. && not (o.Lint.Registry.est_seconds > 0.) then
+        Alcotest.failf "lint %s ran %g times but has no time estimate"
+          o.Lint.Registry.lint_name o.Lint.Registry.invoked)
+    (Lint.Registry.obs_snapshot ())
+
 let suite =
   [
     Alcotest.test_case "registry counts match Table 1" `Quick test_registry_counts;
@@ -279,4 +390,8 @@ let suite =
     Alcotest.test_case "severity mapping" `Quick test_severity_mapping;
     Alcotest.test_case "explicit text lints" `Quick test_explicit_text_lints;
     Alcotest.test_case "ctx helpers" `Quick test_ctx_helpers;
+    Alcotest.test_case "verdicts and IDNA facts match the golden digest" `Quick
+      test_verdict_golden;
+    Alcotest.test_case "pipeline lint telemetry is pinned" `Quick
+      test_pipeline_telemetry_pinned;
   ]
