@@ -218,6 +218,11 @@ let encoding_error_fields_of_ctx (ctx : Lint.Ctx.t) =
   in
   (subject, san, policies)
 
+(* The per-certificate stage spans, declared once (see {!Obs.Span.v}). *)
+let parse_span = Obs.Span.v "parse"
+let classify_span = Obs.Span.v "classify"
+let aggregate_span = Obs.Span.v "aggregate"
+
 (* The retained reference engine: every stage re-derives its own facts
    from the certificate (the pre-fusion behavior).  The differential
    test selects it with {!use_reference_engine}, drives both engines
@@ -249,13 +254,13 @@ let row_of_entry_reference ~timer (entry : Ctlog.Dataset.entry) ~index =
   in
   let ufields =
     timed "classify" (fun () ->
-        Obs.Span.with_ "classify" (fun () -> Classify.unicode_fields cert))
+        Obs.Span.run classify_span (fun () -> Classify.unicode_fields cert))
     |> List.filter_map (fun (field, beyond) -> if beyond then Some field else None)
   in
   (* §5.1 encoding-error scan: re-parse the DER payloads. *)
   let enc_subject, enc_san, enc_policies =
     timed "decode" (fun () ->
-        Obs.Span.with_ "parse" (fun () -> encoding_error_fields cert))
+        Obs.Span.run parse_span (fun () -> encoding_error_fields cert))
   in
   let enc_verified =
     (enc_subject || enc_san || enc_policies)
@@ -303,19 +308,17 @@ let row_of_entry_fused ~timer (entry : Ctlog.Dataset.entry) ~index =
   in
   let ctx, (enc_subject, enc_san, enc_policies) =
     timed "decode" (fun () ->
-        Obs.Span.with_ "parse" (fun () ->
+        Obs.Span.run parse_span (fun () ->
             let ctx = Lint.Ctx.of_cert cert in
             (ctx, encoding_error_fields_of_ctx ctx)))
   in
   let nc =
     timed "lint" (fun () ->
         Lint.Registry.run_ctx ~respect_effective_dates:false ~issued ctx)
-    |> List.filter_map (fun (f : Lint.finding) ->
-           if Lint.is_noncompliant f then Some f.Lint.lint else None)
   in
   let ufields =
     timed "classify" (fun () ->
-        Obs.Span.with_ "classify" (fun () ->
+        Obs.Span.run classify_span (fun () ->
             Classify.unicode_fields_of_ctx ctx))
     |> List.filter_map (fun (field, beyond) -> if beyond then Some field else None)
   in
@@ -501,7 +504,7 @@ let with_profiling ~index f =
   in
   let note_aggregate g =
     let agg_t0 = if profiling then Unix.gettimeofday () else 0. in
-    let r = Obs.Span.with_ "aggregate" g in
+    let r = Obs.Span.run aggregate_span g in
     if profiling then begin
       let now = Unix.gettimeofday () in
       let agg_dt = now -. agg_t0 in
@@ -1051,7 +1054,7 @@ let replay_stored t ~record ~refresh recd rowstr =
                 row.r_org
           | Some issuer ->
               let nc = List.filter_map Lint.Registry.find row.r_nc in
-              Obs.Span.with_ "aggregate" (fun () -> absorb_row t ~issuer row nc);
+              Obs.Span.run aggregate_span (fun () -> absorb_row t ~issuer row nc);
               Some row))
 
 (* Incremental recompute after the lint set changed from [stored]: run

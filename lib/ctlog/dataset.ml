@@ -501,6 +501,8 @@ let prewarm () =
    [drop] delivers nothing for corrupted indices, producing the
    clean-subset reference run the fault-smoke A/B check compares
    against. *)
+let generate_span = Obs.Span.v "generate"
+
 let iter_deliveries ?(scale = default_scale) ?(start = 0) ?stop ?mutator
     ?(drop = false) ~seed f =
   let stop = match stop with Some s -> s | None -> scale in
@@ -510,7 +512,7 @@ let iter_deliveries ?(scale = default_scale) ?(start = 0) ?stop ?mutator
   let injected = match mutator with Some _ -> Some (Lazy.force obs_injected) | None -> None in
   let progress = Obs.Progress.create ~total:(max 0 (stop - start)) ~label:"generate" () in
   for i = start to stop - 1 do
-    let e = Obs.Span.with_ "generate" (fun () -> generate_at ~seed i) in
+    let e = Obs.Span.run generate_span (fun () -> generate_at ~seed i) in
     Obs.Counter.inc certs;
     if e.is_idn then Obs.Counter.inc idn;
     List.iter

@@ -41,19 +41,23 @@ let counts_by_type t =
 
 (* --- telemetry ------------------------------------------------------ *)
 
+(* The registry as an array: the runner indexes lints, their
+   instruments and its verdicts by one position. *)
+let lints = Array.of_list all
+
 (* One instrument record per lint, resolved once and threaded through
    the runner as a parallel array: the hot loop (95 lints x every
-   corpus certificate) must only pay float adds, never a
-   name-to-counter lookup.  Per-lint wall clock is sampled (one timed
-   invocation in [time_sample], scaled back up) so the estimate stays
-   useful while the common path skips the clock entirely. *)
+   corpus certificate) must only pay counter adds, never a
+   name-to-counter lookup.  Per-lint wall clock is sampled per
+   certificate (see [run_checks]) so the estimate stays useful while
+   the common path skips the clock entirely. *)
 type instr = {
   invocations : Obs.Counter.t;  (** checks actually run (non-NA) *)
   fail : Obs.Counter.t;
   warn : Obs.Counter.t;
   na : Obs.Counter.t;
   seconds : Obs.Counter.t;      (** sampled cumulative check time *)
-  tick : int Atomic.t;
+  tick : int Atomic.t;          (** trace-sampling counter, traced runs only *)
   breaker : Faults.Breaker.t;
 }
 
@@ -85,46 +89,35 @@ let instruments =
               time_sample)
          "unicert_lint_seconds_total"
      in
-     List.map
+     Array.map
        (fun l ->
          { invocations = mk invocations l; fail = mk fail l; warn = mk warn l;
            na = mk na l; seconds = mk seconds l; tick = Atomic.make 0;
            breaker = Faults.Breaker.create l.Types.name })
-       all)
+       lints)
 
-(* The check body, with the fault-injection hook.  [Injector.active]
-   is a single bool read when no injection campaign is armed, so the
-   clean path stays flat. *)
-let invoke (l : Types.t) ctx =
-  if Faults.Injector.active () then Faults.Injector.tick l.Types.name;
-  l.Types.check ctx
-
+(* One check behind the breaker and the error boundary.  The
+   fault-injection hook is a single bool read when no injection
+   campaign is armed, so the clean path stays flat. *)
 let checked ins (l : Types.t) ctx =
   if Faults.Breaker.tripped ins.breaker then Types.Na
   else begin
-    let tick = 1 + Atomic.fetch_and_add ins.tick 1 in
     Obs.Counter.inc ins.invocations;
     (* Per-lint trace spans are sampled (--trace-sample): 95 lints per
-       certificate would otherwise dominate the ring.  The sampling
-       decision reuses [ins.tick] — this path runs once per lint per
-       certificate, and [sampled_span]'s own per-domain counter is
-       measurably slower at that rate. *)
-    let body () =
-      if tick mod time_sample = 0 then begin
-        let t0 = Unix.gettimeofday () in
-        let status = invoke l ctx in
-        Obs.Counter.add ins.seconds
-          ((Unix.gettimeofday () -. t0) *. float_of_int time_sample);
-        status
-      end
-      else invoke l ctx
+       certificate would otherwise dominate the ring.  The per-lint
+       counter only advances while tracing is on; [sampled_span]'s own
+       per-domain counter is measurably slower at this rate. *)
+    let traced =
+      Obs.Trace.enabled ()
+      && Obs.Trace.sample_hit (1 + Atomic.fetch_and_add ins.tick 1)
     in
+    if traced then Obs.Trace.emit_begin ~cat:"lint" l.Types.name;
     match
-      if Obs.Trace.sample_hit tick then
-        Obs.Trace.span ~cat:"lint" l.Types.name body
-      else body ()
+      if Faults.Injector.active () then Faults.Injector.tick l.Types.name;
+      l.Types.check ctx
     with
     | status ->
+        if traced then Obs.Trace.emit_end ~cat:"lint" l.Types.name;
         Faults.Breaker.success ins.breaker;
         (match status with
         | Types.Fail _ -> Obs.Counter.inc ins.fail
@@ -134,6 +127,7 @@ let checked ins (l : Types.t) ctx =
     (* The error boundary: one crashing lint degrades to NA for this
        certificate instead of killing the run. *)
     | exception e ->
+        if traced then Obs.Trace.emit_end ~cat:"lint" l.Types.name;
         Faults.Breaker.failure ins.breaker;
         Faults.Error.observe
           (Faults.Error.Lint_crash
@@ -161,47 +155,88 @@ let obs_snapshot () =
         warned = Obs.Counter.value ins.warn;
         skipped_na = Obs.Counter.value ins.na;
         est_seconds = Obs.Counter.value ins.seconds })
-    all (Lazy.force instruments)
+    all
+    (Array.to_list (Lazy.force instruments))
 
 (* --- the runner ----------------------------------------------------- *)
 
+let selected ~include_new ~only (l : Types.t) =
+  (include_new || not l.Types.is_new)
+  && match only with None -> true | Some p -> p l
+
+(* Every 8th certificate (process-wide) is timed: one clock read before
+   its first lint and one after each check, so each lint is charged the
+   interval since the previous read and every lint is still sampled at
+   1 in [time_sample]. *)
+let cert_tick = Atomic.make 0
+
+(* The verdicts of one certificate, indexed like [lints].  A lint the
+   pass did not select keeps [Na] here; [run] and [noncompliant]
+   re-apply [selected] so it yields no finding. *)
 let run_checks ~respect_effective_dates ~include_new ~only ~issued ctx =
-  let wanted =
-    match only with None -> fun _ -> true | Some p -> p
-  in
-  (* Hand-rolled two-list filter_map: this runs once per corpus
-     certificate, so no intermediate option list. *)
-  let rec go ls inss acc =
-    match (ls, inss) with
-    | [], _ -> List.rev acc
-    | (l : Types.t) :: ls, ins :: inss ->
-        if ((not include_new) && l.Types.is_new) || not (wanted l) then
-          go ls inss acc
-        else if
-          respect_effective_dates && Asn1.Time.(issued < l.Types.effective_date)
-        then begin
-          Obs.Counter.inc ins.na;
-          go ls inss ({ Types.lint = l; status = Types.Na } :: acc)
+  let inss = Lazy.force instruments in
+  let verdicts = Array.make (Array.length lints) Types.Na in
+  let timed = Atomic.fetch_and_add cert_tick 1 mod time_sample = 0 in
+  let last = ref (if timed then Unix.gettimeofday () else 0.) in
+  for i = 0 to Array.length lints - 1 do
+    let l = Array.unsafe_get lints i and ins = Array.unsafe_get inss i in
+    if selected ~include_new ~only l then
+      if respect_effective_dates && Asn1.Time.(issued < l.Types.effective_date)
+      then Obs.Counter.inc ins.na
+      else begin
+        Array.unsafe_set verdicts i (checked ins l ctx);
+        if timed then begin
+          let now = Unix.gettimeofday () in
+          Obs.Counter.add ins.seconds
+            (Float.max 0. (now -. !last) *. float_of_int time_sample);
+          last := now
         end
-        else go ls inss ({ Types.lint = l; status = checked ins l ctx } :: acc)
-    | _ :: _, [] -> assert false
-  in
-  go all (Lazy.force instruments) []
+      end
+  done;
+  verdicts
+
+(* The findings of the selected lints whose verdict passes [keep], in
+   registry order. *)
+let findings ~include_new ~only ~keep verdicts =
+  let acc = ref [] in
+  for i = Array.length lints - 1 downto 0 do
+    let lint = lints.(i) and status = verdicts.(i) in
+    if selected ~include_new ~only lint && keep status then
+      acc := { Types.lint; status } :: !acc
+  done;
+  !acc
+
+let lint_span = Obs.Span.v "lint"
 
 let run_ctx ?(respect_effective_dates = true) ?(include_new = true) ?only
     ~issued ctx =
-  Obs.Span.with_ "lint" @@ fun () ->
-  run_checks ~respect_effective_dates ~include_new ~only ~issued ctx
+  Obs.Span.run lint_span @@ fun () ->
+  let verdicts =
+    run_checks ~respect_effective_dates ~include_new ~only ~issued ctx
+  in
+  let acc = ref [] in
+  for i = Array.length lints - 1 downto 0 do
+    match verdicts.(i) with
+    | Types.Warn _ | Types.Fail _ -> acc := lints.(i) :: !acc
+    | Types.Na | Types.Pass -> ()
+  done;
+  !acc
 
 let run ?(respect_effective_dates = true) ?(include_new = true) ?only ~issued
     cert =
-  Obs.Span.with_ "lint" @@ fun () ->
+  Obs.Span.run lint_span @@ fun () ->
   run_checks ~respect_effective_dates ~include_new ~only ~issued
     (Ctx.of_cert cert)
+  |> findings ~include_new ~only ~keep:(fun _ -> true)
 
-let noncompliant ?respect_effective_dates ?include_new ~issued cert =
-  run ?respect_effective_dates ?include_new ~issued cert
-  |> List.filter Types.is_noncompliant
+let noncompliant ?(respect_effective_dates = true) ?(include_new = true)
+    ~issued cert =
+  Obs.Span.run lint_span @@ fun () ->
+  run_checks ~respect_effective_dates ~include_new ~only:None ~issued
+    (Ctx.of_cert cert)
+  |> findings ~include_new ~only:None ~keep:(function
+       | Types.Warn _ | Types.Fail _ -> true
+       | Types.Na | Types.Pass -> false)
 
 (* --- fault accounting ----------------------------------------------- *)
 
@@ -212,7 +247,7 @@ let fault_snapshot () =
       if Faults.Breaker.crashes b > 0 then
         Some (Faults.Breaker.name b, Faults.Breaker.crashes b, Faults.Breaker.tripped b)
       else None)
-    (Lazy.force instruments)
+    (Array.to_list (Lazy.force instruments))
 
 let degraded () =
   List.filter_map
@@ -220,11 +255,11 @@ let degraded () =
       if Faults.Breaker.tripped ins.breaker then
         Some (Faults.Breaker.name ins.breaker, Faults.Breaker.crashes ins.breaker)
       else None)
-    (Lazy.force instruments)
+    (Array.to_list (Lazy.force instruments))
 
 let set_breaker_threshold n =
-  List.iter (fun ins -> Faults.Breaker.set_threshold ins.breaker n)
+  Array.iter (fun ins -> Faults.Breaker.set_threshold ins.breaker n)
     (Lazy.force instruments)
 
 let reset_faults () =
-  List.iter (fun ins -> Faults.Breaker.reset ins.breaker) (Lazy.force instruments)
+  Array.iter (fun ins -> Faults.Breaker.reset ins.breaker) (Lazy.force instruments)

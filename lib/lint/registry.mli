@@ -39,12 +39,14 @@ val run_ctx :
   ?only:(Types.t -> bool) ->
   issued:Asn1.Time.t ->
   Ctx.t ->
-  Types.finding list
-(** [run_ctx ~issued ctx] is {!run} over a caller-built fact table.
-    The fused pipeline builds one {!Ctx.t} per certificate (under the
-    parse span) and shares it between linting, classification and the
-    encoding-error scan; here the ["lint"] span covers only the checks
-    themselves. *)
+  Types.t list
+(** [run_ctx ~issued ctx] runs the same checks as {!run} over a
+    caller-built fact table and returns only the noncompliant lints
+    ([Warn] or [Fail]), in registry order — what the fused pipeline
+    stores per certificate.  The fused pipeline builds one {!Ctx.t} per
+    certificate (under the parse span) and shares it between linting,
+    classification and the encoding-error scan; here the ["lint"] span
+    covers only the checks themselves. *)
 
 val noncompliant :
   ?respect_effective_dates:bool ->
@@ -56,11 +58,15 @@ val noncompliant :
 
 (** {2 Telemetry}
 
-    Every {!run} feeds per-lint counters in {!Obs.Registry.default}
+    Every pass feeds per-lint counters in {!Obs.Registry.default}
     ([unicert_lint_invocations_total], [..._fail_total],
-    [..._warn_total], [..._na_total]) and a sampled cumulative-time
-    estimate ([unicert_lint_seconds_total]), plus the ["lint"] span
-    histogram.  Counters are process-cumulative. *)
+    [..._warn_total], [..._na_total]) and the ["lint"] span histogram.
+    A pass writes one verdict per lint into an array and builds its
+    result from that array.  Every 8th certificate (process-wide) is
+    timed: the runner reads the clock once before the first lint and
+    once after each check, charges each lint the interval since the
+    previous read, scaled by 8, to [unicert_lint_seconds_total].
+    Counters are process-cumulative. *)
 
 type lint_obs = {
   lint_name : string;

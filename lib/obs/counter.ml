@@ -1,27 +1,31 @@
-(* The value lives in a [float Atomic.t]: hot paths increment from
-   several domains at once (the sharded pipeline), so the update must
-   be a CAS loop rather than an in-place store — a plain mutable cell
-   silently loses increments under contention.  Counts stay exact:
-   float adds of small integers are associative-enough (exact up to
-   2^53), and the CAS retries until the add lands. *)
-type t = { name : string; help : string; cell : float Atomic.t }
+(* Hot paths increment from several domains at once (the sharded
+   pipeline), so every update is atomic.  Whole increments go to an
+   [int Atomic.t] ([inc] is one fetch-and-add, with no float box to
+   allocate); fractional amounts go to a [float Atomic.t] updated by a
+   CAS loop, since a plain mutable cell silently loses increments under
+   contention.  The value is their sum, exact up to 2^53. *)
+type t = { name : string; help : string; hits : int Atomic.t; cell : float Atomic.t }
 
-let make ?(help = "") name = { name; help; cell = Atomic.make 0.0 }
+let make ?(help = "") name =
+  { name; help; hits = Atomic.make 0; cell = Atomic.make 0.0 }
 
 let rec atomic_add cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (old +. x)) then atomic_add cell x
 
-let inc t = atomic_add t.cell 1.0
+let inc t = Atomic.incr t.hits
 
 let add t x =
   if x < 0.0 then invalid_arg "Obs.Counter.add: negative increment";
   atomic_add t.cell x
 
-let value t = Atomic.get t.cell
+let value t = float_of_int (Atomic.get t.hits) +. Atomic.get t.cell
 let name t = t.name
 let help t = t.help
-let reset t = Atomic.set t.cell 0.0
+
+let reset t =
+  Atomic.set t.hits 0;
+  Atomic.set t.cell 0.0
 
 let make_child = make
 

@@ -1,7 +1,7 @@
 (** Monotonically increasing counters (Prometheus semantics: a float
-    that only ever grows).  Increments are atomic (CAS loop), so
-    counters stay exact when several pipeline domains share one
-    handle. *)
+    that only ever grows).  Updates are atomic ([inc] is one
+    fetch-and-add, [add] a CAS loop), so counters stay exact when
+    several pipeline domains share one handle. *)
 
 type t
 

@@ -12,7 +12,20 @@
 val histogram_name : string
 (** ["unicert_span_seconds"]. *)
 
+type t
+(** A declared span: a name and its target registry.  Its histogram
+    child is resolved on first use and kept, so a span run once per
+    certificate pays no registry or family lookup. *)
+
+val v : ?registry:Registry.t -> string -> t
+(** [v name] declares a span.  Nothing is registered until it runs. *)
+
+val run : t -> (unit -> 'a) -> 'a
+(** [run span f] times [f] under [span]. *)
+
 val with_ : ?registry:Registry.t -> string -> (unit -> 'a) -> 'a
+(** [with_ name f] is [run (v name) f], for spans run too rarely to be
+    worth declaring. *)
 
 val current : unit -> string list
 (** The active span stack, innermost first.  Empty outside any span. *)
