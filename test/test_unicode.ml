@@ -290,6 +290,56 @@ let test_escape_helpers () =
   check Alcotest.string "visible strips ZWSP" "shop"
     (Unicode.Escape.visible_utf8 "sh\xE2\x80\x8Bop")
 
+(* --- NFC quick check ---------------------------------------------------- *)
+
+(* [is_nfc] answers from the stable-code-point table when it can; it
+   must agree with the definition, [to_nfc cps = cps], everywhere. *)
+let nfc_by_definition cps = Unicode.Normalize.to_nfc cps = cps
+
+let test_is_nfc_exhaustive () =
+  for cp = 0 to 0x10FFFF do
+    if Unicode.Cp.is_scalar cp
+       && Unicode.Normalize.is_nfc [| cp |] <> nfc_by_definition [| cp |]
+    then Alcotest.failf "is_nfc disagrees on %s" (Unicode.Cp.to_string cp)
+  done;
+  (* Every ordered pair over the table's repertoire, the Hangul jamo and
+     the marks: the pairs are where a composition could reach across a
+     code point boundary. *)
+  let ranges =
+    [ (0x41, 0x7A); (0xB7, 0xB7); (0xC0, 0x17F); (0x1A0, 0x1B0); (0x300, 0x36F);
+      (0x386, 0x3CE); (0x400, 0x45F); (0x483, 0x487); (0x1100, 0x1112);
+      (0x1161, 0x1175); (0x11A7, 0x11C2); (0x1E00, 0x1EFF); (0x2126, 0x212B);
+      (0xAC00, 0xAC1C) ]
+  in
+  let cps = List.concat_map (fun (a, b) -> List.init (b - a + 1) (( + ) a)) ranges in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          if Unicode.Normalize.is_nfc [| a; b |] <> nfc_by_definition [| a; b |] then
+            Alcotest.failf "is_nfc disagrees on %s %s" (Unicode.Cp.to_string a)
+              (Unicode.Cp.to_string b))
+        cps)
+    cps
+
+let mixed_nfc_array =
+  let cp =
+    QCheck.Gen.(
+      frequency
+        [ (4, int_range 0x20 0x7E); (3, int_range 0x300 0x36F);
+          (3, int_range 0xC0 0x17F); (2, int_range 0x1E00 0x1EFF);
+          (1, int_range 0x1100 0x1112); (1, int_range 0x1161 0x1175);
+          (1, int_range 0x11A7 0x11C2); (1, map (fun i -> 0xAC00 + (i * 28)) (int_range 0 398));
+          (1, int_range 0x10000 0x1F9FF) ])
+  in
+  QCheck.make
+    ~print:(fun a -> String.concat ";" (List.map Unicode.Cp.to_string (Array.to_list a)))
+    QCheck.Gen.(array_size (int_range 0 12) cp)
+
+let prop_is_nfc_definition =
+  QCheck.Test.make ~name:"is_nfc = (to_nfc cps = cps)" ~count:5000 mixed_nfc_array
+    (fun cps -> Unicode.Normalize.is_nfc cps = nfc_by_definition cps)
+
 let suite =
   [
     Alcotest.test_case "utf8 known vectors" `Quick test_utf8_known;
@@ -316,4 +366,7 @@ let suite =
     qtest prop_block_find;
     qtest prop_nfc_idempotent;
     qtest prop_nfd_nfc_stable;
+    Alcotest.test_case "is_nfc agrees with to_nfc everywhere" `Quick
+      test_is_nfc_exhaustive;
+    qtest prop_is_nfc_definition;
   ]
