@@ -18,30 +18,21 @@ let emit level details =
 
 let describe_cp = Unicode.Cp.to_string
 
-let values_of vals attrs =
-  match attrs with
-  | None -> vals
-  | Some l -> List.filter (fun (v : Ctx.aval) -> List.mem v.Ctx.a_attr l) vals
-
-let subject_values ?attrs ctx = values_of ctx.Ctx.subject_vals attrs
-let issuer_values ?attrs ctx = values_of ctx.Ctx.issuer_vals attrs
-
+let subject_values ctx = ctx.Ctx.subject_vals
 let all_values ctx = ctx.Ctx.all_vals
 
-let declared_type (atv : X509.Dn.atv) =
-  match atv.X509.Dn.value with Asn1.Value.Str (st, _) -> Some st | _ -> None
+let rec count_attr attr = function
+  | [] -> 0
+  | (v : Ctx.aval) :: rest -> (if v.Ctx.a_attr = attr then 1 else 0) + count_attr attr rest
 
-let gn_strings gns =
-  List.filter_map
-    (fun gn ->
-      match gn with
-      | X509.General_name.Dns_name s -> Some ("dNSName", s)
-      | X509.General_name.Rfc822_name s -> Some ("rfc822Name", s)
-      | X509.General_name.Uri s -> Some ("URI", s)
-      | X509.General_name.Other_name _ | X509.General_name.Directory_name _
-      | X509.General_name.Ip_address _ | X509.General_name.Registered_id _ ->
-          None)
-    gns
+(* Stdlib's [String.exists] builds its loop closure on every call; this
+   top-level recursion does not, so a scan that finds nothing
+   allocates nothing (given a closed predicate). *)
+let rec exists_byte_from p s i =
+  i < String.length s && (p (String.unsafe_get s i) || exists_byte_from p s (i + 1))
+
+let exists_byte p s = exists_byte_from p s 0
+let has_non_ascii s = exists_byte (fun c -> Char.code c > 0x7F) s
 
 let names_of = function Some (Ok gns) -> gns | Some (Error _) | None -> []
 
@@ -49,20 +40,24 @@ let san_names ctx = names_of ctx.Ctx.san
 let ian_names ctx = names_of ctx.Ctx.ian
 let crldp_list ctx = names_of ctx.Ctx.crldp_names
 
-let aia_locations ctx =
-  match ctx.Ctx.aia with
-  | Some (Ok descs) -> List.map snd descs
+let rec concat_map_locations f = function
+  | [] -> []
+  | (_, gn) :: rest -> (
+      match f gn with
+      | [] -> concat_map_locations f rest
+      | d -> d @ concat_map_locations f rest)
+
+let locations f = function
+  | Some (Ok descs) -> concat_map_locations f descs
   | Some (Error _) | None -> []
 
-let sia_locations ctx =
-  match ctx.Ctx.sia with
-  | Some (Ok descs) -> List.map snd descs
-  | Some (Error _) | None -> []
+let aia_details f ctx = locations f ctx.Ctx.aia
+let sia_details f ctx = locations f ctx.Ctx.sia
 
 let non_ia5 payload =
-  let bad = ref [] in
-  String.iter (fun c -> if Char.code c > 0x7F then bad := Char.code c :: !bad) payload;
-  List.rev !bad
-
-let a_labels domain =
-  List.filter Idna.Dns.is_a_label_candidate (Idna.Dns.split_labels domain)
+  if not (has_non_ascii payload) then []
+  else begin
+    let bad = ref [] in
+    String.iter (fun c -> if Char.code c > 0x7F then bad := Char.code c :: !bad) payload;
+    List.rev !bad
+  end

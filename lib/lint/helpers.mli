@@ -26,32 +26,35 @@ val describe_cp : Unicode.Cp.t -> string
 
 (** {1 ATV iteration} *)
 
-val subject_values : ?attrs:X509.Attr.t list -> Ctx.t -> Ctx.aval list
-(** Precomputed fact records for subject string ATVs, optionally
-    restricted to [attrs]. *)
-
-val issuer_values : ?attrs:X509.Attr.t list -> Ctx.t -> Ctx.aval list
+val subject_values : Ctx.t -> Ctx.aval list
+(** Precomputed fact records for subject string ATVs. *)
 
 val all_values : Ctx.t -> Ctx.aval list
 (** Subject then issuer fact records (the precomputed concatenation —
     no per-lint list building). *)
 
-val declared_type : X509.Dn.atv -> Asn1.Str_type.t option
+val count_attr : X509.Attr.t -> Ctx.aval list -> int
+(** [count_attr attr vals] counts the values of attribute [attr]. *)
+
+(** {1 Allocation-free scans}
+
+    A lint allocates only when it reports something: these scans build
+    no closure of their own, so with a closed predicate a pass that
+    finds nothing allocates nothing. *)
+
+val exists_byte : (char -> bool) -> string -> bool
 
 (** {1 GeneralName payload extraction} *)
-
-val gn_strings : Ctx.general_names -> (string * string) list
-(** [(kind, payload)] for the IA5-carried choices (dNSName, rfc822Name,
-    URI). *)
 
 val san_names : Ctx.t -> Ctx.general_names
 val ian_names : Ctx.t -> Ctx.general_names
 val crldp_list : Ctx.t -> Ctx.general_names
-val aia_locations : Ctx.t -> X509.General_name.t list
-val sia_locations : Ctx.t -> X509.General_name.t list
+
+val aia_details : (X509.General_name.t -> string list) -> Ctx.t -> string list
+(** [aia_details f ctx] concatenates [f] over the AIA accessLocations,
+    without building the location list. *)
+
+val sia_details : (X509.General_name.t -> string list) -> Ctx.t -> string list
 
 val non_ia5 : string -> int list
 (** Byte values above 0x7F present in the payload. *)
-
-val a_labels : string -> string list
-(** The xn-- labels of a domain string. *)

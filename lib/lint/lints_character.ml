@@ -5,40 +5,84 @@
    Each lint guards on the per-value property mask (Ctx.aval.a_mask)
    before walking code points: the mask ORs every class bit present in
    the value, so a zero [land] proves no code point can match and the
-   walk — and its allocations — are skipped entirely. *)
+   walk — and its allocations — are skipped entirely.  Per-value check
+   functions are built once, when the lint is made, so a clean pass
+   allocates nothing. *)
 
 open Types
 open Helpers
 
 let subject_control_chars name description ~bits ~pred ~level ~source ~is_new
     ~effective =
+  let bad (v : Ctx.aval) =
+    if v.Ctx.a_mask land bits = 0 then []
+    else
+      Array.to_list v.Ctx.a_cps
+      |> List.filter pred
+      |> List.map (fun cp ->
+             Printf.sprintf "%s contains %s" (X509.Attr.name v.Ctx.a_attr)
+               (describe_cp cp))
+  in
   mk ~name ~description ~source ~level ~nc_type:Invalid_character ~is_new ~effective
-    (fun ctx ->
-      let bad =
-        List.concat_map
-          (fun (v : Ctx.aval) ->
-            if v.Ctx.a_mask land bits = 0 then []
-            else
-              Array.to_list v.Ctx.a_cps
-              |> List.filter pred
-              |> List.map (fun cp ->
-                     Printf.sprintf "%s contains %s" (X509.Attr.name v.Ctx.a_attr)
-                       (describe_cp cp)))
-          (subject_values ctx)
-      in
-      emit level bad)
+    (fun ctx -> emit level (List.concat_map bad (subject_values ctx)))
 
 let dnsname_lint name description ~source ~level ~is_new ~effective check =
   mk ~name ~description ~source ~level ~nc_type:Invalid_character ~is_new ~effective
     (fun ctx -> emit level (List.concat_map check ctx.Ctx.dns_facts))
 
-(* Walk a value's code points only when the mask says [bits] occur. *)
-let masked_st_lint ~st ~bits ~pred ~fmt (v : Ctx.aval) =
-  if v.Ctx.a_st <> st || v.Ctx.a_mask land bits = 0 then []
-  else
-    Array.to_list v.Ctx.a_cps
-    |> List.filter pred
-    |> List.map (fun cp -> fmt (X509.Attr.name v.Ctx.a_attr) (describe_cp cp))
+(* Values declared [st] must not hold a code point failing [pred];
+   a value's code points are walked only when the mask says [bits]
+   occur. *)
+let charset_lint ~name ~description ~source ~is_new ~effective ~st ~bits ~pred =
+  let st_name = Asn1.Str_type.name st in
+  let bad (v : Ctx.aval) =
+    if v.Ctx.a_st <> st || v.Ctx.a_mask land bits = 0 then []
+    else
+      Array.to_list v.Ctx.a_cps
+      |> List.filter pred
+      |> List.map (fun cp ->
+             Printf.sprintf "%s %s contains %s" (X509.Attr.name v.Ctx.a_attr) st_name
+               (describe_cp cp))
+  in
+  mk ~name ~description ~source ~level:Must ~nc_type:Invalid_character ~is_new
+    ~effective
+    (fun ctx -> emit Must (List.concat_map bad (all_values ctx)))
+
+(* The details of a URI holding bytes [bad_byte] accepts, in
+   [report]'s wording; only a URI with a hit is walked twice. *)
+let uri_byte_details ~bad_byte ~report gn =
+  match gn with
+  | X509.General_name.Uri s when exists_byte bad_byte s ->
+      let issues = ref [] in
+      String.iteri
+        (fun i c -> if bad_byte c then issues := report s i (Char.code c) :: !issues)
+        s;
+      List.rev !issues
+  | _ -> []
+
+let san_uri_details =
+  uri_byte_details
+    ~bad_byte:(fun c -> Char.code c <= 0x20 || Char.code c >= 0x7F)
+    ~report:(fun s _ b -> Printf.sprintf "URI %S contains byte 0x%02X" s b)
+
+let crldp_uri_details =
+  uri_byte_details
+    ~bad_byte:(fun c -> Char.code c < 0x20 || Char.code c = 0x7F)
+    ~report:(fun _ i b -> Printf.sprintf "CRLDP URI control byte 0x%02X at %d" b i)
+
+(* Latin-1 decoding maps each byte to the code point of the same value,
+   so the SAN dNSName scan runs over the raw bytes first. *)
+let dns_unpermitted cp =
+  cp > 0x7F || Unicode.Props.is_c0_control cp || Unicode.Props.is_del cp
+
+let dns_unpermitted_details gn =
+  match gn with
+  | X509.General_name.Dns_name s when exists_byte (fun c -> dns_unpermitted (Char.code c)) s
+    ->
+      Array.to_list (Unicode.Codec.cps_of_latin1 s)
+      |> List.filter dns_unpermitted
+      |> List.map (fun cp -> Printf.sprintf "dNSName %S contains %s" s (describe_cp cp))
+  | _ -> []
 
 let lints : Types.t list =
   [
@@ -50,21 +94,13 @@ let lints : Types.t list =
       ~bits:(Unicode.Props.m_c0 lor Unicode.Props.m_del)
       ~pred:(fun cp -> Unicode.Props.is_c0_control cp || Unicode.Props.is_del cp)
       ~level:Must ~source:Community ~is_new:false ~effective:community_date;
-    mk ~name:"e_rfc_subject_printable_string_badalpha"
+    charset_lint ~name:"e_rfc_subject_printable_string_badalpha"
       ~description:
         "Values declared PrintableString must stay within the PrintableString \
          repertoire (RFC 5280 via X.680)."
-      ~source:Rfc5280 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Printable_string
-               ~bits:Unicode.Props.m_not_printable
-               ~pred:(fun cp -> not (Unicode.Props.is_printable_string_char cp))
-               ~fmt:(Printf.sprintf "%s PrintableString contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      ~source:Rfc5280 ~is_new:false ~effective:rfc5280_date
+      ~st:Asn1.Str_type.Printable_string ~bits:Unicode.Props.m_not_printable
+      ~pred:(fun cp -> not (Unicode.Props.is_printable_string_char cp));
     mk ~name:"w_community_subject_dn_trailing_whitespace"
       ~description:"Subject DN values should not end with whitespace."
       ~source:Community ~level:Should_not ~nc_type:Invalid_character
@@ -141,35 +177,19 @@ let lints : Types.t list =
       ~source:Cab_br ~level:Must ~is_new:false ~effective:cab_br_date
       (fun fact ->
         let name = fact.Ctx.d_name in
-        if String.exists (fun c -> c = ' ' || c = '\t') name then
+        if exists_byte (fun c -> c = ' ' || c = '\t') name then
           [ Printf.sprintf "%S contains whitespace" name ]
         else []);
-    mk ~name:"e_numeric_string_invalid_characters"
+    charset_lint ~name:"e_numeric_string_invalid_characters"
       ~description:"NumericString values allow only digits and space (X.680)."
-      ~source:X680 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Numeric_string
-               ~bits:Unicode.Props.m_not_numeric
-               ~pred:(fun cp -> not (Unicode.Props.is_numeric_string_char cp))
-               ~fmt:(Printf.sprintf "%s NumericString contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
-    mk ~name:"e_visible_string_invalid_characters"
+      ~source:X680 ~is_new:false ~effective:rfc5280_date
+      ~st:Asn1.Str_type.Numeric_string ~bits:Unicode.Props.m_not_numeric
+      ~pred:(fun cp -> not (Unicode.Props.is_numeric_string_char cp));
+    charset_lint ~name:"e_visible_string_invalid_characters"
       ~description:"VisibleString values allow only printable ASCII (X.680)."
-      ~source:X680 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Visible_string
-               ~bits:Unicode.Props.m_not_visible
-               ~pred:(fun cp -> not (Unicode.Props.is_visible_string_char cp))
-               ~fmt:(Printf.sprintf "%s VisibleString contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      ~source:X680 ~is_new:false ~effective:rfc5280_date
+      ~st:Asn1.Str_type.Visible_string ~bits:Unicode.Props.m_not_visible
+      ~pred:(fun cp -> not (Unicode.Props.is_visible_string_char cp));
     subject_control_chars "w_subject_dn_del_character"
       "Subject DN values should not contain the DEL (U+007F) character."
       ~bits:Unicode.Props.m_del ~pred:Unicode.Props.is_del ~level:Should_not
@@ -178,17 +198,14 @@ let lints : Types.t list =
       ~description:"rfc822Name values must be 7-bit ASCII mailboxes (RFC 5280)."
       ~source:Rfc5280 ~level:Must ~nc_type:Invalid_character ~effective:rfc5280_date
       (fun ctx ->
-        let bad =
-          List.concat_map
-            (fun gn ->
-              match gn with
-              | X509.General_name.Rfc822_name s ->
-                  non_ia5 s
-                  |> List.map (fun b -> Printf.sprintf "rfc822Name byte 0x%02X" b)
-              | _ -> [])
-            (san_names ctx @ ian_names ctx)
+        let bad gn =
+          match gn with
+          | X509.General_name.Rfc822_name s ->
+              non_ia5 s |> List.map (fun b -> Printf.sprintf "rfc822Name byte 0x%02X" b)
+          | _ -> []
         in
-        emit Must bad);
+        emit Must
+          (List.concat_map bad (san_names ctx) @ List.concat_map bad (ian_names ctx)));
     (* ------------------------------------------------------------------
        New Unicode-specific lints (10) *)
     dnsname_lint "e_rfc_dns_idn_a2u_unpermitted_unichar"
@@ -198,15 +215,17 @@ let lints : Types.t list =
       (fun fact ->
         List.concat_map
           (fun (l, issues) ->
-            issues
-            |> List.filter_map (function
-                 | Idna.Unpermitted_char cp ->
-                     Some
-                       (Printf.sprintf "label %S decodes to unpermitted %s" l
-                          (describe_cp cp))
-                 | Idna.Bidi_violation ->
-                     Some (Printf.sprintf "label %S violates the Bidi rule" l)
-                 | _ -> None))
+            if issues = [] then []
+            else
+              issues
+              |> List.filter_map (function
+                   | Idna.Unpermitted_char cp ->
+                       Some
+                         (Printf.sprintf "label %S decodes to unpermitted %s" l
+                            (describe_cp cp))
+                   | Idna.Bidi_violation ->
+                       Some (Printf.sprintf "label %S violates the Bidi rule" l)
+                   | _ -> None))
           fact.Ctx.d_alabels);
     mk ~name:"e_ext_san_dns_contain_unpermitted_unichar"
       ~description:
@@ -214,36 +233,12 @@ let lints : Types.t list =
          internationalized labels must be A-labels."
       ~source:Rfc8399 ~level:Must ~nc_type:Invalid_character ~is_new:true
       ~effective:rfc8399_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (fun gn ->
-              match gn with
-              | X509.General_name.Dns_name s ->
-                  let cps = Unicode.Codec.cps_of_latin1 s in
-                  Array.to_list cps
-                  |> List.filter (fun cp ->
-                         cp > 0x7F || Unicode.Props.is_c0_control cp
-                         || Unicode.Props.is_del cp)
-                  |> List.map (fun cp ->
-                         Printf.sprintf "dNSName %S contains %s" s (describe_cp cp))
-              | _ -> [])
-            (san_names ctx)
-        in
-        emit Must bad);
-    mk ~name:"e_utf8string_control_characters"
+      (fun ctx -> emit Must (List.concat_map dns_unpermitted_details (san_names ctx)));
+    charset_lint ~name:"e_utf8string_control_characters"
       ~description:"UTF8String DN values must not contain C0/C1 control codes."
-      ~source:Rfc9549 ~level:Must ~nc_type:Invalid_character ~is_new:true
-      ~effective:rfc8399_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (masked_st_lint ~st:Asn1.Str_type.Utf8_string
-               ~bits:Unicode.Props.m_control ~pred:Unicode.Props.is_control
-               ~fmt:(Printf.sprintf "%s UTF8String contains %s"))
-            (all_values ctx)
-        in
-        emit Must bad);
+      ~source:Rfc9549 ~is_new:true ~effective:rfc8399_date
+      ~st:Asn1.Str_type.Utf8_string ~bits:Unicode.Props.m_control
+      ~pred:Unicode.Props.is_control;
     subject_control_chars "w_subject_dn_bidi_controls"
       "Subject DN values should not contain bidirectional control characters."
       ~bits:Unicode.Props.m_bidi ~pred:Unicode.Props.is_bidi_control
@@ -281,24 +276,9 @@ let lints : Types.t list =
       ~source:Rfc5280 ~level:Must ~nc_type:Invalid_character ~is_new:true
       ~effective:rfc5280_date
       (fun ctx ->
-        let bad =
-          List.concat_map
-            (fun gn ->
-              match gn with
-              | X509.General_name.Uri s ->
-                  let issues = ref [] in
-                  String.iter
-                    (fun c ->
-                      let b = Char.code c in
-                      if b <= 0x20 || b = 0x7F || b > 0x7F then
-                        issues :=
-                          Printf.sprintf "URI %S contains byte 0x%02X" s b :: !issues)
-                    s;
-                  List.rev !issues
-              | _ -> [])
-            (san_names ctx @ sia_locations ctx)
-        in
-        emit Must bad);
+        emit Must
+          (List.concat_map san_uri_details (san_names ctx)
+          @ sia_details san_uri_details ctx));
     mk ~name:"e_ext_ian_dns_invalid_characters"
       ~description:"IssuerAltName DNSNames must use only LDH characters."
       ~source:Cab_br ~level:Must ~nc_type:Invalid_character ~is_new:true
@@ -330,24 +310,5 @@ let lints : Types.t list =
          lenient parsers rewrite into different addresses)."
       ~source:Rfc5280 ~level:Must ~nc_type:Invalid_character ~is_new:true
       ~effective:rfc5280_date
-      (fun ctx ->
-        let bad =
-          List.concat_map
-            (fun gn ->
-              match gn with
-              | X509.General_name.Uri s ->
-                  let issues = ref [] in
-                  String.iteri
-                    (fun i c ->
-                      let b = Char.code c in
-                      if b < 0x20 || b = 0x7F then
-                        issues :=
-                          Printf.sprintf "CRLDP URI control byte 0x%02X at %d" b i
-                          :: !issues)
-                    s;
-                  List.rev !issues
-              | _ -> [])
-            (crldp_list ctx)
-        in
-        emit Must bad);
+      (fun ctx -> emit Must (List.concat_map crldp_uri_details (crldp_list ctx)));
   ]

@@ -7,25 +7,24 @@ open Helpers
 
 let st_name = Asn1.Str_type.name
 
-(* Attribute must be encoded with one of [allowed] string types. *)
+(* Attribute must be encoded with one of [allowed] string types.  The
+   per-value check is built once, so a clean pass allocates nothing;
+   string types are constant constructors, so [List.memq] is exact. *)
 let attr_encoding_lint ~name ~attr ~in_issuer ~allowed ~source ~level ~is_new ~effective
     ~description =
+  let bad (v : Ctx.aval) =
+    if v.Ctx.a_attr <> attr || List.memq v.Ctx.a_st allowed then None
+    else
+      Some
+        (Printf.sprintf "%s%s encoded as %s"
+           (if in_issuer then "issuer " else "")
+           (X509.Attr.name attr) (st_name v.Ctx.a_st))
+  in
   mk ~name ~description ~source ~level ~nc_type:Invalid_encoding ~is_new ~effective
     (fun ctx ->
-      let values = if in_issuer then issuer_values ~attrs:[ attr ] ctx
-                   else subject_values ~attrs:[ attr ] ctx in
-      let bad =
-        List.filter_map
-          (fun (v : Ctx.aval) ->
-            if List.mem v.Ctx.a_st allowed then None
-            else
-              Some
-                (Printf.sprintf "%s%s encoded as %s"
-                   (if in_issuer then "issuer " else "")
-                   (X509.Attr.name attr) (st_name v.Ctx.a_st)))
-          values
-      in
-      emit level bad)
+      emit level
+        (List.filter_map bad
+           (if in_issuer then ctx.Ctx.issuer_vals else ctx.Ctx.subject_vals)))
 
 let printable_or_utf8 = [ Asn1.Str_type.Printable_string; Asn1.Str_type.Utf8_string ]
 
@@ -37,38 +36,42 @@ let not_printable_or_utf8 name attr =
          (X509.Attr.name attr))
 
 (* GeneralName payloads are IA5String; raw bytes above 0x7F violate the
-   declared encoding. *)
-let gn_ia5_lint ~name ~what ~select ~effective ~is_new =
+   declared encoding.  [over] applies the per-name check to the names
+   the lint covers, of which [keep] selects the ones to check. *)
+let gn_ia5_lint ~name ~what ?(keep = fun _ -> true) ~over ~effective ~is_new () =
+  let check kind s =
+    non_ia5 s |> List.map (fun b -> Printf.sprintf "%s %s byte 0x%02X" what kind b)
+  in
+  let bad gn =
+    if not (keep gn) then []
+    else
+      match gn with
+      | X509.General_name.Dns_name s -> check "dNSName" s
+      | X509.General_name.Rfc822_name s -> check "rfc822Name" s
+      | X509.General_name.Uri s -> check "URI" s
+      | X509.General_name.Other_name _ | X509.General_name.Directory_name _
+      | X509.General_name.Ip_address _ | X509.General_name.Registered_id _ ->
+          []
+  in
   mk ~name
     ~description:
       (Printf.sprintf "%s values are IA5String and must stay within 7-bit ASCII." what)
     ~source:Rfc5280 ~level:Must ~nc_type:Invalid_encoding ~is_new ~effective
-    (fun ctx ->
-      let bad =
-        List.concat_map
-          (fun (kind, payload) ->
-            non_ia5 payload
-            |> List.map (fun b -> Printf.sprintf "%s %s byte 0x%02X" what kind b))
-          (gn_strings (select ctx))
-      in
-      emit Must bad)
+    (fun ctx -> emit Must (over bad ctx))
+
+let over_san f ctx = List.concat_map f (san_names ctx)
 
 (* Byte-pattern scans over declared UTF8String payloads.  Both scanners
    only ever match bytes >= 0x80, so pure-ASCII payloads (the cached
    [a_has_hi] bit) skip the scan. *)
 let utf8_pattern_lint ~name ~description ~is_new ~level ~source ~effective pred =
+  let bad (v : Ctx.aval) =
+    if v.Ctx.a_st <> Asn1.Str_type.Utf8_string || not v.Ctx.a_has_hi then []
+    else
+      pred v.Ctx.a_raw |> List.map (fun m -> X509.Attr.name v.Ctx.a_attr ^ ": " ^ m)
+  in
   mk ~name ~description ~source ~level ~nc_type:Invalid_encoding ~is_new ~effective
-    (fun ctx ->
-      let bad =
-        List.concat_map
-          (fun (v : Ctx.aval) ->
-            if v.Ctx.a_st <> Asn1.Str_type.Utf8_string || not v.Ctx.a_has_hi then []
-            else
-              pred v.Ctx.a_raw
-              |> List.map (fun m -> X509.Attr.name v.Ctx.a_attr ^ ": " ^ m))
-          (all_values ctx)
-      in
-      emit level bad)
+    (fun ctx -> emit level (List.concat_map bad (all_values ctx)))
 
 let overlong_sequences raw =
   let issues = ref [] in
@@ -97,6 +100,17 @@ let surrogate_sequences raw =
   List.rev !issues
 
 let explicit_texts ctx = ctx.Ctx.etexts
+
+(* Does some attribute occur with two different string types? *)
+let rec mixed_encodings = function
+  | [] -> false
+  | (v : Ctx.aval) :: rest -> same_attr_other_type v rest || mixed_encodings rest
+
+and same_attr_other_type (v : Ctx.aval) = function
+  | [] -> false
+  | (w : Ctx.aval) :: rest ->
+      (w.Ctx.a_attr = v.Ctx.a_attr && w.Ctx.a_st <> v.Ctx.a_st)
+      || same_attr_other_type v rest
 
 let lints : Types.t list =
   [
@@ -269,28 +283,24 @@ let lints : Types.t list =
       ~description:"Issuer countryName must be a PrintableString." ;
     (* GeneralName IA5 payloads (7) *)
     gn_ia5_lint ~name:"e_ext_san_dnsname_not_ia5" ~what:"SAN dNSName"
-      ~select:(fun ctx ->
-        List.filter (function X509.General_name.Dns_name _ -> true | _ -> false)
-          (san_names ctx))
-      ~effective:rfc5280_date ~is_new:true;
+      ~keep:(function X509.General_name.Dns_name _ -> true | _ -> false)
+      ~over:over_san ~effective:rfc5280_date ~is_new:true ();
     gn_ia5_lint ~name:"e_ext_san_rfc822_not_ia5" ~what:"SAN rfc822Name"
-      ~select:(fun ctx ->
-        List.filter (function X509.General_name.Rfc822_name _ -> true | _ -> false)
-          (san_names ctx))
-      ~effective:rfc5280_date ~is_new:true;
+      ~keep:(function X509.General_name.Rfc822_name _ -> true | _ -> false)
+      ~over:over_san ~effective:rfc5280_date ~is_new:true ();
     gn_ia5_lint ~name:"e_ext_san_uri_not_ia5" ~what:"SAN URI"
-      ~select:(fun ctx ->
-        List.filter (function X509.General_name.Uri _ -> true | _ -> false)
-          (san_names ctx))
-      ~effective:rfc5280_date ~is_new:true;
+      ~keep:(function X509.General_name.Uri _ -> true | _ -> false)
+      ~over:over_san ~effective:rfc5280_date ~is_new:true ();
     gn_ia5_lint ~name:"e_ext_ian_name_not_ia5" ~what:"IssuerAltName"
-      ~select:ian_names ~effective:rfc5280_date ~is_new:true;
+      ~over:(fun f ctx -> List.concat_map f (ian_names ctx))
+      ~effective:rfc5280_date ~is_new:true ();
     gn_ia5_lint ~name:"e_ext_crldp_uri_not_ia5" ~what:"CRLDistributionPoints"
-      ~select:crldp_list ~effective:rfc5280_date ~is_new:true;
+      ~over:(fun f ctx -> List.concat_map f (crldp_list ctx))
+      ~effective:rfc5280_date ~is_new:true ();
     gn_ia5_lint ~name:"e_ext_aia_location_not_ia5" ~what:"AIA accessLocation"
-      ~select:aia_locations ~effective:rfc5280_date ~is_new:true;
+      ~over:aia_details ~effective:rfc5280_date ~is_new:true ();
     gn_ia5_lint ~name:"e_ext_sia_location_not_ia5" ~what:"SIA accessLocation"
-      ~select:sia_locations ~effective:rfc5280_date ~is_new:true;
+      ~over:sia_details ~effective:rfc5280_date ~is_new:true ();
     (* Unicode instead of Punycode (2) *)
     mk ~name:"e_ext_san_dns_unicode_not_punycode"
       ~description:
@@ -317,13 +327,16 @@ let lints : Types.t list =
         emit Must
           (List.filter_map
              (fun (v : Ctx.aval) ->
-               if v.Ctx.a_mask land Unicode.Props.m_nonascii = 0 then None
+               if
+                 v.Ctx.a_attr <> X509.Attr.Common_name
+                 || v.Ctx.a_mask land Unicode.Props.m_nonascii = 0
+               then None
                else
                  let text = Unicode.Codec.utf8_of_cps v.Ctx.a_cps in
                  if String.contains text '.' && not (String.contains text ' ') then
                    Some (Printf.sprintf "CN %S carries a raw U-label domain" text)
                  else None)
-             (subject_values ~attrs:[ X509.Attr.Common_name ] ctx)));
+             (subject_values ctx)));
     (* Physical payload checks (11) *)
     mk ~name:"e_bmpstring_utf16_surrogate_pairs"
       ~description:
@@ -440,13 +453,12 @@ let lints : Types.t list =
       ~source:Rfc9598 ~level:Must ~nc_type:Invalid_encoding ~is_new:true
       ~effective:rfc9598_date
       (fun ctx ->
-        let smtputf8 = smtputf8_oid in
         emit Must
           (List.filter_map
              (fun gn ->
                match gn with
                | X509.General_name.Other_name (oid, raw)
-                 when Asn1.Oid.equal oid smtputf8 ->
+                 when Asn1.Oid.equal oid smtputf8_oid ->
                    if not (Unicode.Codec.well_formed_utf8 raw) then
                      Some "SmtpUTF8Mailbox is not valid UTF-8"
                    else None
@@ -459,21 +471,27 @@ let lints : Types.t list =
       ~source:Community ~level:Should_not ~nc_type:Invalid_encoding ~is_new:true
       ~effective:community_date
       (fun ctx ->
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (v : Ctx.aval) ->
-            let prev = try Hashtbl.find tbl v.Ctx.a_attr with Not_found -> [] in
-            Hashtbl.replace tbl v.Ctx.a_attr (v.Ctx.a_st :: prev))
-          (subject_values ctx);
-        let bad =
-          Hashtbl.fold
-            (fun attr sts acc ->
-              if List.length (List.sort_uniq Stdlib.compare sts) > 1 then
-                (X509.Attr.name attr ^ " uses mixed string types") :: acc
-              else acc)
-            tbl []
-        in
-        emit Should_not bad);
+        let values = subject_values ctx in
+        (* The table only on a hit: its fold order fixes the detail
+           order. *)
+        if not (mixed_encodings values) then Pass
+        else begin
+          let tbl = Hashtbl.create 8 in
+          List.iter
+            (fun (v : Ctx.aval) ->
+              let prev = try Hashtbl.find tbl v.Ctx.a_attr with Not_found -> [] in
+              Hashtbl.replace tbl v.Ctx.a_attr (v.Ctx.a_st :: prev))
+            values;
+          let bad =
+            Hashtbl.fold
+              (fun attr sts acc ->
+                if List.length (List.sort_uniq Stdlib.compare sts) > 1 then
+                  (X509.Attr.name attr ^ " uses mixed string types") :: acc
+                else acc)
+              tbl []
+          in
+          emit Should_not bad
+        end);
     mk ~name:"e_rfc822name_domain_unicode_not_punycode"
       ~description:
         "The domain part of rfc822Name must use A-labels for IDNs (RFC 9598)."

@@ -7,19 +7,13 @@ open Helpers
 
 (* Flag every A-label whose cached issue list contains [issue]. *)
 let alabel_issue_lint ~name ~description ~source ~effective ~issue ~fmt =
+  let bad (l, issues) =
+    if List.mem issue issues then Some (Printf.sprintf fmt l) else None
+  in
+  let bad_labels fact = List.filter_map bad fact.Ctx.d_alabels in
   mk ~name ~description ~source ~level:Must ~nc_type:Bad_normalization ~is_new:true
     ~effective
-    (fun ctx ->
-      let bad =
-        List.concat_map
-          (fun fact ->
-            List.filter_map
-              (fun (l, issues) ->
-                if List.mem issue issues then Some (Printf.sprintf fmt l) else None)
-              fact.Ctx.d_alabels)
-          ctx.Ctx.dns_facts
-      in
-      emit Must bad)
+    (fun ctx -> emit Must (List.concat_map bad_labels ctx.Ctx.dns_facts))
 
 let lints : Types.t list =
   [
@@ -57,12 +51,12 @@ let lints : Types.t list =
       ~source:Rfc9598 ~level:Must ~nc_type:Bad_normalization ~is_new:true
       ~effective:rfc9598_date
       (fun ctx ->
-        let smtputf8 = smtputf8_oid in
         let bad =
           List.filter_map
             (fun gn ->
               match gn with
-              | X509.General_name.Other_name (oid, raw) when Asn1.Oid.equal oid smtputf8 ->
+              | X509.General_name.Other_name (oid, raw)
+                when Asn1.Oid.equal oid smtputf8_oid ->
                   if not (Unicode.Normalize.utf8_is_nfc raw) then
                     Some "SmtpUTF8Mailbox is not NFC"
                   else None
