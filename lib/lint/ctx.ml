@@ -134,6 +134,34 @@ let looks_like_dns s =
   && not (String.contains s '@')
   && not (String.contains s '/')
 
+(* [looks_like_dns] over code points that encode to themselves: ASCII,
+   with a dot, without '@' or '/'. *)
+let rec dns_like_cps cps i dot =
+  if i = Array.length cps then dot
+  else
+    let cp = Array.unsafe_get cps i in
+    cp >= 0 && cp < 0x80
+    && cp <> Char.code '@'
+    && cp <> Char.code '/'
+    && dns_like_cps cps (i + 1) (dot || cp = Char.code '.')
+
+(* The text of a subject CN that looks like a DNS name.  A value that
+   decoded strictly already holds its code points, and DNS-like text is
+   ASCII, so its text is those code points as bytes — [X509.Dn.atv_text]
+   would decode it again.  Only a malformed value takes that path. *)
+let dns_like_cn info =
+  match info.cps with
+  | Some cps when dns_like_cps cps 0 false ->
+      let b = Bytes.create (Array.length cps) in
+      for i = 0 to Array.length cps - 1 do
+        Bytes.unsafe_set b i (Char.unsafe_chr cps.(i))
+      done;
+      Some (Bytes.unsafe_to_string b)
+  | Some _ -> None
+  | None ->
+      let text = X509.Dn.atv_text info.atv in
+      if looks_like_dns text then Some text else None
+
 let etexts_of policies =
   match policies with
   | Some (Ok policies) ->
@@ -159,10 +187,8 @@ let of_cert cert =
     san_dns_of san
     @ List.filter_map
         (fun info ->
-          if info.atv.X509.Dn.typ = X509.Attr.Common_name && not info.in_issuer then begin
-            let text = X509.Dn.atv_text info.atv in
-            if looks_like_dns text then Some text else None
-          end
+          if info.atv.X509.Dn.typ = X509.Attr.Common_name && not info.in_issuer then
+            dns_like_cn info
           else None)
         subject
   in
