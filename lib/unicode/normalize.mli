@@ -36,7 +36,10 @@ val to_nfc : Cp.t array -> Cp.t array
 (** [to_nfc cps] normalizes to NFC. *)
 
 val is_nfc : Cp.t array -> bool
-(** [is_nfc cps] is [true] iff [cps] is already in NFC. *)
+(** [is_nfc cps] is [true] iff [cps] is already in NFC, i.e.
+    [to_nfc cps = cps].  When every code point is in a flat BMP table
+    of stable code points (combining class 0, never composed with a
+    predecessor, own NFC) it answers without normalizing. *)
 
 val utf8_to_nfc : string -> string
 (** [utf8_to_nfc s] decodes UTF-8 (replacing malformed sequences),
