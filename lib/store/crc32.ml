@@ -1,20 +1,18 @@
-(* Table-driven CRC-32 (the zlib/IEEE polynomial, reflected form). *)
+(* CRC-32 (the zlib/IEEE polynomial, reflected form).  The checksum
+   loop is the slicing-by-8 C kernel in crc32_stubs.c; this module
+   checks ranges. *)
 
-let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+external init : unit -> unit = "unicert_crc32_init" [@@noalloc]
+
+(* [unsafe_sub s pos len]: unchecked, callers keep [pos + len] within
+   [s]. *)
+external unsafe_sub : string -> int -> int -> int = "unicert_crc32_sub" [@@noalloc]
+
+(* Fills the kernel's tables once, before any other domain exists. *)
+let () = init ()
 
 let sub s ~pos ~len =
-  let t = Lazy.force table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := t.((!c lxor Char.code (String.unsafe_get s i)) land 0xFF) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
+  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Store.Crc32.sub";
+  unsafe_sub s pos len
 
-let string s = sub s ~pos:0 ~len:(String.length s)
+let string s = unsafe_sub s 0 (String.length s)

@@ -45,20 +45,38 @@ let encode_record = function
       "X" ^ u32be index ^ u16be (String.length class_) ^ class_
       ^ u32be (String.length detail) ^ detail ^ der
 
-let decode_record s =
-  try
-    match s.[0] with
-    | 'C' -> Ok (Cert { index = ru32 s 1; der = String.sub s 5 (String.length s - 5) })
+(* Decode the record held in [len] bytes of [s] at [pos] — a segment
+   file read whole — copying each field out once. *)
+let decode_record_at s ~pos ~len =
+  let stop = pos + len in
+  let short () = Error "short record" in
+  if len < 1 then short ()
+  else
+    match s.[pos] with
+    | 'C' ->
+        if len < 5 then short ()
+        else Ok (Cert { index = ru32 s (pos + 1); der = String.sub s (pos + 5) (len - 5) })
     | 'X' ->
-        let index = ru32 s 1 in
-        let clen = ru16 s 5 in
-        let class_ = String.sub s 7 clen in
-        let dlen = ru32 s (7 + clen) in
-        let detail = String.sub s (11 + clen) dlen in
-        let dp = 11 + clen + dlen in
-        Ok (Fault { index; class_; detail; der = String.sub s dp (String.length s - dp) })
+        if len < 7 then short ()
+        else
+          let index = ru32 s (pos + 1) in
+          let cp = pos + 7 in
+          let clen = ru16 s (pos + 5) in
+          if cp + clen + 4 > stop then short ()
+          else
+            let dp = cp + clen + 4 in
+            let dlen = ru32 s (cp + clen) in
+            if dp + dlen > stop then short ()
+            else
+              Ok
+                (Fault
+                   {
+                     index;
+                     class_ = String.sub s cp clen;
+                     detail = String.sub s dp dlen;
+                     der = String.sub s (dp + dlen) (stop - dp - dlen);
+                   })
     | c -> Error (Printf.sprintf "unknown record kind %C" c)
-  with Invalid_argument _ -> Error "short record"
 
 (* --- file naming --- *)
 
@@ -153,12 +171,20 @@ let complete t =
   in
   tiles 0 (sorted_segments t.man)
 
+(* Rows columns keyed by span; the first listed wins a duplicate. *)
+let rows_by_span (rows : Manifest.seg list) =
+  let h = Hashtbl.create (List.length rows) in
+  List.iter
+    (fun (r : Manifest.seg) ->
+      if not (Hashtbl.mem h (r.lo, r.hi)) then Hashtbl.add h (r.lo, r.hi) r)
+    rows;
+  h
+
 let spans t =
+  let rows = rows_by_span t.man.rows in
   sorted_segments t.man
   |> List.map (fun (c : Manifest.seg) ->
-         match
-           List.find_opt (fun (r : Manifest.seg) -> r.lo = c.lo && r.hi = c.hi) t.man.rows
-         with
+         match Hashtbl.find_opt rows (c.lo, c.hi) with
          | Some r -> (c, r)
          | None -> fail "store %s: span [%d,%d) has no rows column" t.dir c.lo c.hi)
 
@@ -271,20 +297,28 @@ let close_rows_noerr rw = try Segment.close rw.w with _ -> ()
 
 (* --- commit: publish a manifest, then drop unreferenced files --- *)
 
+(* Every data file [man] names: segments, rows columns, indexes. *)
+let referenced_files (man : Manifest.t) =
+  let h = Hashtbl.create 64 in
+  let add f = Hashtbl.replace h f () in
+  List.iter (fun (s : Manifest.seg) -> add s.file) man.segments;
+  List.iter (fun (s : Manifest.seg) -> add s.file) man.rows;
+  List.iter (fun (_, f, _) -> add f) man.indexes;
+  h
+
 let commit t man =
   Manifest.save ~dir:t.dir man;
   t.man <- man;
-  let referenced =
-    Manifest.id_file :: Manifest.file :: quarantine_file
-    :: (List.map (fun (s : Manifest.seg) -> s.file) (man.segments @ man.rows)
-       @ List.map (fun (_, f, _) -> f) man.indexes)
-  in
+  let referenced = referenced_files man in
+  List.iter
+    (fun f -> Hashtbl.replace referenced f ())
+    [ Manifest.id_file; Manifest.file; quarantine_file ];
   Array.iter
     (fun f ->
       let stale_data = parse_cert_file f <> None || parse_rows_file f <> None in
       let stale_rows_tmp = Filename.check_suffix f ".seg.new" in
       let stale_idx = Filename.check_suffix f ".idx" in
-      if (stale_data || stale_idx || stale_rows_tmp) && not (List.mem f referenced) then
+      if (stale_data || stale_idx || stale_rows_tmp) && not (Hashtbl.mem referenced f) then
         remove_if_exists (Filename.concat t.dir f))
     (Sys.readdir t.dir)
 
@@ -304,21 +338,26 @@ let scan_pair t (c : Manifest.seg) (r : Manifest.seg) =
             (match sc.problem with
             | Some p -> Segment.describe_problem p
             | None -> "seal or count mismatch"))
-        else sc.payloads
+        else sc
   in
-  (check c, check r)
+  let csc = check c and rsc = check r in
+  if csc.count <> rsc.count then
+    fail "store %s: %s and %s hold different record counts" t.dir c.file r.file;
+  (csc, rsc)
 
+(* Records and rows are copied once each, straight from the two file
+   strings. *)
 let iter_pair t ((c : Manifest.seg), r) f =
   Obs.Trace.span ~cat:"store" "store.read" (fun () ->
-      let certs, rows = scan_pair t c r in
-      List.iter2
-        (fun cp rp ->
-          match decode_record cp with
-          | Error e -> fail "store %s: %s: undecodable record (%s)" t.dir c.file e
-          | Ok record ->
-              Obs.Counter.inc reads;
-              f record rp)
-        certs rows)
+      let (csc : Segment.scan), (rsc : Segment.scan) = scan_pair t c r in
+      for k = 0 to csc.count - 1 do
+        let pos = csc.starts.(k) in
+        match decode_record_at csc.data ~pos ~len:(csc.ends.(k) - pos) with
+        | Error e -> fail "store %s: %s: undecodable record (%s)" t.dir c.file e
+        | Ok record ->
+            Obs.Counter.inc reads;
+            f record (Segment.payload rsc k)
+      done)
 
 let iter_pairs t f = List.iter (fun pr -> iter_pair t pr f) (spans t)
 
@@ -336,7 +375,7 @@ let meta t k = List.assoc_opt k t.man.meta
    quarantined or deleted. *)
 let recover_pair ~warn dir ~fp8 ~lo ~hi ~cfile ~rfile =
   let cpath = Filename.concat dir cfile and rpath = Filename.concat dir rfile in
-  match (Segment.scan cpath, Segment.scan ~keep_payloads:false rpath) with
+  match (Segment.scan cpath, Segment.scan rpath) with
   | Error e, _ | _, Error e ->
       warn (Printf.sprintf "store: cannot read span [%d,%d): %s" lo hi e);
       None
@@ -375,7 +414,8 @@ let recover_pair ~warn dir ~fp8 ~lo ~hi ~cfile ~rfile =
           remove_if_exists rpath;
           None)
         else
-          match decode_record (List.nth csc.payloads (n - 1)) with
+          let pos = csc.starts.(n - 1) in
+          match decode_record_at csc.data ~pos ~len:(csc.ends.(n - 1) - pos) with
           | Error e ->
               warn (Printf.sprintf "store: span [%d,%d) undecodable (%s); quarantining" lo hi e);
               quarantine_seg dir ~file:cfile ~reason:"undecodable_record" ~detail:e;
@@ -437,17 +477,22 @@ let recover ?(warn = fun _ -> ()) t ~lints =
       let rows = Array.to_list files |> List.filter_map (fun f ->
           Option.map (fun (fp, lo, hi) -> (fp, lo, hi, f)) (parse_rows_file f))
       in
+      (* Current-lint rows columns by span; the first listed wins. *)
+      let current = Hashtbl.create 64 in
+      List.iter
+        (fun (fp, lo, hi, f) ->
+          if fp = fp8 && not (Hashtbl.mem current (lo, hi)) then Hashtbl.add current (lo, hi) f)
+        rows;
       let pairs, unpaired_certs =
         List.partition_map
           (fun (lo, hi, cfile) ->
-            match
-              List.find_opt (fun (fp, lo', hi', _) -> fp = fp8 && lo' = lo && hi' = hi) rows
-            with
-            | Some (_, _, _, rfile) -> Left (lo, hi, cfile, rfile)
+            match Hashtbl.find_opt current (lo, hi) with
+            | Some rfile -> Left (lo, hi, cfile, rfile)
             | None -> Right cfile)
           certs
       in
-      let paired_rows = List.map (fun (_, _, _, r) -> r) pairs in
+      let paired_rows = Hashtbl.create 64 in
+      List.iter (fun (_, _, _, r) -> Hashtbl.replace paired_rows r ()) pairs;
       (* Cert segments without a current-lint rows mate (and vice versa)
          cannot be absorbed; the corpus regenerates deterministically,
          so drop them rather than carry dead weight. *)
@@ -458,7 +503,7 @@ let recover ?(warn = fun _ -> ()) t ~lints =
           remove_if_exists (Filename.concat t.dir f))
         (unpaired_certs
         @ List.filter_map
-            (fun (_, _, _, f) -> if List.mem f paired_rows then None else Some f)
+            (fun (_, _, _, f) -> if Hashtbl.mem paired_rows f then None else Some f)
             rows);
       let adopted =
         List.filter_map
@@ -557,7 +602,7 @@ let fsck ?(repair = false) ~dir () =
                 ~repair:"drop-from-manifest";
               false)
             else
-              match Segment.scan ~keep_payloads:false path with
+              match Segment.scan path with
               | Error e ->
                   flag ~file:s.file ~problem:"unreadable" ~detail:e ~repair:"quarantine";
                   false
@@ -584,11 +629,10 @@ let fsck ?(repair = false) ~dir () =
                     false)
                   else true
           in
+          let rows = rows_by_span man.rows in
           List.iter
             (fun (c : Manifest.seg) ->
-              match
-                List.find_opt (fun (r : Manifest.seg) -> r.lo = c.lo && r.hi = c.hi) man.rows
-              with
+              match Hashtbl.find_opt rows (c.lo, c.hi) with
               | None ->
                   flag ~file:c.file ~problem:"no_rows_mate" ~detail:"span has no rows column"
                     ~repair:"drop-from-manifest"
@@ -617,10 +661,7 @@ let fsck ?(repair = false) ~dir () =
               man.indexes
           in
           (* Unreferenced data files. *)
-          let referenced =
-            List.map (fun (s : Manifest.seg) -> s.file) (man.segments @ man.rows)
-            @ List.map (fun (_, f, _) -> f) man.indexes
-          in
+          let referenced = referenced_files man in
           let adoptable = ref 0 in
           Array.iter
             (fun f ->
@@ -629,14 +670,14 @@ let fsck ?(repair = false) ~dir () =
                 || Filename.check_suffix f ".idx"
                 || Filename.check_suffix f ".seg.new"
               in
-              if is_data && not (List.mem f referenced) then
+              if is_data && not (Hashtbl.mem referenced f) then
                 if man.state = `Building && not (Filename.check_suffix f ".idx") then begin
                   (* Build in flight: unlisted segments are adoption
                      candidates for the next recovery, not errors — and
                      an intact one means salvageable data survives the
                      crash, so it counts toward usability. *)
                   if parse_cert_file f <> None then
-                    match Segment.scan ~keep_payloads:false (Filename.concat dir f) with
+                    match Segment.scan (Filename.concat dir f) with
                     | Ok sc when sc.problem = None -> incr adoptable
                     | Ok _ | Error _ -> ()
                 end
@@ -679,19 +720,18 @@ let fsck ?(repair = false) ~dir () =
                    (List.rev !issues);
                  (* Quarantine intact mates of quarantined span halves:
                     the pair lives and dies together. *)
+                 let good = Hashtbl.create 64 in
+                 List.iter
+                   (fun ((gc : Manifest.seg), _) -> Hashtbl.replace good gc.file ())
+                   good_pairs;
                  List.iter
                    (fun (c : Manifest.seg) ->
-                     match
-                       List.find_opt (fun (r : Manifest.seg) -> r.lo = c.lo && r.hi = c.hi) man.rows
-                     with
+                     match Hashtbl.find_opt rows (c.lo, c.hi) with
                      | Some r ->
                          let gone s =
                            not (Sys.file_exists (Filename.concat dir s.Manifest.file))
                          in
-                         let in_good =
-                           List.exists (fun ((gc : Manifest.seg), _) -> gc.file = c.file) good_pairs
-                         in
-                         if (not in_good) && (gone c <> gone r) then
+                         if (not (Hashtbl.mem good c.file)) && (gone c <> gone r) then
                            let file = if gone c then r.file else c.file in
                            quarantine_seg dir ~file ~reason:"lockstep_mate"
                              ~detail:"mate segment was quarantined"
@@ -723,7 +763,6 @@ let fsck ?(repair = false) ~dir () =
         end)
 
 let prewarm () =
-  ignore (Crc32.string "");
   ignore (Ucrypto.Sha256.hex "");
   Obs.Counter.inc reads;
   Obs.Counter.reset reads

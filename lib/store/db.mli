@@ -151,4 +151,4 @@ val fsck : ?repair:bool -> dir:string -> unit -> fsck_report
     Never raises on corruption — corruption is the expected input. *)
 
 val prewarm : unit -> unit
-(** Force lazy tables (CRC, counters) before [Domain.spawn]. *)
+(** Force lazy state (counters) before [Domain.spawn]. *)

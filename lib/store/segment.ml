@@ -4,12 +4,15 @@ let magic_len = String.length magic
 let appends = Obs.Registry.counter ~help:"Records appended to store segments" "unicert_store_appends_total"
 let fsyncs = Obs.Registry.counter ~help:"fsync calls issued by the store" "unicert_store_fsync_total"
 
+let set_u32be b pos n =
+  Bytes.set b pos (Char.unsafe_chr ((n lsr 24) land 0xFF));
+  Bytes.set b (pos + 1) (Char.unsafe_chr ((n lsr 16) land 0xFF));
+  Bytes.set b (pos + 2) (Char.unsafe_chr ((n lsr 8) land 0xFF));
+  Bytes.set b (pos + 3) (Char.unsafe_chr (n land 0xFF))
+
 let u32be n =
   let b = Bytes.create 4 in
-  Bytes.set b 0 (Char.chr ((n lsr 24) land 0xFF));
-  Bytes.set b 1 (Char.chr ((n lsr 16) land 0xFF));
-  Bytes.set b 2 (Char.chr ((n lsr 8) land 0xFF));
-  Bytes.set b 3 (Char.chr (n land 0xFF));
+  set_u32be b 0 n;
   Bytes.unsafe_to_string b
 
 let read_u32be s pos =
@@ -25,13 +28,9 @@ type writer = {
   mutable poisoned : bool;
 }
 
-let digest_hex headers n =
-  let open Ucrypto in
-  let h = Sha256.digest (headers ^ u32be n) in
-  (* Render binary digest as lowercase hex. *)
-  String.concat "" (List.init (String.length h) (fun i -> Printf.sprintf "%02x" (Char.code h.[i])))
+let seal_digest headers n = Ucrypto.Sha256.digest (headers ^ u32be n)
 
-let seal_hex w = digest_hex (Buffer.contents w.headers) w.n
+let seal_hex w = Ucrypto.Sha256.to_hex (seal_digest (Buffer.contents w.headers) w.n)
 let count w = w.n
 
 let create path =
@@ -67,12 +66,18 @@ let guard w f =
 
 let append w payload =
   guard w (fun () ->
-      let header = u32be (String.length payload) ^ u32be (Crc32.string payload) in
-      write_frame w ~op:"segment.append" ("R" ^ header ^ payload);
+      let plen = String.length payload in
+      let b = Bytes.create (9 + plen) in
+      Bytes.set b 0 'R';
+      set_u32be b 1 plen;
+      set_u32be b 5 (Crc32.string payload);
+      Bytes.blit_string payload 0 b 9 plen;
+      let frame = Bytes.unsafe_to_string b in
+      write_frame w ~op:"segment.append" frame;
       (* The writer's view of the segment tracks planned frames even
          when Chaos shorted the write — that is the lying-disk model;
          the divergence is what fsck must catch. *)
-      Buffer.add_string w.headers header;
+      Buffer.add_substring w.headers frame 1 8;
       w.n <- w.n + 1;
       Obs.Counter.inc appends;
       Chaos.point "segment.append.after")
@@ -86,7 +91,7 @@ let sync w =
 let seal w =
   guard w (fun () ->
       Chaos.point "segment.seal.before";
-      let digest = Ucrypto.Sha256.digest (Buffer.contents w.headers ^ u32be w.n) in
+      let digest = seal_digest (Buffer.contents w.headers) w.n in
       write_frame w ~op:"segment.seal" ("S" ^ u32be w.n ^ digest);
       flush w.oc;
       Unix.fsync (Unix.descr_of_out_channel w.oc);
@@ -123,107 +128,106 @@ let describe_problem = function
   | Trailing { offset } -> Printf.sprintf "trailing bytes after seal at %d" offset
 
 type scan = {
-  payloads : string list;
+  data : string;
+  starts : int array;
+  ends : int array;
   count : int;
   sealed : bool;
   good_bytes : int;
-  ends : int array;
   seal_hex : string;
   problem : problem option;
 }
 
-let scan ?(keep_payloads = true) path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        really_input_string ic len)
-  with
+let payload sc k = String.sub sc.data sc.starts.(k) (sc.ends.(k) - sc.starts.(k))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* Record offsets, gathered while the record count is still unknown. *)
+let push a k v =
+  let a = if k < Array.length a then a else Array.append a (Array.make (Array.length a) 0) in
+  Array.unsafe_set a k v;
+  a
+
+let scan path =
+  match read_file path with
   | exception Sys_error e -> Error e
   | s ->
       let len = String.length s in
-      let headers = Buffer.create 256 in
-      let payloads = ref [] in
-      let ends = ref [] in
-      let finish ~pos ~n ~sealed problem =
-        {
-          payloads = List.rev !payloads;
-          count = n;
-          sealed;
-          good_bytes = pos;
-          ends = Array.of_list (List.rev !ends);
-          seal_hex = digest_hex (Buffer.contents headers) n;
-          problem;
-        }
+      (* The seal digest absorbs each record's (len, crc) header in
+         place; [seal_of] finishes it, once per scan. *)
+      let headers = Ucrypto.Sha256.init () in
+      let seal_of n =
+        Ucrypto.Sha256.update headers (u32be n);
+        Ucrypto.Sha256.final headers
       in
-      if len < magic_len || String.sub s 0 magic_len <> magic then
+      let starts = ref (Array.make 64 0) and ends = ref (Array.make 64 0) in
+      let finish ~pos ~n ~sealed ?(digest = seal_of n) problem =
         Ok
           {
-            payloads = [];
-            count = 0;
-            sealed = false;
-            good_bytes = 0;
-            ends = [||];
-            seal_hex = digest_hex "" 0;
-            problem = Some Bad_header;
+            data = s;
+            starts = Array.sub !starts 0 n;
+            ends = Array.sub !ends 0 n;
+            count = n;
+            sealed;
+            good_bytes = pos;
+            seal_hex = Ucrypto.Sha256.to_hex digest;
+            problem;
           }
-      else
-        let rec loop pos n =
-          if pos = len then Ok (finish ~pos ~n ~sealed:false None)
-          else
-            match s.[pos] with
-            | 'R' ->
-                if pos + 9 > len then Ok (finish ~pos ~n ~sealed:false (Some (Torn_tail { offset = pos })))
-                else
-                  let plen = read_u32be s (pos + 1) in
-                  let crc = read_u32be s (pos + 5) in
-                  if pos + 9 + plen > len then
-                    Ok (finish ~pos ~n ~sealed:false (Some (Torn_tail { offset = pos })))
-                  else if Crc32.sub s ~pos:(pos + 9) ~len:plen <> crc then
-                    Ok (finish ~pos ~n ~sealed:false (Some (Bad_crc { record = n; offset = pos })))
-                  else (
-                    if keep_payloads then payloads := String.sub s (pos + 9) plen :: !payloads;
-                    Buffer.add_string headers (String.sub s (pos + 1) 8);
-                    ends := (pos + 9 + plen) :: !ends;
-                    loop (pos + 9 + plen) (n + 1))
-            | 'S' ->
-                if pos + 37 > len then Ok (finish ~pos ~n ~sealed:false (Some (Torn_tail { offset = pos })))
-                else
-                  let fcount = read_u32be s (pos + 1) in
-                  let fdigest = String.sub s (pos + 5) 32 in
-                  let expect = Ucrypto.Sha256.digest (Buffer.contents headers ^ u32be n) in
-                  if fcount <> n || not (String.equal fdigest expect) then
-                    Ok (finish ~pos ~n ~sealed:false (Some Bad_seal))
-                  else if pos + 37 < len then
-                    Ok (finish ~pos:(pos + 37) ~n ~sealed:true (Some (Trailing { offset = pos + 37 })))
-                  else Ok (finish ~pos:(pos + 37) ~n ~sealed:true None)
-            | _ -> Ok (finish ~pos ~n ~sealed:false (Some (Bad_frame { offset = pos })))
-        in
-        loop magic_len 0
+      in
+      let rec loop pos n =
+        if pos = len then finish ~n ~pos ~sealed:false None
+        else
+          match s.[pos] with
+          | 'R' ->
+              if pos + 9 > len then
+                finish ~n ~pos ~sealed:false (Some (Torn_tail { offset = pos }))
+              else
+                let plen = read_u32be s (pos + 1) in
+                let crc = read_u32be s (pos + 5) in
+                if pos + 9 + plen > len then
+                  finish ~n ~pos ~sealed:false (Some (Torn_tail { offset = pos }))
+                else if Crc32.sub s ~pos:(pos + 9) ~len:plen <> crc then
+                  finish ~n ~pos ~sealed:false
+                    (Some (Bad_crc { record = n; offset = pos }))
+                else (
+                  Ucrypto.Sha256.update_sub headers s ~off:(pos + 1) ~len:8;
+                  let stop = pos + 9 + plen in
+                  starts := push !starts n (pos + 9);
+                  ends := push !ends n stop;
+                  loop stop (n + 1))
+          | 'S' ->
+              if pos + 37 > len then
+                finish ~n ~pos ~sealed:false (Some (Torn_tail { offset = pos }))
+              else
+                let fcount = read_u32be s (pos + 1) in
+                let digest = seal_of n in
+                if fcount <> n || not (String.equal (String.sub s (pos + 5) 32) digest) then
+                  finish ~n ~pos ~sealed:false ~digest (Some Bad_seal)
+                else if pos + 37 < len then
+                  finish ~n ~pos:(pos + 37) ~sealed:true ~digest
+                    (Some (Trailing { offset = pos + 37 }))
+                else finish ~n ~pos:(pos + 37) ~sealed:true ~digest None
+          | _ -> finish ~n ~pos ~sealed:false (Some (Bad_frame { offset = pos }))
+      in
+      if not (String.starts_with ~prefix:magic s) then
+        finish ~pos:0 ~n:0 ~sealed:false (Some Bad_header)
+      else loop magic_len 0
 
 let reopen path =
-  match scan ~keep_payloads:false path with
+  match scan path with
   | Error e -> invalid_arg (Printf.sprintf "Segment.reopen %s: %s" path e)
   | Ok { sealed = true; _ } -> invalid_arg (Printf.sprintf "Segment.reopen %s: sealed" path)
   | Ok { problem = Some p; _ } ->
       invalid_arg (Printf.sprintf "Segment.reopen %s: %s" path (describe_problem p))
-  | Ok { count = n; good_bytes; _ } ->
+  | Ok sc ->
       (* Rebuild the seal-digest accumulator from the intact records. *)
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic good_bytes)
-      in
-      let headers = Buffer.create 256 in
-      let pos = ref magic_len in
-      for _ = 1 to n do
-        Buffer.add_string headers (String.sub s (!pos + 1) 8);
-        pos := !pos + 9 + read_u32be s (!pos + 1)
-      done;
+      let headers = Buffer.create (8 * sc.count + 8) in
+      Array.iter (fun start -> Buffer.add_substring headers sc.data (start - 8) 8) sc.starts;
       let oc = open_out_gen [ Open_wronly; Open_binary; Open_append ] 0o644 path in
-      { oc; headers; n; poisoned = false }
+      { oc; headers; n = sc.count; poisoned = false }
 
 let truncate path n = Unix.truncate path n

@@ -67,21 +67,28 @@ val problem_name : problem -> string
 val describe_problem : problem -> string
 
 type scan = {
-  payloads : string list;  (** intact records in order; [] unless kept *)
+  data : string;           (** the file as read *)
+  starts : int array;      (** byte offset of each intact record's
+                               payload in [data] *)
+  ends : int array;        (** byte offset just past each intact record —
+                               payload [k] is [data] from [starts.(k)] to
+                               [ends.(k)], and [ends.(k)] is the
+                               truncation target that keeps records
+                               [0..k] *)
   count : int;             (** number of intact records *)
   sealed : bool;           (** footer present and verified *)
   good_bytes : int;        (** prefix length through the last intact record *)
-  ends : int array;        (** byte offset just past each intact record —
-                               [ends.(k)] is the truncation target that
-                               keeps records [0..k] *)
   seal_hex : string;       (** digest over the intact records *)
   problem : problem option;
 }
 
-val scan : ?keep_payloads:bool -> string -> (scan, string) result
-(** Read and verify a segment ([keep_payloads] defaults to [true];
-    pass [false] for a memory-light integrity pass).  [Error] is an
+val scan : string -> (scan, string) result
+(** Read and verify a segment.  The file is read into one string and
+    each record located in place: no payload is copied.  [Error] is an
     I/O-level failure (missing file, permission). *)
+
+val payload : scan -> int -> string
+(** [payload sc k] copies out intact record [k]. *)
 
 val truncate : string -> int -> unit
 (** [truncate path n] cuts the file to its first [n] bytes — the torn

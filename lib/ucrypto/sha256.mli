@@ -26,6 +26,9 @@ val hex_sub : string -> off:int -> len:int -> string
 (** [hex_sub s ~off ~len] is [hex (String.sub s off len)] without the
     copy.  @raise Invalid_argument on a range outside [s]. *)
 
+val to_hex : string -> string
+(** [to_hex d] renders a 32-byte binary digest as lowercase hex. *)
+
 val hmac : key:string -> string -> string
 (** [hmac ~key msg] is HMAC-SHA-256 (RFC 2104), used by the
     deterministic mock signature scheme of the corpus generator. *)
