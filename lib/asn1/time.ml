@@ -124,17 +124,26 @@ let of_utctime s =
         with Invalid_argument m -> Error m)
     | _ -> Error "UTCTime: non-digit field"
 
-let of_generalized s =
-  if String.length s <> 15 || s.[14] <> 'Z' then
+let of_generalized_sub s ~pos ~len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Asn1.Time.of_generalized_sub";
+  if len <> 15 || s.[pos + 14] <> 'Z' then
     Error "GeneralizedTime must be YYYYMMDDHHMMSSZ"
   else
     match
-      (digits s 0 4, digits s 4 2, digits s 6 2, digits s 8 2, digits s 10 2, digits s 12 2)
+      ( digits s pos 4,
+        digits s (pos + 4) 2,
+        digits s (pos + 6) 2,
+        digits s (pos + 8) 2,
+        digits s (pos + 10) 2,
+        digits s (pos + 12) 2 )
     with
     | Some y, Some mo, Some d, Some h, Some mi, Some se -> (
         try Ok (make ~hour:h ~minute:mi ~second:se y mo d)
         with Invalid_argument m -> Error m)
     | _ -> Error "GeneralizedTime: non-digit field"
+
+let of_generalized s = of_generalized_sub s ~pos:0 ~len:(String.length s)
 
 let pp ppf t =
   Format.fprintf ppf "%04d-%02d-%02dT%02d:%02d:%02dZ" t.year t.month t.day t.hour

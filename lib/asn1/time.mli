@@ -41,5 +41,10 @@ val of_utctime : string -> (t, string) result
 
 val of_generalized : string -> (t, string) result
 
+val of_generalized_sub : string -> pos:int -> len:int -> (t, string) result
+(** [of_generalized_sub s ~pos ~len] is
+    [of_generalized (String.sub s pos len)] without the copy.
+    @raise Invalid_argument on a range outside [s]. *)
+
 val pp : Format.formatter -> t -> unit
 (** [pp] prints ISO-8601 [YYYY-MM-DDTHH:MM:SSZ]. *)

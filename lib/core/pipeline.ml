@@ -732,40 +732,7 @@ let row_escape s =
     Buffer.contents b)
   else s
 
-let row_unescape s =
-  if not (String.contains s '%') then Ok s
-  else
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i >= n then Ok (Buffer.contents b)
-      else if s.[i] = '%' then
-        if i + 2 < n then (
-          match int_of_string_opt ("0x" ^ String.sub s (i + 1) 2) with
-          | Some c ->
-              Buffer.add_char b (Char.chr c);
-              go (i + 3)
-          | None -> Error "bad escape")
-        else Error "truncated escape"
-      else (
-        Buffer.add_char b s.[i];
-        go (i + 1))
-    in
-    go 0
-
 let encode_list l = String.concat "," (List.map row_escape l)
-
-let decode_list s =
-  if s = "" then Ok []
-  else
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: rest -> (
-          match row_unescape x with
-          | Ok v -> go (v :: acc) rest
-          | Error e -> Error e)
-    in
-    go [] (String.split_on_char ',' s)
 
 let bchar = function true -> '1' | false -> '0'
 
@@ -793,51 +760,179 @@ let encode_row r =
       encode_list r.r_cns;
       encode_list r.r_attrs ]
 
+(* [decode_row] reads a row with one cursor: every field is parsed in
+   place, and each text value is copied out once — unescaped straight
+   into its result when it holds a '%'.  A malformed row raises
+   [Bad_row] inside the decoder, which returns it as [Error]. *)
+
+exception Bad_row of string
+
+let bad_row e = raise_notrace (Bad_row e)
+
+type cursor = { src : string; mutable pos : int }
+
+(* Hex value of an escape digit, or -1. *)
+let hex_digit = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* Bytes [a, b) of [s] unescaped.  An escape is '%' and the two bytes
+   after it, both before [b]: a hex digit, then a hex digit or '_' —
+   the escape grammar of [int_of_string ("0x" ^ pair)], which the
+   codec has always used ("%4_" is byte 4). *)
+let unescape s a b =
+  let out = Bytes.create (b - a) in
+  let rec go i j =
+    if i >= b then Bytes.sub_string out 0 j
+    else
+      let c = String.unsafe_get s i in
+      if c <> '%' then (
+        Bytes.unsafe_set out j c;
+        go (i + 1) (j + 1))
+      else if i + 2 < b then (
+        let hi = hex_digit s.[i + 1] and c2 = s.[i + 2] in
+        let lo = if c2 = '_' then 0 else hex_digit c2 in
+        if hi < 0 || lo < 0 then bad_row "bad escape";
+        Bytes.unsafe_set out j (Char.unsafe_chr (if c2 = '_' then hi else (16 * hi) + lo));
+        go (i + 3) (j + 1))
+      else bad_row "truncated escape"
+  in
+  go a 0
+
+let row_unescape s =
+  if not (String.contains s '%') then Ok s
+  else match unescape s 0 (String.length s) with v -> Ok v | exception Bad_row e -> Error e
+
+(* The next tab at or after [i], or the end of [s]. *)
+let rec field_end s i =
+  if i < String.length s && String.unsafe_get s i <> '\t' then field_end s (i + 1) else i
+
+(* The end of the value at [i]: the next tab — or comma, in a list —
+   or the end of [s]; [plain] also stops at a '%'. *)
+let rec value_end s i ~list ~plain =
+  if i = String.length s then i
+  else
+    match String.unsafe_get s i with
+    | '\t' -> i
+    | ',' when list -> i
+    | '%' when plain -> i
+    | _ -> value_end s (i + 1) ~list ~plain
+
+(* Step over the tab that ends the current field. *)
+let tab c =
+  if c.pos < String.length c.src && c.src.[c.pos] = '\t' then c.pos <- c.pos + 1
+  else bad_row "wrong field count"
+
+let text c ~list =
+  let a = c.pos in
+  let p = value_end c.src a ~list ~plain:true in
+  if p < String.length c.src && c.src.[p] = '%' then (
+    let e = value_end c.src p ~list ~plain:false in
+    c.pos <- e;
+    unescape c.src a e)
+  else (
+    c.pos <- p;
+    String.sub c.src a (p - a))
+
+(* A comma-separated list field; empty when the field is. *)
+let list_field c =
+  let rec more acc =
+    let acc = text c ~list:true :: acc in
+    if c.pos < String.length c.src && c.src.[c.pos] = ',' then (
+      c.pos <- c.pos + 1;
+      more acc)
+    else List.rev acc
+  in
+  if c.pos = String.length c.src || c.src.[c.pos] = '\t' then [] else more []
+
+(* A decimal field read in place; any other spelling goes through
+   [int_of_string_opt], as it always has. *)
+let int_field c ~none =
+  let a = c.pos in
+  let e = field_end c.src a in
+  c.pos <- e;
+  let rec digits i acc =
+    if i = e then acc
+    else
+      match String.unsafe_get c.src i with
+      | '0' .. '9' as d -> digits (i + 1) ((10 * acc) + Char.code d - 48)
+      | _ -> -1
+  in
+  let v = if e > a && e - a <= 18 then digits a 0 else -1 in
+  if v >= 0 then v
+  else
+    match int_of_string_opt (String.sub c.src a (e - a)) with
+    | Some v -> v
+    | None -> bad_row none
+
 let decode_row s =
-  let ( let* ) = Result.bind in
-  (* Rows written before the monitor-ingest fields existed have 8
-     columns; decode them with empty subject material so old stores
-     stay readable. *)
-  let fields =
-    match String.split_on_char '\t' s with
-    | [ idx; org; issued; flags; days; uf; nc; doms ] ->
-        Ok (idx, org, issued, flags, days, uf, nc, doms, "", "")
-    | [ idx; org; issued; flags; days; uf; nc; doms; cns; attrs ] ->
-        Ok (idx, org, issued, flags, days, uf, nc, doms, cns, attrs)
-    | _ -> Error "wrong field count"
-  in
-  let* idx, org, issued, flags, days, uf, nc, doms, cns, attrs = fields in
-  let* r_index = Option.to_result ~none:"bad index" (int_of_string_opt idx) in
-  let* r_org = row_unescape org in
-  let* r_issued = Asn1.Time.of_generalized issued in
-  let* () = if String.length flags = 7 then Ok () else Error "bad flags" in
-  let* r_validity_days =
-    Option.to_result ~none:"bad validity" (int_of_string_opt days)
-  in
-  let* r_ufields = decode_list uf in
-  let* r_nc = decode_list nc in
-  let* r_domains = decode_list doms in
-  let* r_cns = decode_list cns in
-  let* r_attrs = decode_list attrs in
-  Ok
+  let c = { src = s; pos = 0 } in
+  match
+    let r_index = int_field c ~none:"bad index" in
+    tab c;
+    let r_org = text c ~list:false in
+    tab c;
+    let r_issued =
+      let e = field_end s c.pos in
+      match Asn1.Time.of_generalized_sub s ~pos:c.pos ~len:(e - c.pos) with
+      | Ok t ->
+          c.pos <- e;
+          t
+      | Error m -> bad_row m
+    in
+    tab c;
+    let f = c.pos in
+    if field_end s f - f <> 7 then bad_row "bad flags";
+    c.pos <- f + 7;
+    tab c;
+    let r_validity_days = int_field c ~none:"bad validity" in
+    tab c;
+    let r_ufields = list_field c in
+    tab c;
+    let r_nc = list_field c in
+    tab c;
+    let r_domains = list_field c in
+    (* Rows written before the monitor-ingest fields existed have 8
+       columns; decode them with empty subject material so old stores
+       stay readable. *)
+    let r_cns, r_attrs =
+      if c.pos = String.length s then ([], [])
+      else (
+        tab c;
+        let cns = list_field c in
+        tab c;
+        let attrs = list_field c in
+        if c.pos <> String.length s then bad_row "wrong field count";
+        (cns, attrs))
+    in
     {
       r_index;
       r_org;
       r_issued;
-      r_is_idn = flags.[0] = '1';
-      r_alive = flags.[1] = '1';
-      r_valid_year_end = flags.[2] = '1';
+      r_is_idn = s.[f] = '1';
+      r_alive = s.[f + 1] = '1';
+      r_valid_year_end = s.[f + 2] = '1';
       r_validity_days;
       r_ufields;
-      r_enc_subject = flags.[3] = '1';
-      r_enc_san = flags.[4] = '1';
-      r_enc_policies = flags.[5] = '1';
-      r_enc_verified = flags.[6] = '1';
+      r_enc_subject = s.[f + 3] = '1';
+      r_enc_san = s.[f + 4] = '1';
+      r_enc_policies = s.[f + 5] = '1';
+      r_enc_verified = s.[f + 6] = '1';
       r_nc;
       r_domains;
       r_cns;
       r_attrs;
     }
+  with
+  | row -> Ok row
+  | exception Bad_row e ->
+      (* A row without 8 or 10 columns reports that first, whatever
+         else is wrong with it. *)
+      let tabs = ref 0 in
+      String.iter (fun ch -> if ch = '\t' then incr tabs) s;
+      Error (if !tabs = 7 || !tabs = 9 then e else "wrong field count")
 
 (* Fetch coverage round-trips through manifest meta so a warm run can
    skip the transport entirely and still print the coverage section. *)
