@@ -6,219 +6,107 @@ open Cmdliner
 
 let emit_pem cert = print_string (X509.Certificate.to_pem cert)
 
-(* One shard's view of the stream, in index order.  Corrupted blobs no
-   longer parse, so they cannot be emitted as PEM; they go to
-   quarantine instead (written by the coordinator, in index order). *)
-type corpus_item =
-  | Qual of string                          (* PEM of a qualifying entry *)
-  | Corr of int * string * Faults.Error.t   (* index, DER, decode error *)
-
-exception Shard_done
-
-(* Store-backed corpus emission: the pipeline lands (or warm-replays)
-   the corpus in the crash-safe store, then the first [count]
-   certificates are emitted from their durable DER — byte-identical to
-   a live generate run's stdout. *)
-let run_corpus_store count seed ~dir (fault : Fault_cli.t) =
-  let policy = fault.Fault_cli.policy in
-  let source =
-    match fault.Fault_cli.fetch with
-    | Some cfg -> Unicert.Pipeline.Fetch cfg
-    | None -> Unicert.Pipeline.Generate
-  in
-  let p =
-    Unicert.Pipeline.run ~scale:count ~seed ~policy
-      ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
-      ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume
-      ~jobs:fault.Fault_cli.jobs ~source ~store:dir ()
-  in
+(* Every corpus run ends the same way: an aborted run (fail-fast or the
+   error budget) prints why, emits nothing and exits 3; otherwise
+   [emit ()] prints the certificates and returns how many, and the
+   fault note, shortfall warning and degraded-coverage exit follow. *)
+let conclude ~count (fault : Fault_cli.t) (p : Unicert.Pipeline.t) emit =
   (match p.Unicert.Pipeline.faults.Unicert.Pipeline.aborted with
   | Some reason ->
       Printf.eprintf "error: run aborted: %s\n" reason;
       Fault_cli.exit_via 3
   | None -> ());
-  let emitted = ref 0 in
-  let db = Store.Db.open_ro ~dir in
-  (try
-     Store.Db.iter_pairs db (fun recd _row ->
-         match recd with
-         | Store.Db.Fault _ -> ()
-         | Store.Db.Cert { index; der } -> (
-             if !emitted >= count then raise Exit;
-             match X509.Certificate.parse der with
-             | Ok cert ->
-                 incr emitted;
-                 emit_pem cert
-             | Error e ->
-                 Printf.eprintf
-                   "error: stored certificate %d unparseable: %s; run \
-                    `unicert-store fsck`\n"
-                   index (Faults.Error.to_string e);
-                 Fault_cli.exit_via 2))
-   with Exit -> ());
+  let emitted = emit () in
   let faulted = p.Unicert.Pipeline.faults.Unicert.Pipeline.fault_errors in
   if faulted > 0 then
     Printf.eprintf "note: %d corrupted certificate(s) withheld%s\n" faulted
-      (match policy.Faults.Policy.quarantine_dir with
+      (match fault.Fault_cli.policy.Faults.Policy.quarantine_dir with
       | Some qdir -> Printf.sprintf " and quarantined under %s" qdir
       | None -> "");
-  if !emitted < count then
+  if emitted < count then
     Printf.eprintf "warning: only %d of %d requested certificates emitted\n"
-      !emitted count;
+      emitted count;
   if Unicert.Pipeline.coverage_degraded p then begin
     Printf.eprintf "warning: degraded coverage: not every log delivered fully\n";
     4
   end
   else 0
 
+(* Store-backed corpus emission: the pipeline lands (or warm-replays)
+   the corpus in the crash-safe store, then the first [count]
+   certificates are emitted from their durable DER — byte-identical to
+   a live generate run's stdout. *)
+let run_corpus_store count seed ~dir ~source (fault : Fault_cli.t) =
+  let p =
+    Unicert.Pipeline.run ~scale:count ~seed ~policy:fault.Fault_cli.policy
+      ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
+      ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume
+      ~jobs:fault.Fault_cli.jobs ~source ~store:dir ()
+  in
+  conclude ~count fault p (fun () ->
+      let emitted = ref 0 in
+      let db = Store.Db.open_ro ~dir in
+      (try
+         Store.Db.iter_pairs db (fun recd _row ->
+             match recd with
+             | Store.Db.Fault _ -> ()
+             | Store.Db.Cert { index; der } -> (
+                 if !emitted >= count then raise Exit;
+                 match X509.Certificate.parse der with
+                 | Ok cert ->
+                     incr emitted;
+                     emit_pem cert
+                 | Error e ->
+                     Printf.eprintf
+                       "error: stored certificate %d unparseable: %s; run \
+                        `unicert-store fsck`\n"
+                       index (Faults.Error.to_string e);
+                     Fault_cli.exit_via 2))
+       with Exit -> ());
+      !emitted)
+
+(* Live corpus emission through the pipeline driver, with no analysis.
+   [--flawed] over-generates and keeps only flawed entries; it runs as
+   one shard at every --jobs, so the early stop, the fault ledger and
+   the quarantine bytes are those of one sequential pass. *)
+let run_corpus_live count seed flawed_only ~source (fault : Fault_cli.t) =
+  let p, pems =
+    Unicert.Pipeline.collect
+      ~scale:(if flawed_only then count * 400 else count)
+      ~count ~seed ~policy:fault.Fault_cli.policy
+      ?mutator:(Fault_cli.mutator ~default_seed:seed fault)
+      ~drop:fault.Fault_cli.drop ~resume:fault.Fault_cli.resume
+      ~jobs:(if flawed_only then 1 else fault.Fault_cli.jobs)
+      ~source
+      ~keep:(fun e -> (not flawed_only) || e.Ctlog.Dataset.flaws <> [])
+      (fun e -> X509.Certificate.to_pem e.Ctlog.Dataset.cert)
+  in
+  conclude ~count fault p (fun () ->
+      List.iter print_string pems;
+      List.length pems)
+
 let run_corpus count seed flawed_only (fault : Fault_cli.t) =
+  let source =
+    match fault.Fault_cli.fetch with
+    | Some cfg -> Unicert.Pipeline.Fetch cfg
+    | None -> Unicert.Pipeline.Generate
+  in
+  (* Flawed filtering would leave index gaps in the store's contiguous
+     spans, and over-fetching the whole partition from the logs: it
+     stays a live-generation feature. *)
+  let refuse_flawed what =
+    if flawed_only then begin
+      Printf.eprintf "error: --flawed is not supported with %s\n" what;
+      Fault_cli.exit_via 2
+    end
+  in
   match fault.Fault_cli.store with
   | Some dir ->
-      if flawed_only then begin
-        (* Flawed filtering would leave index gaps in the store's
-           contiguous spans; it stays a live-generation feature. *)
-        Printf.eprintf "error: --flawed is not supported with --store\n";
-        Fault_cli.exit_via 2
-      end;
-      run_corpus_store count seed ~dir fault
+      refuse_flawed "--store";
+      run_corpus_store count seed ~dir ~source fault
   | None ->
-  let policy = fault.Fault_cli.policy in
-  let jobs = fault.Fault_cli.jobs in
-  let mutator = Fault_cli.mutator ~default_seed:seed fault in
-  let quarantine =
-    Option.map
-      (fun dir -> Faults.Quarantine.open_ ~dir ~run_seed:seed)
-      policy.Faults.Policy.quarantine_dir
-  in
-  let emitted = ref 0 and faulted = ref 0 in
-  let degraded = ref false in
-  (* Over-generate: keep only flawed entries when asked. *)
-  let scale = if flawed_only then count * 400 else count in
-  (match fault.Fault_cli.fetch with
-  | Some cfg ->
-      (* Fetch source: the corpus comes off simulated CT logs; flawed
-         filtering would need over-fetching the whole partition, so it
-         stays a generate-source feature. *)
-      if flawed_only then begin
-        Printf.eprintf "error: --flawed is not supported with --source fetch\n";
-        Fault_cli.exit_via 2
-      end;
-      let cfg =
-        { cfg with
-          Ctlog.Fetch.breaker_threshold =
-            policy.Faults.Policy.breaker_threshold }
-      in
-      let items, covs =
-        Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop:fault.Fault_cli.drop
-          ?checkpoint:policy.Faults.Policy.checkpoint_file
-          ~resume:fault.Fault_cli.resume ~jobs cfg
-      in
-      degraded :=
-        List.exists (fun c -> not (Ctlog.Fetch.coverage_complete c)) covs;
-      (try
-         List.iter
-           (fun item ->
-             (match item with
-             | Ctlog.Fetch.Got (_, e) ->
-                 if !emitted < count then begin
-                   incr emitted;
-                   emit_pem e.Ctlog.Dataset.cert
-                 end
-             | Ctlog.Fetch.Undecodable (index, der, error) ->
-                 incr faulted;
-                 Faults.Error.observe error;
-                 Option.iter
-                   (fun q -> Faults.Quarantine.record q ~index ~error ~der)
-                   quarantine);
-             if !emitted >= count then raise Exit)
-           items
-       with Exit -> ())
-  | None ->
-  if jobs > 1 && scale > 1 then begin
-    (* Shards collect; the coordinator replays the collected stream in
-       index order, reproducing the sequential early-stop semantics
-       (and stdout/quarantine bytes) exactly. *)
-    Ctlog.Dataset.prewarm ();
-    Faults.Error.prewarm ();
-    Faults.Quarantine.prewarm ();
-    let parts =
-      Par.map_shards ~jobs ~scale (fun ~shard:_ ~lo ~hi ->
-          let items = ref [] and quals = ref 0 in
-          (try
-             Ctlog.Dataset.iter_deliveries ~scale ~start:lo ~stop:hi ?mutator
-               ~drop:fault.Fault_cli.drop ~seed (fun index delivery ->
-                 (match delivery with
-                 | Ctlog.Dataset.Corrupt { der; error; _ } ->
-                     items := Corr (index, der, error) :: !items
-                 | Ctlog.Dataset.Entry e ->
-                     if (not flawed_only) || e.Ctlog.Dataset.flaws <> [] then begin
-                       items :=
-                         Qual (X509.Certificate.to_pem e.Ctlog.Dataset.cert)
-                         :: !items;
-                       incr quals
-                     end);
-                 (* Nothing past a shard's count-th qualifier can be
-                    emitted or counted: the global cutoff never falls
-                    later than a single shard's. *)
-                 if !quals >= count then raise Shard_done)
-           with Shard_done -> ());
-          List.rev !items)
-    in
-    try
-      List.iter
-        (fun item ->
-          match item with
-          | Qual pem ->
-              if !emitted < count then begin
-                incr emitted;
-                print_string pem
-              end;
-              if !emitted >= count then raise Exit
-          | Corr (index, der, error) ->
-              incr faulted;
-              Faults.Error.observe error;
-              Option.iter
-                (fun q -> Faults.Quarantine.record q ~index ~error ~der)
-                quarantine)
-        (List.concat parts)
-    with Exit -> ()
-  end
-  else begin
-    try
-      Ctlog.Dataset.iter_deliveries ~scale ?mutator
-        ~drop:fault.Fault_cli.drop ~seed (fun index delivery ->
-          (match delivery with
-          | Ctlog.Dataset.Corrupt { der; error; _ } ->
-              incr faulted;
-              Faults.Error.observe error;
-              Option.iter
-                (fun q -> Faults.Quarantine.record q ~index ~error ~der)
-                quarantine
-          | Ctlog.Dataset.Entry e ->
-              if
-                !emitted < count
-                && ((not flawed_only) || e.Ctlog.Dataset.flaws <> [])
-              then begin
-                incr emitted;
-                emit_pem e.Ctlog.Dataset.cert
-              end);
-          if !emitted >= count then raise Exit)
-    with Exit -> ()
-  end);
-  Option.iter Faults.Quarantine.close quarantine;
-  if !faulted > 0 then
-    Printf.eprintf "note: %d corrupted certificate(s) withheld%s\n" !faulted
-      (match policy.Faults.Policy.quarantine_dir with
-      | Some dir -> Printf.sprintf " and quarantined under %s" dir
-      | None -> "");
-  if !emitted < count then
-    Printf.eprintf "warning: only %d of %d requested certificates emitted\n" !emitted
-      count;
-  if !degraded then begin
-    Printf.eprintf "warning: degraded coverage: not every log delivered fully\n";
-    4
-  end
-  else 0
+      if Option.is_some fault.Fault_cli.fetch then refuse_flawed "--source fetch";
+      run_corpus_live count seed flawed_only ~source fault
 
 let run_mutant field payload st_name =
   let st =

@@ -1257,6 +1257,12 @@ let fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
   in
   (feed, coverage)
 
+(* The live source a run reads when nothing is stored: [coverage] is
+   [[]] for the generate source. *)
+let live_source ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs = function
+  | Generate -> (generate_feed ~scale ~seed ~mutator ~drop, [])
+  | Fetch cfg -> fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg
+
 (* --- the one sharded driver -------------------------------------------
 
    Every run maps one task per shard over [0, scale): jobs=1 is a
@@ -1563,10 +1569,7 @@ let run ?(scale = Ctlog.Dataset.default_scale) ?(seed = 1)
     ?(policy = Faults.Policy.default) ?mutator ?(drop = false) ?(resume = false)
     ?(jobs = 1) ?(source = Generate) ?store () =
   let live_source () =
-    match source with
-    | Generate -> (generate_feed ~scale ~seed ~mutator ~drop, [])
-    | Fetch cfg ->
-        fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg
+    live_source ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs source
   in
   match store with
   | Some dir ->
@@ -1587,6 +1590,41 @@ let run ?(scale = Ctlog.Dataset.default_scale) ?(seed = 1)
       in
       t.coverage <- coverage;
       t
+
+(* Selection without analysis: each shard walks the live source over
+   its range and keeps [f e] for every entry [e] that passes [keep],
+   stopping once it has kept [count]; an undecodable delivery goes to
+   the fault boundary.  Nothing is linted or aggregated. *)
+exception Kept_enough
+
+let collect ?(seed = 1) ?(policy = Faults.Policy.default) ?mutator
+    ?(drop = false) ?(resume = false) ?(jobs = 1) ?(source = Generate) ~scale
+    ~count ~keep f =
+  let feed, coverage =
+    live_source ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs source
+  in
+  let body ~lo:_ ~hi ~start _part ~record ~each =
+    let kept = ref [] and n = ref 0 in
+    (try
+       feed ~start ~stop:hi (fun item ->
+           each (Ctlog.Fetch.item_index item) (fun () ->
+               match item with
+               | Ctlog.Fetch.Got (_, e) ->
+                   if keep e then begin
+                     kept := f e :: !kept;
+                     incr n;
+                     if !n >= count then raise_notrace Kept_enough
+                   end
+               | Ctlog.Fetch.Undecodable (index, der, error) ->
+                   record ~index ~der error))
+     with Kept_enough -> ());
+    List.rev !kept
+  in
+  let t, parts =
+    drive ~scale ~seed ~policy ~jobs ~cursor:None ~resume:false body
+  in
+  t.coverage <- coverage;
+  (t, List.filteri (fun i _ -> i < count) (List.concat parts))
 
 let year_range t =
   Hashtbl.fold (fun y _ (lo, hi) -> (min lo y, max hi y)) t.years (9999, 0)

@@ -185,6 +185,36 @@ val run :
     through the same boundary as live faults, so quarantine and
     robustness accounting match the cold run. *)
 
+val collect :
+  ?seed:int ->
+  ?policy:Faults.Policy.t ->
+  ?mutator:Faults.Mutator.plan ->
+  ?drop:bool ->
+  ?resume:bool ->
+  ?jobs:int ->
+  ?source:source ->
+  scale:int ->
+  count:int ->
+  keep:(Ctlog.Dataset.entry -> bool) ->
+  (Ctlog.Dataset.entry -> 'a) ->
+  t * 'a list
+(** [collect ~scale ~count ~keep f] reads the corpus from the live
+    source exactly as a storeless {!run} does, through the same sharded
+    driver and fault boundary, but analyzes nothing: each shard maps
+    every delivered entry that passes [keep] through [f] on its own
+    domain, and stops once it has kept [count] of them.  Undecodable
+    deliveries are counted, quarantined and budgeted as in {!run}, so
+    [policy.fail_fast] and [policy.max_errors] abort it the same way.
+
+    Returns the aggregate — only its fault ledger, [faults.aborted] and
+    [coverage] are filled — and the first [count] kept values in index
+    order.  Each shard stops on its own count, so with more than one
+    shard a later shard may read past the point where a single shard
+    would have stopped; a caller that needs that stop exact (a fault
+    ledger that ends at the [count]-th kept entry) passes [jobs = 1].
+    [resume] only reaches the fetch source's transport cursors: no
+    shard cursor is kept. *)
+
 val coverage_degraded : t -> bool
 (** True when a fetch-sourced run has at least one log with incomplete
     coverage (abandoned, split view, or page gaps) — reports annotate
