@@ -620,17 +620,6 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
     },
     { cursor = !saved; journal = !journal; hist } )
 
-let fetch_log ?ckpt_file ?(resume = false) ?stop_after_pages ~cfg ~scale ~seed
-    ~name ~present ~transport ~bucket () =
-  let start =
-    match ckpt_file with
-    | Some file when resume -> load_start ~file ~scale ~seed ~name
-    | _ -> fresh_start name
-  in
-  fst
-    (run_session ?ckpt_file ?stop_after_pages ~start ~cfg ~scale ~seed ~name
-       ~present ~adjacency:(adjacency_of present) ~transport ~bucket ())
-
 (* --- the corpus source ------------------------------------------------- *)
 
 (* Derive the fault-plan seed from the corpus seed unless pinned, so
@@ -717,8 +706,15 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
           simulated_log ?mutator ~drop ~scale ~seed ~plan cfg ~name range
         in
         let ckpt_file = Option.map (fun f -> cursor_file f k) checkpoint in
-        fetch_log ?ckpt_file ~resume ?stop_after_pages ~cfg ~scale ~seed ~name
-          ~present ~transport ~bucket ())
+        let start =
+          match ckpt_file with
+          | Some file when resume -> load_start ~file ~scale ~seed ~name
+          | _ -> fresh_start name
+        in
+        fst
+          (run_session ?ckpt_file ?stop_after_pages ~start ~cfg ~scale ~seed
+             ~name ~present ~adjacency:(adjacency_of present) ~transport
+             ~bucket ()))
       parts
   in
   let sessions = Par.run ~jobs tasks in

@@ -71,24 +71,9 @@ type session = {
   s_cov : coverage;
   s_interrupted : bool;
 }
-
-val fetch_log :
-  ?ckpt_file:string ->
-  ?resume:bool ->
-  ?stop_after_pages:int ->
-  cfg:cfg ->
-  scale:int ->
-  seed:int ->
-  name:string ->
-  present:int array ->
-  transport:Net.Transport.t ->
-  bucket:Net.Bucket.t ->
-  unit ->
-  session
-(** One log session.  [present.(tree_index)] is the corpus index an
-    entry maps to ([-1] = skip, e.g. a precertificate).
-    [stop_after_pages] interrupts after that many pages this session
-    (checkpoint saved) — the resume-after-kill test hook. *)
+(** One log session: the raw DER delivered and the entries quarantined,
+    each with its corpus index, the log's coverage, and whether
+    [stop_after_pages] interrupted it. *)
 
 val cursor_file : string -> int -> string
 (** [cursor_file base k] is [base.fetch<k>] — the per-log checkpoint
@@ -114,11 +99,13 @@ val corpus :
     [drop] compose exactly as in the generate source), fetch every log
     over its own clock/transport/bucket, and join the streams in log
     order — items arrive globally ascending by corpus index.  [jobs]
-    fetches logs on parallel domains; results are independent of it. *)
+    fetches logs on parallel domains; results are independent of it.
+    [stop_after_pages] interrupts each log's session after that many
+    pages (cursor saved) — the resume-after-kill test hook. *)
 
 val prewarm : unit -> unit
 (** Force every lazy handle the fetch path touches.  Called internally
-    by {!corpus} before spawning; exposed for direct {!fetch_log}
+    by {!corpus} before spawning; exposed for {!feeds}/{!poll}
     users. *)
 
 (** {2 Long-lived feeds (the monitor daemon)}
@@ -130,8 +117,8 @@ val prewarm : unit -> unit
     that state across process restarts; it is read once per feed, and
     between polls the last saved cursor stays in memory.  The server starts with
     nothing published; the driver grows the published head with
-    {!feed_publish} and each {!poll} runs an ordinary {!fetch_log}
-    session against it — STH refresh, consistency verification against
+    {!feed_publish} and each {!poll} runs the same session {!corpus}
+    runs per log against it — STH refresh, consistency verification against
     the trusted head, split-view quarantine and breaker behaviour all
     identical to a one-shot fetch.
 
@@ -178,7 +165,7 @@ val feed_trusted : feed -> int option
 val poll : ?stop_after_pages:int -> feed -> session
 (** Run one fetch session against the currently published head,
     resuming from the feed's last saved cursor and saving it at the
-    same points a one-shot {!fetch_log} does.  [s_raw] is
+    same points a one-shot {!corpus} fetch does.  [s_raw] is
     cumulative across polls — the driver filters by its own
     watermark. *)
 

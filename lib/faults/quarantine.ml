@@ -26,12 +26,6 @@ let main_path ~dir ~run_seed =
 let shard_path ~dir ~run_seed ~shard =
   Filename.concat dir (Printf.sprintf "quarantine-%d.shard%d.jsonl" run_seed shard)
 
-let open_ ~dir ~run_seed =
-  ensure_dir dir;
-  let path = main_path ~dir ~run_seed in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  { path; oc; written = 0; closed = false }
-
 (* A shard sidecar is transient: truncated on open (a leftover from a
    crashed pass must not double its records) and folded into the main
    sidecar by [merge_shards] when the parallel pass ends. *)

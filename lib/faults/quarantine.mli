@@ -7,17 +7,14 @@
 
 type t
 
-val open_ : dir:string -> run_seed:int -> t
-(** Creates [dir] when needed and opens
-    [dir]/quarantine-<run_seed>.jsonl for append.
-    @raise Sys_error when the directory cannot be created. *)
-
 val open_shard : dir:string -> run_seed:int -> shard:int -> t
-(** A per-shard sidecar ([quarantine-<run_seed>.shard<k>.jsonl]) for
-    one worker domain of a parallel pass: concurrent domains appending
-    to a single file would interleave mid-record, so each shard writes
-    its own file.  Opened truncating (a shard file is transient; a
-    leftover from a crashed pass must not double its records). *)
+(** Creates [dir] when needed and opens the per-shard sidecar
+    [dir]/quarantine-<run_seed>.shard<k>.jsonl for one shard of a pass:
+    concurrent domains appending to a single file would interleave
+    mid-record, so each shard writes its own file.  Opened truncating
+    (a shard file is transient; a leftover from a crashed pass must not
+    double its records).
+    @raise Sys_error when the directory cannot be created. *)
 
 val merge_shards : dir:string -> run_seed:int -> shards:int -> string
 (** Concatenate the shard sidecars in shard order — which is corpus

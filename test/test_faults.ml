@@ -137,15 +137,17 @@ let parse_totality =
 
 let test_quarantine_roundtrip () =
   let dir = tmp_dir "unicert-quarantine" in
-  let q = Faults.Quarantine.open_ ~dir ~run_seed:11 in
+  let q = Faults.Quarantine.open_shard ~dir ~run_seed:11 ~shard:0 in
   let err i =
     Faults.Error.Decode_error { offset = Some i; detail = "test detail " ^ string_of_int i }
   in
   Faults.Quarantine.record q ~index:3 ~error:(err 3) ~der:"\x30\x03\x02\x01\xFF";
   Faults.Quarantine.record q ~index:9 ~error:(err 9) ~der:"\x00\xFF";
   check Alcotest.int "count" 2 (Faults.Quarantine.count q);
-  let path = Faults.Quarantine.path q in
+  let sidecar = Faults.Quarantine.path q in
   Faults.Quarantine.close q;
+  let path = Faults.Quarantine.merge_shards ~dir ~run_seed:11 ~shards:1 in
+  check Alcotest.bool "sidecar folded away" false (Sys.file_exists sidecar);
   (* A torn trailing line (crash mid-write) must not poison the load. *)
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "{\"index\":12,\"class\":\"dec";
