@@ -721,44 +721,66 @@ type source = Generate | Fetch of Ctlog.Fetch.cfg
 let row_needs_escape c =
   c = '%' || c = '\t' || c = '\n' || c = '\r' || c = ','
 
+let hex_upper = "0123456789ABCDEF"
+
+(* Append [s] to [b], each byte that needs it as '%' and two uppercase
+   hex digits. *)
+let add_escaped b s =
+  if not (String.exists row_needs_escape s) then Buffer.add_string b s
+  else
+    String.iter
+      (fun c ->
+        if row_needs_escape c then (
+          Buffer.add_char b '%';
+          Buffer.add_char b hex_upper.[Char.code c lsr 4];
+          Buffer.add_char b hex_upper.[Char.code c land 15])
+        else Buffer.add_char b c)
+      s
+
 let row_escape s =
   if String.exists row_needs_escape s then (
     let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        if row_needs_escape c then Buffer.add_string b (Printf.sprintf "%%%02X" (Char.code c))
-        else Buffer.add_char b c)
-      s;
+    add_escaped b s;
     Buffer.contents b)
   else s
 
-let encode_list l = String.concat "," (List.map row_escape l)
-
 let bchar = function true -> '1' | false -> '0'
 
+(* One row, built in one buffer: ten tab-separated fields, the list
+   fields comma-separated. *)
 let encode_row r =
-  let flags =
-    let b = Bytes.create 7 in
-    Bytes.set b 0 (bchar r.r_is_idn);
-    Bytes.set b 1 (bchar r.r_alive);
-    Bytes.set b 2 (bchar r.r_valid_year_end);
-    Bytes.set b 3 (bchar r.r_enc_subject);
-    Bytes.set b 4 (bchar r.r_enc_san);
-    Bytes.set b 5 (bchar r.r_enc_policies);
-    Bytes.set b 6 (bchar r.r_enc_verified);
-    Bytes.unsafe_to_string b
+  let b = Buffer.create 256 in
+  let tab () = Buffer.add_char b '\t' in
+  let flag v = Buffer.add_char b (bchar v) in
+  let list l =
+    tab ();
+    List.iteri
+      (fun i v ->
+        if i > 0 then Buffer.add_char b ',';
+        add_escaped b v)
+      l
   in
-  String.concat "\t"
-    [ string_of_int r.r_index;
-      row_escape r.r_org;
-      Asn1.Time.to_generalized r.r_issued;
-      flags;
-      string_of_int r.r_validity_days;
-      encode_list r.r_ufields;
-      encode_list r.r_nc;
-      encode_list r.r_domains;
-      encode_list r.r_cns;
-      encode_list r.r_attrs ]
+  Buffer.add_string b (string_of_int r.r_index);
+  tab ();
+  add_escaped b r.r_org;
+  tab ();
+  Buffer.add_string b (Asn1.Time.to_generalized r.r_issued);
+  tab ();
+  flag r.r_is_idn;
+  flag r.r_alive;
+  flag r.r_valid_year_end;
+  flag r.r_enc_subject;
+  flag r.r_enc_san;
+  flag r.r_enc_policies;
+  flag r.r_enc_verified;
+  tab ();
+  Buffer.add_string b (string_of_int r.r_validity_days);
+  list r.r_ufields;
+  list r.r_nc;
+  list r.r_domains;
+  list r.r_cns;
+  list r.r_attrs;
+  Buffer.contents b
 
 (* [decode_row] reads a row with one cursor: every field is parsed in
    place, and each text value is copied out once — unescaped straight

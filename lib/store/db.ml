@@ -259,13 +259,13 @@ let append pw record ~row =
     Segment.sync pw.rw)
 
 let finish_span pw =
-  Segment.seal pw.cw;
-  Segment.seal pw.rw;
+  let cseal = Segment.seal pw.cw in
+  let rseal = Segment.seal pw.rw in
   Segment.close pw.cw;
   Segment.close pw.rw;
-  ( ({ file = pw.cfile; lo = pw.plo; hi = pw.phi; records = pw.pn; seal = Segment.seal_hex pw.cw }
+  ( ({ file = pw.cfile; lo = pw.plo; hi = pw.phi; records = pw.pn; seal = cseal }
       : Manifest.seg),
-    ({ file = pw.rfile; lo = pw.plo; hi = pw.phi; records = pw.pn; seal = Segment.seal_hex pw.rw }
+    ({ file = pw.rfile; lo = pw.plo; hi = pw.phi; records = pw.pn; seal = rseal }
       : Manifest.seg) )
 
 let close_noerr pw =
@@ -288,10 +288,9 @@ let append_row rw row =
   if rw.rn mod sync_interval = 0 then Segment.sync rw.w
 
 let finish_rows_span rw =
-  Segment.seal rw.w;
+  let seal = Segment.seal rw.w in
   Segment.close rw.w;
-  ({ file = rw.rfile2; lo = rw.rlo; hi = rw.rhi; records = rw.rn; seal = Segment.seal_hex rw.w }
-    : Manifest.seg)
+  ({ file = rw.rfile2; lo = rw.rlo; hi = rw.rhi; records = rw.rn; seal } : Manifest.seg)
 
 let close_rows_noerr rw = try Segment.close rw.w with _ -> ()
 
@@ -434,9 +433,9 @@ let recover_pair ~warn dir ~fp8 ~lo ~hi ~cfile ~rfile =
               Segment.truncate rpath rsc.ends.(n - 1);
               let reseal path =
                 let w = Segment.reopen path in
-                Segment.seal w;
+                let seal = Segment.seal w in
                 Segment.close w;
-                Segment.seal_hex w
+                seal
               in
               let cseal = reseal cpath and rseal = reseal rpath in
               let cfile' = cert_file ~lo ~hi:hi'

@@ -30,7 +30,6 @@ type writer = {
 
 let seal_digest headers n = Ucrypto.Sha256.digest (headers ^ u32be n)
 
-let seal_hex w = Ucrypto.Sha256.to_hex (seal_digest (Buffer.contents w.headers) w.n)
 let count w = w.n
 
 let create path =
@@ -88,15 +87,18 @@ let sync w =
     Unix.fsync (Unix.descr_of_out_channel w.oc);
     Obs.Counter.inc fsyncs)
 
+(* The digest is taken once, and returned even when a poisoned writer
+   writes nothing. *)
 let seal w =
+  let digest = seal_digest (Buffer.contents w.headers) w.n in
   guard w (fun () ->
       Chaos.point "segment.seal.before";
-      let digest = seal_digest (Buffer.contents w.headers) w.n in
       write_frame w ~op:"segment.seal" ("S" ^ u32be w.n ^ digest);
       flush w.oc;
       Unix.fsync (Unix.descr_of_out_channel w.oc);
       Obs.Counter.inc fsyncs;
-      Chaos.point "segment.seal.after")
+      Chaos.point "segment.seal.after");
+  Ucrypto.Sha256.to_hex digest
 
 let close w =
   if w.poisoned then (try Stdlib.close_out_noerr w.oc with _ -> ())

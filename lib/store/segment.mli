@@ -45,15 +45,14 @@ val append : writer -> string -> unit
 val sync : writer -> unit
 (** Flush buffered frames and [fsync]. *)
 
-val seal : writer -> unit
-(** Write the footer, flush, [fsync].  The segment is complete. *)
+val seal : writer -> string
+(** Write the footer, flush, [fsync].  The segment is complete.
+    Returns the hex seal digest over the records appended — the value
+    a clean {!scan} reports, recorded in the manifest.  A poisoned
+    writer writes nothing but still returns the digest. *)
 
 val close : writer -> unit
 val count : writer -> int
-
-val seal_hex : writer -> string
-(** Hex seal digest over the records appended so far — after {!seal},
-    the value a clean {!scan} reports, recorded in the manifest. *)
 
 type problem =
   | Bad_header                               (** magic mismatch / too short *)
