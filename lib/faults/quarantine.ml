@@ -63,17 +63,6 @@ let merge_shards ~dir ~run_seed ~shards =
 
 let path t = t.path
 
-let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let string_of_hex h =
-  let n = String.length h in
-  if n mod 2 <> 0 then invalid_arg "Faults.Quarantine: odd hex length";
-  String.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
   String.iter
@@ -97,7 +86,7 @@ let record t ~index ~error ~der =
     index
     (Error.class_name error)
     (json_escape (Error.detail error))
-    (hex_of_string der);
+    (Ucrypto.Hex.encode der);
   output_char t.oc '\n';
   flush t.oc;
   t.written <- t.written + 1;
@@ -184,7 +173,7 @@ let parse_line line =
       field line "der_hex" )
   with
   | Some idx, Some cls, Some detail, Some hex -> (
-      match (int_of_string_opt idx, try Some (string_of_hex hex) with _ -> None) with
+      match (int_of_string_opt idx, Ucrypto.Hex.decode hex) with
       | Some index, Some der -> Some { index; error_class = cls; detail; der }
       | _ -> None)
   | _ -> None

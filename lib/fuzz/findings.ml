@@ -24,25 +24,14 @@ type finding = {
 let cluster_id ~cls ~signature =
   cls ^ "-" ^ String.sub (Ucrypto.Sha256.hex signature) 0 8
 
-let hex_of_string s =
-  let buf = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents buf
-
-let string_of_hex h =
-  let n = String.length h in
-  if n mod 2 <> 0 then invalid_arg "Fuzz.Findings.string_of_hex: odd length";
-  String.init (n / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
 let to_json f =
   let esc = Obs.Jsonv.escape in
   Printf.sprintf
     "{\"round\":%d,\"index\":%d,\"exec\":%d,\"cluster\":%s,\"class\":%s,\"signature\":%s,\"op\":%s,\"context\":%s,\"declared\":%s,\"count\":%d,\"der_hex\":%s,\"min_der_hex\":%s}"
     f.round f.index f.exec (esc f.cluster) (esc f.cls) (esc f.signature)
     (esc f.op) (esc f.context) (esc f.declared) f.count
-    (esc (hex_of_string f.der))
-    (match f.min_der with None -> "null" | Some d -> esc (hex_of_string d))
+    (esc (Ucrypto.Hex.encode f.der))
+    (match f.min_der with None -> "null" | Some d -> esc (Ucrypto.Hex.encode d))
 
 let of_json line =
   match Obs.Jsonv.parse line with
@@ -69,15 +58,19 @@ let of_json line =
       let* context = str "context" in
       let* declared = str "declared" in
       let* count = num "count" in
-      let* der_hex = str "der_hex" in
-      let min_der =
+      let hex k s =
+        Option.to_result ~none:(Printf.sprintf "field %S is not hex" k)
+          (Ucrypto.Hex.decode s)
+      in
+      let* der = Result.bind (str "der_hex") (hex "der_hex") in
+      let* min_der =
         match Obs.Jsonv.member "min_der_hex" v with
-        | Some (Obs.Jsonv.Str s) -> Some (string_of_hex s)
-        | _ -> None
+        | Some (Obs.Jsonv.Str s) -> Result.map Option.some (hex "min_der_hex" s)
+        | _ -> Ok None
       in
       Ok
         { round; index; exec; cluster; cls; signature; op; context; declared;
-          count; der = string_of_hex der_hex; min_der })
+          count; der; min_der })
 
 let write path findings =
   let oc = open_out path in

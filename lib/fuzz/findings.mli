@@ -18,9 +18,6 @@ type finding = {
 
 val cluster_id : cls:string -> signature:string -> string
 
-val hex_of_string : string -> string
-val string_of_hex : string -> string
-
 val to_json : finding -> string
 val of_json : string -> (finding, string) result
 

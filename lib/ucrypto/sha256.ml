@@ -106,16 +106,7 @@ let digest_sub s ~off ~len =
 
 let digest s = digest_sub s ~off:0 ~len:(String.length s)
 
-let hex_digits = "0123456789abcdef"
-
-let to_hex d =
-  let b = Bytes.create 64 in
-  for i = 0 to 31 do
-    let c = Char.code (String.unsafe_get d i) in
-    Bytes.unsafe_set b (2 * i) (String.unsafe_get hex_digits (c lsr 4));
-    Bytes.unsafe_set b ((2 * i) + 1) (String.unsafe_get hex_digits (c land 0xf))
-  done;
-  Bytes.unsafe_to_string b
+let to_hex = Hex.encode
 
 let hex_sub s ~off ~len = to_hex (digest_sub s ~off ~len)
 let hex s = to_hex (digest s)
