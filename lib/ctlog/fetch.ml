@@ -115,12 +115,20 @@ type event =
   | Flushed of int       (* pending rows below this tree size were delivered *)
   | Quarantined of string  (* every pending row was quarantined, for this reason *)
 
-(* What the events replay to. *)
+(* What the events replay to.  Rows are delivered or quarantined in
+   tree order, so [raw] and [quar] each descend by corpus index. *)
 type history = {
   tree : Merkle.t;  (* running leaf tree *)
   mutable pend : row list;  (* fetched, not yet verified; newest first *)
   mutable raw : (int * string) list;  (* delivered: corpus idx, DER; newest first *)
   mutable quar : (int * string * Faults.Error.t) list;  (* newest first *)
+  mutable n_raw : int;  (* List.length raw *)
+  mutable n_quar : int;  (* List.length quar *)
+  mutable spans : (int * int) list;
+      (* coverage spans over the first [spans_raw] delivered and
+         [spans_quar] quarantined entries, newest first *)
+  mutable spans_raw : int;
+  mutable spans_quar : int;
 }
 
 let apply ~name h = function
@@ -129,14 +137,65 @@ let apply ~name h = function
       h.pend <- r :: h.pend
   | Flushed n ->
       let deliver, keep = List.partition (fun r -> r.ti < n) (List.rev h.pend) in
-      List.iter (fun r -> if r.ci >= 0 then h.raw <- (r.ci, r.der) :: h.raw) deliver;
+      List.iter
+        (fun r ->
+          if r.ci >= 0 then begin
+            h.raw <- (r.ci, r.der) :: h.raw;
+            h.n_raw <- h.n_raw + 1
+          end)
+        deliver;
       h.pend <- List.rev keep
   | Quarantined reason ->
       let e = Faults.Error.Integrity { log = name; detail = reason } in
       List.iter
-        (fun r -> if r.ci >= 0 then h.quar <- (r.ci, r.der, e) :: h.quar)
+        (fun r ->
+          if r.ci >= 0 then begin
+            h.quar <- (r.ci, r.der, e) :: h.quar;
+            h.n_quar <- h.n_quar + 1
+          end)
         (List.rev h.pend);
       h.pend <- []
+
+(* Coalesce ascending corpus indices onto [spans] (newest first),
+   treating indices adjacent in [present] (this log's delivery order)
+   as contiguous: a dropped index between them is not a coverage
+   gap. *)
+let coalesce ~adjacency spans covered =
+  List.fold_left
+    (fun acc ci ->
+      match acc with
+      | (lo, hi) :: rest when Hashtbl.find_opt adjacency ci = Some hi -> (lo, ci) :: rest
+      | _ -> (ci, ci) :: acc)
+    spans covered
+
+(* Bring [h.spans] up to date with the entries delivered or quarantined
+   since it was last extended: those are the heads of [raw] and [quar],
+   and they all follow the entries already covered, so the spans grow
+   by the new entries alone.  Should an entry ever arrive out of order,
+   the spans are rebuilt from the whole history. *)
+let extend_spans ~adjacency h =
+  let rec take n acc l =
+    if n = 0 then acc
+    else match l with x :: rest -> take (n - 1) (x :: acc) rest | [] -> acc
+  in
+  let fresh =
+    List.merge compare
+      (List.map fst (take (h.n_raw - h.spans_raw) [] h.raw))
+      (List.map (fun (i, _, _) -> i) (take (h.n_quar - h.spans_quar) [] h.quar))
+  in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  let covered = match h.spans with (_, hi) :: _ -> [ hi ] | [] -> [] in
+  h.spans <-
+    (if ascending (covered @ fresh) then coalesce ~adjacency h.spans fresh
+     else
+       coalesce ~adjacency []
+         (List.sort_uniq compare
+            (List.map fst h.raw @ List.map (fun (i, _, _) -> i) h.quar)));
+  h.spans_raw <- h.n_raw;
+  h.spans_quar <- h.n_quar
 
 let fresh_cursor name =
   {
@@ -164,7 +223,9 @@ let fresh_start name =
   {
     cursor = fresh_cursor name;
     journal = Faults.Checkpoint.empty_mark;
-    hist = { tree = Merkle.create (); pend = []; raw = []; quar = [] };
+    hist =
+      { tree = Merkle.create (); pend = []; raw = []; quar = []; n_raw = 0;
+        n_quar = 0; spans = []; spans_raw = 0; spans_quar = 0 };
   }
 
 (* The cursor saved in [file] for this log and corpus, replayed; a
@@ -281,8 +342,8 @@ let parse_entries lines =
 (* --- one log session --------------------------------------------------- *)
 
 type session = {
-  s_raw : (int * string) list;  (* ascending corpus index *)
-  s_quar : (int * string * Faults.Error.t) list;  (* ascending *)
+  s_raw : (int * string) list;  (* newest first: descending corpus index *)
+  s_quar : (int * string * Faults.Error.t) list;  (* newest first *)
   s_cov : coverage;
   s_interrupted : bool;
 }
@@ -583,33 +644,17 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   | Interrupted ->
       interrupted := true;
       save_ckpt ());
-  let s_raw = List.rev hist.raw in
-  let s_quar = List.rev hist.quar in
-  let covered = List.map fst s_raw @ List.map (fun (i, _, _) -> i) s_quar in
-  let covered = List.sort_uniq compare covered in
-  (* Coalesce corpus indices into spans, treating indices adjacent in
-     [present] (this log's delivery order) as contiguous — a dropped
-     index between them is not a coverage gap. *)
-  let spans =
-    List.rev
-      (List.fold_left
-         (fun acc ci ->
-           match acc with
-           | (lo, hi) :: rest when Hashtbl.find_opt adjacency ci = Some hi ->
-               (lo, ci) :: rest
-           | _ -> (ci, ci) :: acc)
-         [] covered)
-  in
+  extend_spans ~adjacency hist;
   ( {
-      s_raw;
-      s_quar;
+      s_raw = hist.raw;
+      s_quar = hist.quar;
       s_cov =
         {
           log = name;
           expected;
-          delivered = List.length s_raw;
-          quarantined = List.length s_quar;
-          spans;
+          delivered = hist.n_raw;
+          quarantined = hist.n_quar;
+          spans = List.rev hist.spans;
           page_gaps = !gaps;
           abandoned = !abandoned;
           split_view = !split;
@@ -665,7 +710,8 @@ let simulated_log ?mutator ~drop ~scale ~seed ~plan cfg ~name (lo, hi) =
 
 (* Merge one session's delivered and quarantined streams back into a
    single ascending item stream, parsing delivered DER into entries —
-   only those at or after [from]. *)
+   only those at or after [from], which are the heads of the
+   newest-first streams, so the older history is never walked. *)
 let items_of_session ?(from = 0) s =
   let rec merge raws quars =
     match (raws, quars) with
@@ -683,15 +729,15 @@ let items_of_session ?(from = 0) s =
         | Ok entry -> Got (ci, entry)
         | Error e -> Undecodable (ci, der, e))
   in
-  let rec skip = function
-    | (ci, _) :: rest when ci < from -> skip rest
-    | l -> l
+  let rec since acc = function
+    | ((ci, _) as x) :: rest when ci >= from -> since (x :: acc) rest
+    | _ -> acc
   in
-  let rec skip_quar = function
-    | (ci, _, _) :: rest when ci < from -> skip_quar rest
-    | l -> l
+  let rec since_quar acc = function
+    | ((ci, _, _) as x) :: rest when ci >= from -> since_quar (x :: acc) rest
+    | _ -> acc
   in
-  merge (skip s.s_raw) (skip_quar s.s_quar)
+  merge (since [] s.s_raw) (since_quar [] s.s_quar)
 
 let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
     ?checkpoint ?(resume = false) ?stop_after_pages ?(jobs = 1) cfg =

@@ -72,8 +72,8 @@ type session = {
   s_interrupted : bool;
 }
 (** One log session: the raw DER delivered and the entries quarantined,
-    each with its corpus index, the log's coverage, and whether
-    [stop_after_pages] interrupted it. *)
+    each with its corpus index and newest first (descending index), the
+    log's coverage, and whether [stop_after_pages] interrupted it. *)
 
 val cursor_file : string -> int -> string
 (** [cursor_file base k] is [base.fetch<k>] — the per-log checkpoint
@@ -167,12 +167,14 @@ val poll : ?stop_after_pages:int -> feed -> session
     resuming from the feed's last saved cursor and saving it at the
     same points a one-shot {!corpus} fetch does.  [s_raw] is
     cumulative across polls — the driver filters by its own
-    watermark. *)
+    watermark.  A poll's own cost grows with the entries it fetches,
+    not with the history: the coverage spans are extended by the new
+    entries only. *)
 
 val items_of_session : ?from:int -> session -> item list
 (** One session's delivered + quarantined streams merged back into a
     single ascending item stream (delivered DER parsed into entries,
     unparseable or integrity-flagged bytes as {!Undecodable}).  With
     [from], only items at corpus index [from] or later — the others
-    are neither parsed nor returned; the session's coverage stays
-    cumulative either way. *)
+    are neither parsed, returned nor walked; the session's coverage
+    stays cumulative either way. *)

@@ -810,7 +810,9 @@ let test_cursor_save_bytes_bounded () =
               List.fold_left
                 (fun acc (_, der) -> acc + String.length der + 256)
                 acc
-                (List.filteri (fun i _ -> i >= had) s.Fetch.s_raw))
+                (List.filteri
+                   (fun i _ -> i < List.length s.Fetch.s_raw - had)
+                   s.Fetch.s_raw))
             0 feeds
         in
         (int_of_float (Obs.Counter.value written -. before), der)
