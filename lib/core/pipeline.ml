@@ -1136,12 +1136,9 @@ let merge_accs accs =
     ("domain", cat (fun a -> List.rev a.ix_domain));
     ("ulabel", cat (fun a -> List.rev a.ix_ulabel)) ]
 
-let save_indexes db named =
-  List.map
-    (fun (name, entries) ->
-      let file, sha = Store.Index.save ~dir:(Store.Db.dir db) ~name entries in
-      (name, file, sha))
-    named
+(* The entries staged since the last commit, as one more index delta;
+   returns the delta list for the next manifest. *)
+let save_indexes db named = Store.Db.save_indexes db named
 
 (* --- replaying stored records --- *)
 
@@ -1537,7 +1534,9 @@ let commit_store db ~lints ~pieces ~coverage results =
         compare a.Store.Manifest.lo b.Store.Manifest.lo)
       (kept @ written)
   in
-  let indexes = save_indexes db (merge_accs (List.map snd results)) in
+  let indexes =
+    Store.Db.save_indexes ~base:true db (merge_accs (List.map snd results))
+  in
   let man : Store.Manifest.t =
     { state = `Complete;
       lints;

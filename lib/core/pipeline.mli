@@ -305,8 +305,10 @@ val save_indexes :
   Store.Db.t ->
   (string * (string * int list) list) list ->
   (string * string * string) list
-(** Seal each named index into the store directory; returns manifest
-    [(name, file, sha)] descriptors. *)
+(** Seal the named entries staged since the last commit as one index
+    delta ({!Store.Db.save_indexes}); returns the delta list the next
+    manifest carries.  A store build passes the whole index as one base
+    delta instead. *)
 
 val store_fingerprint :
   mutator:Faults.Mutator.plan option -> drop:bool -> source:source -> string

@@ -8,19 +8,24 @@
       certs-<lo>-<hi>.seg          cert records for corpus span [lo, hi)
       rows-<fp8>-<lo>-<hi>.seg     analysis rows, lockstep with the certs;
                                    fp8 = first 8 hex of sha256(lint list)
-      <name>.idx                   sealed indexes (issuer, lint, flaw,
-                                   domain, ulabel)
+      certs-pack-<n>.seg           a pack: several spans' cert records,
+      rows-<fp8>-pack-<n>.seg      back to back, and their rows
+      index-<n>.idx                sealed index deltas (issuer, lint,
+                                   flaw, domain, ulabel entries)
       store-quarantine.jsonl       fsck/recovery corruption sidecar
       *.quarantined                segments moved aside by repair
     v}
 
     Invariants (the durability contract, DESIGN.md §11):
-    - cert and rows segments for a span are appended in lockstep: record
-      [k] of one corresponds to record [k] of the other, so after a
-      crash the usable prefix is [min] of the two intact prefixes;
-    - a {e sealed} pair covers its whole span; an unsealed pair is a
-      crash artifact that {!recover} truncates, seals at its actual
-      coverage, and adopts;
+    - cert and rows segments are appended in lockstep: record [k] of
+      one corresponds to record [k] of the other, so after a crash the
+      usable prefix is [min] of the two intact prefixes;
+    - a {e sealed} one-span pair covers its whole span; an unsealed
+      one is a crash artifact that {!recover} truncates, seals at its
+      actual coverage, and adopts;
+    - a pack is adopted only through the committed manifest; one the
+      manifest does not name is a crash artifact that {!recover}
+      deletes;
     - [manifest.json] only ever references sealed files, and is itself
       committed by atomic rename — so at every instant the manifest on
       disk describes only intact data. *)
@@ -67,26 +72,43 @@ val spans : t -> (Manifest.seg * Manifest.seg) list
 
 val recover : ?warn:(string -> unit) -> t -> lints:string -> unit
 (** Normalize the directory after a possible crash: delete stray
-    [.tmp] files, quarantine corrupt segments, truncate torn tails,
-    align each cert/rows pair to its common prefix, seal adopted
-    partial pairs at their actual coverage, drop pairs whose rows were
-    built for a different lint set, and commit a [`Building] manifest
-    listing exactly the usable spans.  Idempotent; safe to re-run after
-    a crash during recovery itself. *)
+    [.tmp] files, quarantine corrupt segments (a damaged pack with its
+    mate, whole), truncate torn one-span tails, align each cert/rows
+    pair to its common prefix, seal adopted partial pairs at their
+    actual coverage, keep the committed manifest's intact pack spans,
+    delete every other pack, drop spans whose rows were built for a
+    different lint set, and commit a [`Building] manifest listing
+    exactly the usable spans and no index deltas.  Idempotent; safe to
+    re-run after a crash during recovery itself. *)
 
 val gaps : t -> scale:int -> (int * int) list
 (** Maximal uncovered index ranges, ascending — the work a build pass
     must (re)generate; [[]] means every index is already stored. *)
 
 type pair_writer
-(** Lockstep writer for one span's cert + rows segments. *)
+(** Lockstep writer for a cert + rows segment pair holding one span
+    or, as a pack, several. *)
 
 val start_span : t -> lints:string -> lo:int -> hi:int -> pair_writer
+(** A one-span pair ([certs-<lo>-<hi>.seg]), its span already open. *)
+
+val start_pack : t -> lints:string -> pair_writer
+(** A pack ([certs-pack-<n>.seg], [n] fresh), with no span open yet:
+    one commit's spans, each begun with {!add_span}. *)
+
+val add_span : pair_writer -> lo:int -> hi:int -> unit
+(** Begin the next span: the records appended from here on cover
+    [lo, hi).  Spans go in ascending [lo]. *)
+
 val append : pair_writer -> record -> row:string -> unit
 (** Appends to both segments; periodically flushes + fsyncs both. *)
 
+val finish_pack : pair_writer -> (Manifest.seg * Manifest.seg) list
+(** Seal both segments and return one (certs, rows) descriptor pair per
+    span, ascending. *)
+
 val finish_span : pair_writer -> Manifest.seg * Manifest.seg
-(** Seal both segments and return their manifest descriptors. *)
+(** {!finish_pack} for a one-span writer. *)
 
 val close_noerr : pair_writer -> unit
 (** Close without sealing — the crash/error path. *)
@@ -109,15 +131,32 @@ val commit : t -> Manifest.t -> unit
 (** {2 Reading} *)
 
 val iter_pair : t -> Manifest.seg * Manifest.seg -> (record -> string -> unit) -> unit
-(** Iterate one sealed (certs, rows) pair in record order, verifying
-    seals and CRCs up front; raises {!Store_error} on damage. *)
+(** Iterate one sealed (certs, rows) span in record order, verifying
+    seals and CRCs up front; raises {!Store_error} on damage.  The
+    handle keeps the last packs it read (up to 64 MiB of file data), so
+    reading a pack's spans one by one scans the pack once. *)
 
 val iter_pairs : t -> (record -> string -> unit) -> unit
-(** Iterate sealed spans in ascending index order, verifying CRCs as a
-    side effect; raises {!Store_error} on damage discovered mid-read. *)
+(** Iterate every sealed span, reading each file once: file by file in
+    the order of each file's first span, and each file's spans in
+    ascending index order — ascending overall when every file holds
+    one span.  Verifies CRCs as a side effect; raises {!Store_error}
+    on damage discovered mid-read. *)
+
+(** {2 Index deltas} *)
+
+val save_indexes :
+  ?base:bool -> t -> (string * (string * int list) list) list -> (string * string * string) list
+(** [save_indexes db named] writes [named] (index name, entries) as one
+    sealed delta beside the committed ones and returns the delta list
+    the next manifest must carry.  Past a fixed count of deltas it
+    folds them all, with [named], into one base delta instead.  With
+    [~base:true], [named] is the whole index and the list is that one
+    delta. *)
 
 val load_index : t -> string -> ((string * int list) list, string) result
-(** Load a named index (e.g. ["issuer"]) via the manifest. *)
+(** Load a named index (e.g. ["issuer"]) via the manifest: the union of
+    every delta's entries, one per key, ids ascending. *)
 
 val meta : t -> string -> string option
 (** A manifest meta value (e.g. ["coverage"]). *)

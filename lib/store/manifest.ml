@@ -1,6 +1,6 @@
 type id = { scale : int; seed : int; fingerprint : string }
 
-type seg = { file : string; lo : int; hi : int; records : int; seal : string }
+type seg = { file : string; lo : int; hi : int; records : int; at : int; seal : string }
 
 type t = {
   state : [ `Building | `Complete ];
@@ -11,7 +11,7 @@ type t = {
   meta : (string * string) list;
 }
 
-let version = 1
+let version = 2
 let id_file = "store.id"
 let file = "manifest.json"
 
@@ -19,10 +19,10 @@ let file = "manifest.json"
 
 let esc = Obs.Jsonv.escape
 
-let seg_json b { file; lo; hi; records; seal } =
+let seg_json b { file; lo; hi; records; at; seal } =
   Buffer.add_string b
-    (Printf.sprintf {|{"file":%s,"lo":%d,"hi":%d,"records":%d,"seal":%s}|}
-       (esc file) lo hi records (esc seal))
+    (Printf.sprintf {|{"file":%s,"lo":%d,"hi":%d,"records":%d,"at":%d,"seal":%s}|}
+       (esc file) lo hi records at (esc seal))
 
 let list_json b xs f =
   Buffer.add_char b '[';
@@ -79,8 +79,9 @@ let seg_of_json j =
   let* lo = field num "lo" j in
   let* hi = field num "hi" j in
   let* records = field num "records" j in
+  let* at = field num "at" j in
   let* seal = field str "seal" j in
-  Ok { file; lo; hi; records; seal }
+  Ok { file; lo; hi; records; at; seal }
 
 let segs_of_json name j =
   match Obs.Jsonv.member name j with

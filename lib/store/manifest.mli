@@ -15,21 +15,28 @@
 
 type id = { scale : int; seed : int; fingerprint : string }
 
-type seg = { file : string; lo : int; hi : int; records : int; seal : string }
-(** One sealed segment: [file] relative to the store dir, covering
-    corpus indices [lo, hi), holding [records] records, with seal
-    digest [seal] (hex). *)
+type seg = { file : string; lo : int; hi : int; records : int; at : int; seal : string }
+(** One span of a sealed segment: corpus indices [lo, hi), held as the
+    [records] records of [file] (relative to the store dir) from
+    record position [at] on.  A one-span file holds its span at [at =
+    0]; a pack holds several spans back to back, one descriptor each.
+    [seal] is the file's seal digest (hex), the same in every
+    descriptor of one file. *)
 
 type t = {
   state : [ `Building | `Complete ];
   lints : string;  (** ';'-joined lint names the rows column encodes *)
   segments : seg list;  (** cert segments, ascending [lo], disjoint *)
   rows : seg list;  (** rows-column segments, spans mirror [segments] *)
-  indexes : (string * string * string) list;  (** name, file, sha256 hex *)
+  indexes : (string * string * string) list;
+      (** index deltas, oldest first: (["delta"], file, sha256 hex) *)
   meta : (string * string) list;  (** free-form (coverage, bench notes) *)
 }
 
 val version : int
+(** 2: span descriptors carry [at] and indexes are a delta list.  A
+    store written by another version is refused with the version
+    message. *)
 
 val id_file : string
 val file : string

@@ -645,6 +645,281 @@ let test_row_fixed () =
       ("1\to\t20240101000000Z\t1010101\t9\tu\t%4,a\td", "truncated escape");
       ("1\to\t20240101000000Z\t1010101\t9\tu\tn\td\tc\t%zz", "bad escape") ]
 
+(* --- daemon-shaped stores: packs and index deltas --- *)
+
+let pack_lints = "lint_a;lint_b"
+let pack_record i = Store.Db.Cert { index = i; der = Printf.sprintf "der-%d" i }
+let pack_row i = Printf.sprintf "row-%d" i
+
+(* Two small indexes keyed by the corpus index, so any split of the
+   entries into commits has one full-index answer. *)
+let pack_entries ids =
+  [ ("parity", List.map (fun i -> ((if i mod 2 = 0 then "even" else "odd"), [ i ])) ids);
+    ("digit", List.map (fun i -> (Printf.sprintf "d%%%d" (i mod 10), [ i ])) ids) ]
+
+(* A daemon's fresh store: identity, then a recovered (empty) manifest. *)
+let open_daemon_store ?(scale = 1_000_000) dir =
+  let db = Store.Db.create ~dir ~scale ~seed:1 ~fingerprint:"packs" in
+  Store.Db.recover db ~lints:pack_lints;
+  db
+
+(* One commit: [spans] are (lo, hi, ids), ascending.  As the daemon
+   commits, every span goes into one pack ([packs]) or, as a batch
+   build writes, one file each; the index entries go in as one more
+   delta, or, with [base], as the whole index. *)
+let commit_spans ?(packs = true) ?(base = false) ?(state = `Building) db spans ~index =
+  let write pw =
+    List.iter
+      (fun (lo, hi, ids) ->
+        Store.Db.add_span pw ~lo ~hi;
+        List.iter (fun i -> Store.Db.append pw (pack_record i) ~row:(pack_row i)) ids)
+      spans
+  in
+  let fresh =
+    if spans = [] then []
+    else if packs then begin
+      let pw = Store.Db.start_pack db ~lints:pack_lints in
+      write pw;
+      Store.Db.finish_pack pw
+    end
+    else
+      List.map
+        (fun (lo, hi, ids) ->
+          let pw = Store.Db.start_span db ~lints:pack_lints ~lo ~hi in
+          List.iter (fun i -> Store.Db.append pw (pack_record i) ~row:(pack_row i)) ids;
+          Store.Db.finish_span pw)
+        spans
+  in
+  let pairs =
+    List.sort
+      (fun ((a : Store.Manifest.seg), _) (b, _) -> compare a.Store.Manifest.lo b.Store.Manifest.lo)
+      (Store.Db.spans db @ fresh)
+  in
+  let indexes = Store.Db.save_indexes ~base db (pack_entries index) in
+  Store.Db.commit db
+    { Store.Manifest.state; lints = pack_lints; segments = List.map fst pairs;
+      rows = List.map snd pairs; indexes; meta = [] }
+
+let read_all db =
+  let got = ref [] in
+  Store.Db.iter_pairs db (fun recd row -> got := (Store.Db.index_of_record recd, row) :: !got);
+  List.sort compare !got
+
+(* The batch replay's way: span by span, in index order. *)
+let read_spans db =
+  let got = ref [] in
+  List.iter
+    (fun pr ->
+      Store.Db.iter_pair db pr (fun recd row ->
+          got := (Store.Db.index_of_record recd, row) :: !got))
+    (Store.Db.spans db);
+  List.rev !got
+
+(* A random ingest: [logs] contiguous partitions of [per] indices, and
+   [commits] rounds in which each log lands a random number of its next
+   indices (some dropped, as a log's holes are) as one span. *)
+let random_schedule rng ~logs ~per ~commits =
+  let marks = Array.init logs (fun k -> k * per) in
+  List.init commits (fun c ->
+      List.filter_map
+        (fun k ->
+          let stop = (k + 1) * per in
+          let last = c = commits - 1 in
+          let take = if last then stop - marks.(k) else Random.State.int rng (stop - marks.(k) + 1) in
+          if take = 0 then None
+          else begin
+            let lo = marks.(k) and hi = marks.(k) + take in
+            marks.(k) <- hi;
+            let ids = List.filter (fun _ -> Random.State.int rng 5 > 0) (List.init take (( + ) lo)) in
+            Some (lo, hi, ids)
+          end)
+        (List.init logs Fun.id))
+
+let test_packs_property =
+  QCheck.Test.make ~name:"packs + deltas read back as one span per file and one full index"
+    ~count:12
+    QCheck.(quad (int_range 1 5) (int_range 1 12) (int_range 1 24) int)
+    (fun (logs, per, commits, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let schedule = random_schedule rng ~logs ~per ~commits in
+      let scale = logs * per in
+      let packed = fresh_dir "prop-packs" and single = fresh_dir "prop-single" in
+      Fun.protect
+        ~finally:(fun () -> rm_rf packed; rm_rf single)
+        (fun () ->
+          let dp = open_daemon_store ~scale packed and ds = open_daemon_store ~scale single in
+          let n = List.length schedule in
+          List.iteri
+            (fun c spans ->
+              let index = List.concat_map (fun (_, _, ids) -> ids) spans in
+              let state = if c = n - 1 then `Complete else `Building in
+              commit_spans dp spans ~index ~state;
+              commit_spans ~packs:false ~base:true ds spans
+                ~index:(List.concat_map (fun (_, _, ids) -> ids) (List.concat (List.filteri (fun j _ -> j <= c) schedule)))
+                ~state)
+            schedule;
+          let written =
+            List.concat_map (List.concat_map (fun (_, _, ids) -> List.map (fun i -> (i, pack_row i)) ids)) schedule
+            |> List.sort compare
+          in
+          let shape db =
+            ( List.map (fun ((c : Store.Manifest.seg), _) -> (c.Store.Manifest.lo, c.hi, c.records)) (Store.Db.spans db),
+              Store.Db.gaps db ~scale,
+              Store.Db.complete (Store.Db.open_ro ~dir:(Store.Db.dir db)) )
+          in
+          let index db name = Store.Db.load_index (Store.Db.open_ro ~dir:(Store.Db.dir db)) name in
+          let deltas = List.length (Store.Db.manifest dp).Store.Manifest.indexes in
+          read_all (Store.Db.open_ro ~dir:packed) = written
+          && read_spans (Store.Db.open_ro ~dir:packed) = written
+          && read_all (Store.Db.open_ro ~dir:single) = written
+          && shape dp = shape ds
+          && List.for_all (fun name -> index dp name = index ds name) [ "parity"; "digit" ]
+          && deltas = ((n - 1) mod 16) + 1
+          && (Store.Db.fsck ~dir:packed ()).Store.Db.issues = []))
+
+(* A commit's cost must not grow with the history: commit 12 issues
+   the fsyncs of commit 1 and creates as many files, of about the same
+   size, on a store shaped like the daemon's (16 logs, a span each). *)
+let test_commit_cost_constant () =
+  let dir = fresh_dir "commit-cost" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let db = open_daemon_store dir in
+      let fsyncs = Obs.Registry.counter "unicert_store_fsync_total" in
+      let files () = Array.to_list (Sys.readdir dir) in
+      let commit c =
+        let before = files () and f0 = Obs.Counter.value fsyncs in
+        let spans =
+          List.init 16 (fun k ->
+              let lo = (k * 10_000) + (c * 64) in
+              (lo, lo + 64, List.init 64 (( + ) lo)))
+        in
+        commit_spans db spans ~index:(List.concat_map (fun (_, _, ids) -> ids) spans);
+        let created = List.filter (fun f -> not (List.mem f before)) (files ()) in
+        ( int_of_float (Obs.Counter.value fsyncs -. f0),
+          List.length created,
+          List.fold_left (fun a f -> a + (Unix.stat (Filename.concat dir f)).Unix.st_size) 0 created )
+      in
+      let costs = List.init 12 commit in
+      let fs1, n1, b1 = List.hd costs and fs12, n12, b12 = List.nth costs 11 in
+      check Alcotest.int "commit 12 fsyncs as often as commit 1" fs1 fs12;
+      check Alcotest.int "commit 12 creates as many files as commit 1" n1 n12;
+      check Alcotest.int "a commit creates one pack pair and one delta" 3 n1;
+      if b12 * 4 > b1 * 5 then
+        Alcotest.failf "commit 12 created %d bytes, commit 1 %d" b12 b1)
+
+(* The crash matrix over daemon commits: kill at every declared point
+   (several occurrences, so later commits' packs and deltas are hit),
+   then recover and repair as the daemon's restart does.  The store
+   must hold exactly the records of a prefix of the commits — every
+   one acknowledged, plus at most the one whose manifest rename
+   landed — and fsck clean. *)
+let test_pack_crash_matrix () =
+  let schedule =
+    List.init 3 (fun c ->
+        List.init 4 (fun k ->
+            let lo = (k * 100) + (c * 8) in
+            (lo, lo + 8, List.init 8 (( + ) lo))))
+  in
+  let prefix k =
+    List.concat_map
+      (List.concat_map (fun (_, _, ids) -> List.map (fun i -> (i, pack_row i)) ids))
+      (List.filteri (fun j _ -> j < k) schedule)
+    |> List.sort compare
+  in
+  List.iter
+    (fun point ->
+      List.iter
+        (fun occurrence ->
+          let dir = fresh_dir "pack-crash" in
+          Fun.protect
+            ~finally:(fun () -> Store.Chaos.disarm (); rm_rf dir)
+            (fun () ->
+              let db = open_daemon_store dir in
+              let acked = ref 0 in
+              Store.Chaos.arm_crash ~point ~occurrence;
+              (try
+                 List.iter
+                   (fun spans ->
+                     commit_spans db spans ~index:(List.concat_map (fun (_, _, ids) -> ids) spans);
+                     incr acked)
+                   schedule
+               with Store.Chaos.Crashed _ -> ());
+              Store.Chaos.disarm ();
+              let name = Printf.sprintf "%s#%d" point occurrence in
+              check Alcotest.bool (name ^ ": fsck finds the store usable") true
+                (Store.Db.fsck ~dir ()).Store.Db.usable;
+              ignore (open_daemon_store dir);
+              ignore (Store.Db.fsck ~repair:true ~dir ());
+              check Alcotest.int (name ^ ": fsck clean after recovery") 0
+                (List.length (Store.Db.fsck ~dir ()).Store.Db.issues);
+              let man = Store.Db.manifest (Store.Db.open_ro ~dir) in
+              let listed =
+                List.map (fun (s : Store.Manifest.seg) -> s.Store.Manifest.file)
+                  (man.Store.Manifest.segments @ man.Store.Manifest.rows)
+              in
+              Array.iter
+                (fun f ->
+                  if Filename.check_suffix f ".seg" && not (List.mem f listed) then
+                    Alcotest.failf "%s: %s left behind" name f)
+                (Sys.readdir dir);
+              let got = read_all (Store.Db.open_ro ~dir) in
+              check Alcotest.bool
+                (Printf.sprintf "%s: a committed prefix (%d acknowledged)" name !acked)
+                true
+                (got = prefix !acked || got = prefix (!acked + 1))))
+        [ 1; 2; 5; 9 ])
+    Store.Chaos.crash_points
+
+(* fsck and repair treat a pack as one unit: a flipped bit in one
+   pack's certs file is reported once, repair quarantines the pack with
+   its rows mate and keeps every other commit's spans, and the repaired
+   store fscks clean. *)
+let test_pack_fsck_unit () =
+  let dir = fresh_dir "pack-fsck" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let db = open_daemon_store dir in
+      let commit c =
+        let spans = List.init 4 (fun k -> let lo = (k * 100) + (c * 8) in (lo, lo + 8, List.init 8 (( + ) lo))) in
+        commit_spans db spans ~index:(List.concat_map (fun (_, _, ids) -> ids) spans)
+      in
+      List.iter commit [ 0; 1; 2 ];
+      ignore (Store.Chaos.flip_bit_in_file ~seed:3 (Filename.concat dir "certs-pack-2.seg"));
+      let r = Store.Db.fsck ~dir () in
+      check Alcotest.(list string) "one issue, on the damaged pack" [ "certs-pack-2.seg" ]
+        (List.map (fun (i : Store.Db.issue) -> i.Store.Db.file) r.Store.Db.issues);
+      check Alcotest.(pair int int) "the pack's four spans are lost" (8, 12)
+        (r.Store.Db.spans_ok, r.Store.Db.spans_expected);
+      ignore (Store.Db.fsck ~repair:true ~dir ());
+      List.iter
+        (fun f ->
+          check Alcotest.bool (f ^ " quarantined") true
+            (Sys.file_exists (Filename.concat dir (f ^ ".quarantined"))))
+        [ "certs-pack-2.seg"; "rows-" ^ String.sub (Ucrypto.Sha256.hex pack_lints) 0 8 ^ "-pack-2.seg" ];
+      check Alcotest.int "clean after repair" 0 (List.length (Store.Db.fsck ~dir ()).Store.Db.issues);
+      check Alcotest.int "the other commits read back" 64
+        (List.length (read_all (Store.Db.open_ro ~dir))))
+
+let test_v1_refused () =
+  let dir = fresh_dir "v1" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      ignore (open_daemon_store dir);
+      Out_channel.with_open_bin (Filename.concat dir Store.Manifest.id_file) (fun oc ->
+          output_string oc {|{"version":1,"scale":1000000,"seed":1,"fingerprint":"packs"}|});
+      match Store.Db.open_ro ~dir with
+      | _ -> Alcotest.fail "a version-1 store opened"
+      | exception Store.Db.Store_error e ->
+          check Alcotest.bool ("version message: " ^ e) true
+            (let want = "format version 1, this build reads 2" in
+             let n = String.length want in
+             let rec at i = i + n <= String.length e && (String.sub e i n = want || at (i + 1)) in
+             at 0))
+
 let suite =
   [
     Alcotest.test_case "cold/warm byte identity" `Quick test_cold_warm_identity;
@@ -674,4 +949,11 @@ let suite =
     QCheck_alcotest.to_alcotest test_row_roundtrip;
     QCheck_alcotest.to_alcotest test_row_differential;
     QCheck_alcotest.to_alcotest test_row_total;
+    QCheck_alcotest.to_alcotest test_packs_property;
+    Alcotest.test_case "commit cost is constant in the history" `Quick
+      test_commit_cost_constant;
+    Alcotest.test_case "crash matrix (daemon packs and deltas)" `Slow
+      test_pack_crash_matrix;
+    Alcotest.test_case "fsck treats a pack as one unit" `Quick test_pack_fsck_unit;
+    Alcotest.test_case "version-1 store refused" `Quick test_v1_refused;
   ]
