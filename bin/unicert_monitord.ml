@@ -11,7 +11,9 @@
    Tick-driven for determinism: each [tick] command (or each of
    --ticks at startup) advances every log's publish schedule, polls
    every feed (in parallel under --jobs; results are independent of
-   it), and stages the newly delivered entries.  Every --commit-every
+   it), and runs the newly delivered entries through the pipeline
+   driver and its fault boundary ([Pipeline.ingest]): a tick that
+   aborts commits nothing more and exits 3.  Every --commit-every
    ticks the staged material is committed — store manifest first, then
    the query service's read snapshot — so queries always answer from
    exactly the durable prefix.  Killing the process at any point loses
@@ -27,12 +29,10 @@ let stop_requested = ref false
    index not yet durably landed; [next] the next not yet staged. *)
 type feed_state = {
   feed : Ctlog.Fetch.feed;
-  lo : int;
   hi : int;
   mutable mark : int;
   mutable next : int;
   mutable pending : (Store.Db.record * string) list;  (* newest first *)
-  mutable staged_count : int;
   mutable last_cov : Ctlog.Fetch.coverage option;
   mutable degraded : bool;
 }
@@ -58,31 +58,6 @@ let stage_row service acc row =
     ~attrs:(Unicert.Pipeline.row_attrs row);
   Unicert.Pipeline.add_index_entries acc row ~on_entry:(fun ~index ~key ->
       Monitors.Service.stage_index service ~index ~key ~id)
-
-(* Stage one fetched item: analyze (Got) or record the fault
-   (Undecodable), queue the durable record, and stage the row's
-   service material. *)
-let stage_item service acc fs item =
-  let record, rowstr =
-    match (item : Ctlog.Fetch.item) with
-    | Ctlog.Fetch.Got (index, entry) ->
-        let row = Unicert.Pipeline.analyze_entry entry ~index in
-        stage_row service acc row;
-        ( Store.Db.Cert
-            { index; der = entry.Ctlog.Dataset.cert.X509.Certificate.der },
-          Unicert.Pipeline.encode_row row )
-    | Ctlog.Fetch.Undecodable (index, der, error) ->
-        ( Store.Db.Fault
-            {
-              index;
-              class_ = Faults.Error.class_name error;
-              detail = Faults.Error.detail error;
-              der;
-            },
-          "F" )
-  in
-  fs.pending <- (record, rowstr) :: fs.pending;
-  fs.staged_count <- fs.staged_count + 1
 
 (* --- the select-based stdin reader -------------------------------------
 
@@ -154,6 +129,11 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     Printf.eprintf "error: --commit-every must be >= 1\n";
     Fault_cli.exit_via 2
   end;
+  if fault.Fault_cli.resume || fault.Fault_cli.policy.Faults.Policy.checkpoint_file <> None
+  then begin
+    prerr_endline "error: --checkpoint/--resume: the store and its cursors are the checkpoint";
+    Fault_cli.exit_via 2
+  end;
   Fault_cli.guard @@ fun () ->
   let policy = fault.Fault_cli.policy in
   let cfg =
@@ -187,67 +167,45 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     Ctlog.Fetch.feeds ?mutator ~drop ~checkpoint:(Filename.concat dir "cursors")
       ~scale ~seed cfg
   in
+  (* Restart: a log's mark ends the contiguous committed prefix of its
+     partition; everything below a mark replays into the serving
+     state. *)
+  let committed =
+    List.sort compare
+      (List.map
+         (fun ((s : Store.Manifest.seg), _) -> (s.Store.Manifest.lo, s.Store.Manifest.hi))
+         (Store.Db.spans db))
+  in
   let states =
     List.map
       (fun feed ->
         let lo, hi = Ctlog.Fetch.feed_range feed in
-        {
-          feed;
-          lo;
-          hi;
-          mark = lo;
-          next = lo;
-          pending = [];
-          staged_count = 0;
-          last_cov = None;
-          degraded = false;
-        })
+        let mark =
+          List.fold_left
+            (fun m (slo, shi) -> if slo <= m && shi > m && slo < hi then min shi hi else m)
+            lo committed
+        in
+        { feed; hi; mark; next = mark; pending = []; last_cov = None; degraded = false })
       feeds
   in
-  (* Restart: marks = the contiguous committed prefix of each feed's
-     range; everything below a mark replays into the serving state. *)
-  let committed_spans =
-    List.map fst (Store.Db.spans db)
-    |> List.sort (fun (a : Store.Manifest.seg) b ->
-           compare a.Store.Manifest.lo b.Store.Manifest.lo)
-  in
-  List.iter
-    (fun fs ->
-      List.iter
-        (fun (s : Store.Manifest.seg) ->
-          if s.Store.Manifest.lo <= fs.mark && s.Store.Manifest.hi > fs.mark
-             && s.Store.Manifest.lo < fs.hi then
-            fs.mark <- min s.Store.Manifest.hi fs.hi)
-        committed_spans;
-      fs.next <- fs.mark)
-    states;
-  let mark_of index =
-    match List.find_opt (fun fs -> index >= fs.lo && index < fs.hi) states with
-    | Some fs -> fs.mark
-    | None -> 0
-  in
-  let n_committed = ref 0 in
+  (* The log whose partition holds [index]: the partitions ascend. *)
+  let owner index = List.find (fun fs -> index < fs.hi) states in
+  (* Committed faults count toward the lifetime --max-errors budget. *)
+  let n_committed = ref 0 and faults_seen = ref 0 in
   Store.Db.iter_pairs db (fun recd rowstr ->
       let index = Store.Db.index_of_record recd in
-      if index < mark_of index then begin
+      if index < (owner index).mark then begin
         incr n_committed;
         match recd with
-        | Store.Db.Fault _ -> ()
-        | Store.Db.Cert _ -> (
-            match Unicert.Pipeline.decode_row rowstr with
-            | Error e ->
-                raise
-                  (Store.Db.Store_error
-                     (Printf.sprintf
-                        "stored row %d undecodable (%s); run `unicert-store \
-                         fsck`"
-                        index e))
-            | Ok row -> stage_row service !acc row)
+        | Store.Db.Fault _ -> incr faults_seen
+        | Store.Db.Cert _ ->
+            stage_row service !acc (Unicert.Pipeline.stored_row ~index rowstr)
       end);
   Monitors.Service.commit service ~upto:!n_committed;
+  let n_replayed = !n_committed in
   (* Replayed rows re-enter the index at the next commit, even when no
      new entry arrives before it. *)
-  let replayed = ref (!n_committed > 0) in
+  let replayed = ref (n_replayed > 0) in
   (* Republish at least the trusted STH before the first poll — a
      smaller published head reads as a shrinking tree (split view). *)
   List.iter
@@ -256,47 +214,7 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
       | Some n -> Ctlog.Fetch.feed_publish fs.feed n
       | None -> ())
     states;
-  let manifest_segments = ref (Store.Db.spans db) in
-  let tick_no = ref 0 in
-  let do_tick () =
-    incr tick_no;
-    Obs.Counter.inc (Lazy.force obs_ticks);
-    List.iter
-      (fun fs ->
-        Ctlog.Fetch.feed_publish fs.feed
-          (Ctlog.Fetch.feed_published fs.feed + publish_per_tick))
-      states;
-    let sessions =
-      Par.run ~jobs
-        (List.map (fun fs () -> Ctlog.Fetch.poll fs.feed) states)
-    in
-    List.iter2
-      (fun fs (s : Ctlog.Fetch.session) ->
-        let cov = s.Ctlog.Fetch.s_cov in
-        fs.last_cov <- Some cov;
-        if
-          cov.Ctlog.Fetch.abandoned <> None
-          || cov.Ctlog.Fetch.split_view
-          || cov.Ctlog.Fetch.page_gaps > 0
-        then fs.degraded <- true;
-        List.iter
-          (fun item ->
-            let index = Ctlog.Fetch.item_index item in
-            if index >= fs.next then begin
-              stage_item service !acc fs item;
-              fs.next <- index + 1
-            end)
-          (Ctlog.Fetch.items_of_session ~from:fs.next s))
-      states sessions;
-    let published =
-      List.fold_left
-        (fun a fs -> a + Ctlog.Fetch.feed_published fs.feed)
-        0 states
-    in
-    let staged = List.fold_left (fun a fs -> a + fs.staged_count) 0 states in
-    Obs.Gauge.set (Lazy.force obs_lag)
-      (float_of_int (max 0 (published - staged - !n_committed)))
-  in
+  let tick_no = ref 0 and staged = ref 0 in
   (* One commit lands every log's staged entries as one span each in a
      single pack, in log order (the partitions ascend), adds the index
      entries staged since the last commit as one delta, and publishes
@@ -305,14 +223,9 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     let spans =
       List.filter_map
         (fun fs ->
-          match List.rev fs.pending with
+          match fs.pending with
           | [] -> None
-          | items ->
-              let last =
-                List.fold_left
-                  (fun a (r, _) -> max a (Store.Db.index_of_record r))
-                  (fs.mark - 1) items
-              in
+          | (newest, _) :: _ ->
               (* When this log has delivered (or quarantined) its whole
                  partition, the span runs to the partition end so
                  dropped tail indices read as covered holes. *)
@@ -325,30 +238,30 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
                        >= Ctlog.Fetch.feed_goal fs.feed
                 | None -> false
               in
-              Some (fs, items, if all_in then fs.hi else last + 1))
+              Some (fs, if all_in then fs.hi else Store.Db.index_of_record newest + 1))
         states
     in
     let fresh =
       if spans = [] then []
       else begin
         let pw = Store.Db.start_pack db ~lints in
-        (match
+        (try
            List.iter
-             (fun (fs, items, hi) ->
+             (fun (fs, hi) ->
                Store.Db.add_span pw ~lo:fs.mark ~hi;
-               List.iter (fun (record, row) -> Store.Db.append pw record ~row) items)
+               List.iter
+                 (fun (record, row) -> Store.Db.append pw record ~row)
+                 (List.rev fs.pending))
              spans
-         with
-        | () -> ()
-        | exception e ->
-            Store.Db.close_noerr pw;
-            raise e);
+         with e ->
+           Store.Db.close_noerr pw;
+           raise e);
         let pairs = Store.Db.finish_pack pw in
         List.iter
-          (fun (fs, items, hi) ->
+          (fun (fs, hi) ->
             fs.mark <- hi;
             fs.next <- max fs.next hi;
-            n_committed := !n_committed + List.length items;
+            n_committed := !n_committed + List.length fs.pending;
             fs.pending <- [])
           spans;
         pairs
@@ -356,13 +269,6 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
     in
     if fresh <> [] || !tick_no = 0 || !replayed then begin
       replayed := false;
-      let pairs =
-        List.sort
-          (fun ((a : Store.Manifest.seg), _) (b, _) ->
-            compare a.Store.Manifest.lo b.Store.Manifest.lo)
-          (!manifest_segments @ fresh)
-      in
-      manifest_segments := pairs;
       let indexes =
         Unicert.Pipeline.save_indexes db (Unicert.Pipeline.merge_accs [ !acc ])
       in
@@ -371,19 +277,77 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
         if List.for_all (fun fs -> fs.mark >= fs.hi) states then `Complete
         else `Building
       in
-      let man : Store.Manifest.t =
-        {
-          state;
-          lints;
-          segments = List.map fst pairs;
-          rows = List.map snd pairs;
-          indexes;
-          meta = [];
-        }
-      in
-      Store.Db.commit db man
+      Unicert.Pipeline.commit_manifest db ~state ~lints ~indexes
+        ~meta:(fun _ -> []) (Store.Db.spans db @ fresh)
     end;
     Monitors.Service.commit service ~upto:!n_committed
+  in
+  let do_tick () =
+    incr tick_no;
+    Obs.Counter.inc (Lazy.force obs_ticks);
+    List.iter
+      (fun fs ->
+        Ctlog.Fetch.feed_publish fs.feed
+          (Ctlog.Fetch.feed_published fs.feed + publish_per_tick))
+      states;
+    let sessions =
+      Par.run ~jobs
+        (List.map (fun fs () -> Ctlog.Fetch.poll fs.feed) states)
+    in
+    (* The new deliveries of every log, in log order: the partitions
+       ascend, so the tick's items ascend by index. *)
+    let items =
+      List.concat
+        (List.map2
+           (fun fs (s : Ctlog.Fetch.session) ->
+             let cov = s.Ctlog.Fetch.s_cov in
+             fs.last_cov <- Some cov;
+             if
+               cov.Ctlog.Fetch.abandoned <> None
+               || cov.Ctlog.Fetch.split_view
+               || cov.Ctlog.Fetch.page_gaps > 0
+             then fs.degraded <- true;
+             let items = Ctlog.Fetch.items_of_session ~from:fs.next s in
+             List.iter (fun i -> fs.next <- Ctlog.Fetch.item_index i + 1) items;
+             items)
+           states sessions)
+    in
+    (* The budget spans the daemon's lifetime: this tick may absorb
+       what the earlier ones left of it. *)
+    let budget = policy.Faults.Policy.max_errors in
+    let t, landed =
+      Unicert.Pipeline.ingest ~scale ~seed ~jobs items
+        ~policy:
+          { policy with
+            Faults.Policy.max_errors = Option.map (fun m -> m - !faults_seen) budget }
+    in
+    let faults = t.Unicert.Pipeline.faults in
+    Option.iter
+      (fun reason ->
+        (* Without fail-fast only the budget aborts: name all of it. *)
+        Printf.eprintf "error: run aborted: %s\n"
+          (match budget with
+          | Some m when not policy.Faults.Policy.fail_fast ->
+              Printf.sprintf "max-errors: %d errors reached the limit" m
+          | _ -> reason);
+        Fault_cli.exit_via 3)
+      faults.Unicert.Pipeline.aborted;
+    faults_seen := !faults_seen + faults.Unicert.Pipeline.fault_errors;
+    List.iter
+      (fun (record, rowstr, row) ->
+        Option.iter (stage_row service !acc) row;
+        let fs = owner (Store.Db.index_of_record record) in
+        fs.pending <- (record, rowstr) :: fs.pending)
+      landed;
+    staged := !staged + List.length landed;
+    let published =
+      List.fold_left
+        (fun a fs -> a + Ctlog.Fetch.feed_published fs.feed)
+        0 states
+    in
+    Obs.Gauge.set (Lazy.force obs_lag)
+      (float_of_int (max 0 (published - n_replayed - !staged)));
+    if !tick_no mod commit_every = 0 then do_commit ()
   in
   let respond_plan =
     if respond_fault_rate <= 0.0 then None
@@ -415,13 +379,10 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
       match line with
       | "tick" ->
           do_tick ();
-          if !tick_no mod commit_every = 0 then do_commit ();
           out
             (Ctlog.Wire.seal
                [ Printf.sprintf "tick %d committed=%d staged=%d" !tick_no
-                   !n_committed
-                   (List.fold_left (fun a fs -> a + fs.staged_count) 0 states)
-               ])
+                   !n_committed !staged ])
       | "commit" ->
           do_commit ();
           out (Ctlog.Wire.seal [ Printf.sprintf "committed %d" !n_committed ])
@@ -434,8 +395,7 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
   in
   for _ = 1 to ticks do
     if not !stop_requested then begin
-      do_tick ();
-      if !tick_no mod commit_every = 0 then do_commit ()
+      do_tick ()
     end
   done;
   let rec serve_loop () =

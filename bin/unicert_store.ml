@@ -132,14 +132,16 @@ let fsck dir repair =
     (match r.Store.Db.store_state with
     | `Complete -> "complete"
     | `Building -> "building"
-    | `Absent -> "absent")
+    | `Absent -> "absent"
+    | `Foreign -> "foreign")
     r.Store.Db.spans_ok r.Store.Db.spans_expected
     (List.length r.Store.Db.issues)
     (if r.Store.Db.repaired then ", repaired" else "");
-  (* 2: nothing to check; 0: clean; 4: damaged but usable data remains
-     (degraded, not fatal); 3: nothing salvageable. *)
+  (* 2: nothing to check, or another version's store (rebuild it);
+     0: clean; 4: damaged but usable data remains; 3: nothing
+     salvageable. *)
   match r.Store.Db.store_state with
-  | `Absent -> Fault_cli.exit_via 2
+  | `Absent | `Foreign -> Fault_cli.exit_via 2
   | `Complete | `Building ->
       if r.Store.Db.issues = [] then ()
       else if r.Store.Db.usable then Fault_cli.exit_via 4

@@ -355,8 +355,8 @@ let row_of_entry ~timer entry ~index =
   if !reference_engine then row_of_entry_reference ~timer entry ~index
   else row_of_entry_fused ~timer entry ~index
 
-(* The ingest surface: the monitor daemon analyzes entries one at a
-   time through the very same engine. *)
+(* Outside tests, the benchmark's traced replica of the daemon tick is
+   the only caller. *)
 let analyze_entry entry ~index = fst (row_of_entry ~timer:no_timer entry ~index)
 let row_index r = r.r_index
 let row_org r = r.r_org
@@ -1145,6 +1145,14 @@ let save_indexes db named = Store.Db.save_indexes db named
 let store_corrupt fmt =
   Printf.ksprintf (fun s -> raise (Store.Db.Store_error s)) fmt
 
+(* The row of stored record [index], as every replay decodes it. *)
+let stored_row ~index rowstr =
+  match decode_row rowstr with
+  | Ok row -> row
+  | Error e ->
+      store_corrupt "stored row %d undecodable (%s); run `unicert-store fsck`"
+        index e
+
 (* Absorb one stored record: cert rows pass through [refresh] and
    re-enter the aggregate through {!absorb_row} (no parse, no lint
    unless [refresh] recomputes lints); fault records replay through the
@@ -1156,20 +1164,15 @@ let replay_stored t ~record ~refresh recd rowstr =
       record ~index ~der (Faults.Error.of_class ~class_ ~detail);
       None
   | Store.Db.Cert { index; der } -> (
-      match decode_row rowstr with
-      | Error e ->
-          store_corrupt "stored row %d undecodable (%s); run `unicert-store fsck`"
-            index e
-      | Ok row -> (
-          let row = refresh ~der row in
-          match Ctlog.Dataset.issuer_of_org row.r_org with
-          | None ->
-              store_corrupt "stored row %d references unknown issuer %S" index
-                row.r_org
-          | Some issuer ->
-              let nc = List.filter_map Lint.Registry.find row.r_nc in
-              Obs.Span.run aggregate_span (fun () -> absorb_row t ~issuer row nc);
-              Some row))
+      let row = refresh ~der (stored_row ~index rowstr) in
+      match Ctlog.Dataset.issuer_of_org row.r_org with
+      | None ->
+          store_corrupt "stored row %d references unknown issuer %S" index
+            row.r_org
+      | Some issuer ->
+          let nc = List.filter_map Lint.Registry.find row.r_nc in
+          Obs.Span.run aggregate_span (fun () -> absorb_row t ~issuer row nc);
+          Some row)
 
 (* Incremental recompute after the lint set changed from [stored]: run
    only the missing lints over the stored DER and merge them with the
@@ -1187,12 +1190,10 @@ let recompute_lints ~stored =
             store_corrupt "stored certificate %d unparseable (%s)" row.r_index
               (Faults.Error.to_string e)
         | Ok cert ->
-            Lint.Registry.run ~respect_effective_dates:false
+            Lint.Registry.run_ctx ~respect_effective_dates:false
               ~only:(fun l -> List.mem l.Lint.name missing)
-              ~issued:row.r_issued cert
-            |> List.filter_map (fun (f : Lint.finding) ->
-                   if Lint.is_noncompliant f then Some f.Lint.lint.Lint.name
-                   else None)
+              ~issued:row.r_issued (Lint.Ctx.of_cert cert)
+            |> List.map (fun (l : Lint.t) -> l.Lint.name)
     in
     let keep n = List.mem n row.r_nc || List.mem n fresh_nc in
     { row with r_nc = List.filter keep current }
@@ -1205,16 +1206,18 @@ let stored_coverage db =
       | Ok cov -> cov
       | Error e -> store_corrupt "stored coverage undecodable (%s)" e)
 
-(* A corrupt delivery lands as a fault record, preserving the fault
-   ledger for warm replays. *)
-let append_fault pw ~index ~der error =
-  Store.Db.append pw
-    (Store.Db.Fault
-       { index;
-         class_ = Faults.Error.class_name error;
-         detail = Faults.Error.detail error;
-         der })
-    ~row:"F"
+(* What lands for one item: a certificate with its encoded row, or a
+   fault as a fault record with the ["F"] row, so a warm replay
+   reproduces the cold run's fault ledger. *)
+let cert_pair ~der row = (Store.Db.Cert { index = row.r_index; der }, encode_row row)
+
+let fault_pair ~index ~der error =
+  ( Store.Db.Fault
+      { index;
+        class_ = Faults.Error.class_name error;
+        detail = Faults.Error.detail error;
+        der },
+    "F" )
 
 (* --- pieces: the interleaving of recovered coverage and gaps --- *)
 
@@ -1244,8 +1247,26 @@ let generate_feed ~scale ~seed ~mutator ~drop : feed =
       | Ctlog.Dataset.Corrupt { der; error; _ } ->
           f (Ctlog.Fetch.Undecodable (index, der, error)))
 
-(* The fetch source materializes the corpus up front; items arrive
-   ascending by index, so a range starts one binary search in. *)
+(* Items already in hand, ascending by index: a range starts one
+   binary search in. *)
+let items_feed items : feed =
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let index i = Ctlog.Fetch.item_index items.(i) in
+  fun ~start ~stop f ->
+    let rec first a b =
+      if a >= b then a
+      else
+        let m = (a + b) / 2 in
+        if index m < start then first (m + 1) b else first a m
+    in
+    let i = ref (first 0 n) in
+    while !i < n && index !i < stop do
+      f items.(!i);
+      incr i
+    done
+
+(* The fetch source materializes the corpus up front. *)
 let fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
   (* The boundary's breaker threshold also governs the per-log fetch
      breakers, so --breaker-threshold tunes both layers. *)
@@ -1258,23 +1279,7 @@ let fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
         Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
           ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
   in
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let index i = Ctlog.Fetch.item_index items.(i) in
-  let feed ~start ~stop f =
-    let rec first a b =
-      if a >= b then a
-      else
-        let m = (a + b) / 2 in
-        if index m < start then first (m + 1) b else first a m
-    in
-    let i = ref (first 0 n) in
-    while !i < n && index !i < stop do
-      f items.(!i);
-      incr i
-    done
-  in
-  (feed, coverage)
+  (items_feed items, coverage)
 
 (* The live source a run reads when nothing is stored: [coverage] is
    [[]] for the generate source. *)
@@ -1423,15 +1428,19 @@ let drive ~scale ~seed ~policy ~jobs ~cursor ~resume body =
 
 (* --- steps and sinks ---------------------------------------------------- *)
 
-(* The live step over [feed]'s deliveries in [[start, stop)]: an entry
-   goes through {!analyze}; bytes the source already failed to decode
-   go straight to [fault]. *)
-let live (feed : feed) ~start ~stop ~each part policy ~fault ~sink =
+(* The step over [feed]'s deliveries in [[start, stop)]: an entry goes
+   to [got]; bytes the source already failed to decode go straight to
+   [fault]. *)
+let deliveries (feed : feed) ~start ~stop ~each ~fault got =
   feed ~start ~stop (fun item ->
       each (Ctlog.Fetch.item_index item) (fun () ->
           match item with
-          | Ctlog.Fetch.Got (index, e) -> analyze part policy ~fault ~sink index e
+          | Ctlog.Fetch.Got (index, e) -> got index e
           | Ctlog.Fetch.Undecodable (index, der, error) -> fault ~index ~der error))
+
+(* The live step: every entry goes through {!analyze}. *)
+let live feed ~start ~stop ~each part policy ~fault ~sink =
+  deliveries feed ~start ~stop ~each ~fault (analyze part policy ~fault ~sink)
 
 (* The storeless body: the shard's live deliveries feed the aggregate
    alone. *)
@@ -1494,17 +1503,14 @@ let land_store db ~lints ~pieces ~feed ~recompute ~indexing policy ~lo ~hi
           let glo = max glo lo and ghi = min ghi hi in
           if glo < ghi then begin
             let pw = Store.Db.start_span db ~lints ~lo:glo ~hi:ghi in
-            (* A processing fault also lands as a fault record, so a
-               warm replay reproduces the cold run's fault ledger. *)
+            let append (recd, row) = Store.Db.append pw recd ~row in
             let fault ~index ~der error =
-              append_fault pw ~index ~der error;
+              append (fault_pair ~index ~der error);
               record ~index ~der error
             in
             let sink ~der row =
               index_row row;
-              Store.Db.append pw
-                (Store.Db.Cert { index = row.r_index; der })
-                ~row:(encode_row row)
+              append (cert_pair ~der row)
             in
             let pair =
               span pw ~finish:Store.Db.finish_span ~close:Store.Db.close_noerr
@@ -1516,9 +1522,21 @@ let land_store db ~lints ~pieces ~feed ~recompute ~indexing policy ~lo ~hi
     pieces;
   (List.rev !written, acc)
 
-(* The one manifest commit: written pairs replace the stored pairs they
+(* The one manifest assembly, for store builds and daemon commits. *)
+let commit_manifest db ~state ~lints ~indexes ~meta pairs =
+  let pairs =
+    List.sort
+      (fun ((a : Store.Manifest.seg), _) ((b : Store.Manifest.seg), _) ->
+        compare a.Store.Manifest.lo b.Store.Manifest.lo)
+      pairs
+  in
+  let segments = List.map fst pairs and rows = List.map snd pairs in
+  let man : Store.Manifest.t = { state; lints; segments; rows; indexes; meta = [] } in
+  Store.Db.commit db { man with Store.Manifest.meta = meta man }
+
+(* A store build's commit: written pairs replace the stored pairs they
    share a certs segment with, and the indexes built from every shard's
-   rows (in shard order) are sealed beside them. *)
+   rows (in shard order) are sealed beside them as one base delta. *)
 let commit_store db ~lints ~pieces ~coverage results =
   let written = List.concat_map fst results in
   let kept =
@@ -1528,28 +1546,15 @@ let commit_store db ~lints ~pieces ~coverage results =
         | _ -> None)
       pieces
   in
-  let pairs =
-    List.sort
-      (fun ((a : Store.Manifest.seg), _) ((b : Store.Manifest.seg), _) ->
-        compare a.Store.Manifest.lo b.Store.Manifest.lo)
-      (kept @ written)
-  in
   let indexes =
     Store.Db.save_indexes ~base:true db (merge_accs (List.map snd results))
-  in
-  let man : Store.Manifest.t =
-    { state = `Complete;
-      lints;
-      segments = List.map fst pairs;
-      rows = List.map snd pairs;
-      indexes;
-      meta = [] }
   in
   let coverage =
     if coverage = [] then [] else [ ("coverage", encode_coverage coverage) ]
   in
-  Store.Db.commit db
-    { man with Store.Manifest.meta = ("content", content_address man) :: coverage }
+  commit_manifest db ~state:`Complete ~lints ~indexes
+    ~meta:(fun man -> ("content", content_address man) :: coverage)
+    (kept @ written)
 
 (* A store that is not complete is recovered, then built shard by
    shard: stored spans replay and gaps land from the live source.  A
@@ -1627,17 +1632,12 @@ let collect ?(seed = 1) ?(policy = Faults.Policy.default) ?mutator
   let body ~lo:_ ~hi ~start _part ~record ~each =
     let kept = ref [] and n = ref 0 in
     (try
-       feed ~start ~stop:hi (fun item ->
-           each (Ctlog.Fetch.item_index item) (fun () ->
-               match item with
-               | Ctlog.Fetch.Got (_, e) ->
-                   if keep e then begin
-                     kept := f e :: !kept;
-                     incr n;
-                     if !n >= count then raise_notrace Kept_enough
-                   end
-               | Ctlog.Fetch.Undecodable (index, der, error) ->
-                   record ~index ~der error))
+       deliveries feed ~start ~stop:hi ~each ~fault:record (fun _ e ->
+           if keep e then begin
+             kept := f e :: !kept;
+             incr n;
+             if !n >= count then raise_notrace Kept_enough
+           end)
      with Kept_enough -> ());
     List.rev !kept
   in
@@ -1646,6 +1646,24 @@ let collect ?(seed = 1) ?(policy = Faults.Policy.default) ?mutator
   in
   t.coverage <- coverage;
   (t, List.filteri (fun i _ -> i < count) (List.concat parts))
+
+(* The monitor daemon's tick: its deliveries are the feed, {!live} the
+   step, and each shard's sink stages what the store lands per item. *)
+let ingest ~scale ~seed ~policy ~jobs items =
+  let feed = items_feed items in
+  let body ~lo:_ ~hi ~start part ~record ~each =
+    let staged = ref [] in
+    let stage (recd, rowstr) row = staged := (recd, rowstr, row) :: !staged in
+    let fault ~index ~der error =
+      stage (fault_pair ~index ~der error) None;
+      record ~index ~der error
+    in
+    let sink ~der row = stage (cert_pair ~der row) (Some row) in
+    live feed ~start ~stop:hi ~each part policy ~fault ~sink;
+    List.rev !staged
+  in
+  let t, parts = drive ~scale ~seed ~policy ~jobs ~cursor:None ~resume:false body in
+  (t, List.concat parts)
 
 let year_range t =
   Hashtbl.fold (fun y _ (lo, hi) -> (min lo y, max hi y)) t.years (9999, 0)

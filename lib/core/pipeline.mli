@@ -246,21 +246,32 @@ val lints_signature : unit -> string
 (** {2 Store-row ingest surface}
 
     The monitor daemon ({!page-index} unicert-monitord) ingests
-    certificates incrementally: each fetched entry is analyzed once
-    into a row, appended to the store in lockstep with its DER, and
-    the row alone feeds the persistent indexes and the live query
-    service — replaying committed rows after a restart rebuilds the
-    exact same serving state. *)
+    certificates incrementally: each tick's fetched entries go through
+    {!ingest}, each is analyzed once into a row, appended to the store
+    in lockstep with its DER, and the row alone feeds the persistent
+    indexes and the live query service — replaying committed rows
+    after a restart rebuilds the exact same serving state. *)
 
 type row
 (** One stored analysis row: the complete deterministic projection of
     a corpus certificate (issuer, lint findings, Unicode
     classification, SAN names, subject material). *)
 
+val ingest :
+  scale:int -> seed:int -> policy:Faults.Policy.t -> jobs:int ->
+  Ctlog.Fetch.item list -> t * (Store.Db.record * string * row option) list
+(** [ingest ~scale ~seed ~policy ~jobs items] runs delivered [items]
+    (ascending by index) through the driver and its fault boundary as
+    {!run} does, [policy] counting within this call.  Returns the
+    aggregate, whose [faults.aborted] forbids committing the batch, and
+    in index order each item's record, encoded row and, for a
+    certificate, row. *)
+
 val analyze_entry : Ctlog.Dataset.entry -> index:int -> row
 (** Run the (fused or reference) analysis engine over one delivered
-    entry — the same path a full pipeline pass uses, so stored rows
-    are byte-identical either way. *)
+    entry, outside any fault boundary — the same path a full pipeline
+    pass uses.  Outside tests its only caller is the benchmark's traced
+    replica of the daemon tick. *)
 
 val row_index : row -> int
 
@@ -284,6 +295,10 @@ val decode_row : string -> (row, string) result
 (** The rows-segment codec.  [decode_row] also accepts the pre-ingest
     8-column form (empty subject material), so stores written by
     earlier builds stay readable. *)
+
+val stored_row : index:int -> string -> row
+(** Decode the stored row of record [index], as every replay does.
+    @raise Store.Db.Store_error when it does not decode. *)
 
 type index_acc
 (** Accumulator for the five persistent indexes (issuer, lint, flaw,
@@ -309,6 +324,14 @@ val save_indexes :
     delta ({!Store.Db.save_indexes}); returns the delta list the next
     manifest carries.  A store build passes the whole index as one base
     delta instead. *)
+
+val commit_manifest :
+  Store.Db.t -> state:[ `Building | `Complete ] -> lints:string ->
+  indexes:(string * string * string) list ->
+  meta:(Store.Manifest.t -> (string * string) list) ->
+  (Store.Manifest.seg * Store.Manifest.seg) list -> unit
+(** Commit the manifest of the (certs, rows) [pairs], sorted by [lo],
+    beside [indexes], with [meta] of that manifest. *)
 
 val store_fingerprint :
   mutator:Faults.Mutator.plan option -> drop:bool -> source:source -> string

@@ -149,11 +149,28 @@ let has_store_files dir =
   Sys.file_exists dir
   && Array.exists (fun f -> is_segment_file f || f = Manifest.file) (Sys.readdir dir)
 
+(* An unreadable identity or manifest: a store of another format
+   version is rebuilt, anything else goes to [fsck]. *)
+let unreadable ~dir what e ~fsck =
+  fail "store %s: %s unreadable (%s); %s" dir what e
+    (if Manifest.foreign_version ~dir <> None then "rebuild the store from scratch"
+     else "run `unicert-store " ^ fsck ^ "`")
+
+(* A valid identity with no committed manifest is an in-flight build
+   caught before its first commit (fsck calls it usable): its committed
+   prefix is simply empty, and any unsealed tail segments stay
+   invisible until a writer commits them. *)
+let load_manifest ~dir =
+  match Manifest.load ~dir with
+  | Ok (Some m) -> m
+  | Ok None -> empty_manifest ""
+  | Error e -> unreadable ~dir "manifest" e ~fsck:"fsck --repair"
+
 let create ~dir ~scale ~seed ~fingerprint =
   mkdir_p dir;
   let want : Manifest.id = { scale; seed; fingerprint } in
   (match Manifest.load_id ~dir with
-  | Error e -> fail "store %s: identity unreadable (%s); run `unicert-store fsck`" dir e
+  | Error e -> unreadable ~dir "identity" e ~fsck:"fsck"
   | Ok (Some have) ->
       if have <> want then
         fail
@@ -164,30 +181,14 @@ let create ~dir ~scale ~seed ~fingerprint =
       if has_store_files dir then
         fail "store %s: data present but store.id missing; run `unicert-store fsck`" dir;
       Manifest.save_id ~dir want);
-  let man =
-    match Manifest.load ~dir with
-    | Ok (Some m) -> m
-    | Ok None -> empty_manifest ""
-    | Error e -> fail "store %s: manifest unreadable (%s); run `unicert-store fsck --repair`" dir e
-  in
-  { dir; id_ = want; man; packs_read = [] }
+  { dir; id_ = want; man = load_manifest ~dir; packs_read = [] }
 
 let open_ro ~dir =
   if not (Sys.file_exists dir) then fail "store %s: no such directory" dir;
   match Manifest.load_id ~dir with
-  | Error e -> fail "store %s: identity unreadable (%s)" dir e
+  | Error e -> unreadable ~dir "identity" e ~fsck:"fsck"
   | Ok None -> fail "store %s: not a store (store.id missing)" dir
-  | Ok (Some id_) -> (
-      match Manifest.load ~dir with
-      | Error e -> fail "store %s: manifest unreadable (%s); run `unicert-store fsck --repair`" dir e
-      | Ok None ->
-          (* A valid identity with no committed manifest is an in-flight
-             build caught before its first commit (fsck calls it
-             usable).  Readers agree: the committed prefix is simply
-             empty — any unsealed tail segments stay invisible until a
-             writer commits them. *)
-          { dir; id_; man = empty_manifest ""; packs_read = [] }
-      | Ok (Some man) -> { dir; id_; man; packs_read = [] })
+  | Ok (Some id_) -> { dir; id_; man = load_manifest ~dir; packs_read = [] }
 
 let sorted_segments (man : Manifest.t) =
   List.sort (fun (a : Manifest.seg) b -> compare a.lo b.lo) man.segments
@@ -776,7 +777,7 @@ type fsck_report = {
   issues : issue list;
   spans_ok : int;
   spans_expected : int;
-  store_state : [ `Complete | `Building | `Absent ];
+  store_state : [ `Complete | `Building | `Absent | `Foreign ];
   usable : bool;
   repaired : bool;
 }
@@ -797,6 +798,14 @@ let fsck ?(repair = false) ~dir () =
             issues := { file; problem; detail; repair = r } :: !issues
           end
         in
+        (* Another format version's store is not damage: one issue, no
+           stray scan, no repair. *)
+        match Manifest.foreign_version ~dir with
+        | Some (file, v) ->
+            flag ~file ~problem:"version" ~repair:"none"
+              ~detail:(Printf.sprintf "format version %d, this build reads %d; rebuild the store" v Manifest.version);
+            { issues = List.rev !issues; spans_ok = 0; spans_expected = 0; store_state = `Foreign; usable = false; repaired = false }
+        | None ->
         let id_ok =
           match Manifest.load_id ~dir with
           | Ok (Some _) -> true
@@ -1031,7 +1040,7 @@ let fsck ?(repair = false) ~dir () =
             issues = List.rev !issues;
             spans_ok;
             spans_expected;
-            store_state = (if man_ok then (man.state :> [ `Complete | `Building | `Absent ]) else `Building);
+            store_state = (if man_ok then (man.state :> [ `Complete | `Building | `Absent | `Foreign ]) else `Building);
             usable;
             repaired;
           }

@@ -175,7 +175,7 @@ type fsck_report = {
   issues : issue list;
   spans_ok : int;  (** intact sealed cert spans *)
   spans_expected : int;  (** spans the manifest references *)
-  store_state : [ `Complete | `Building | `Absent ];
+  store_state : [ `Complete | `Building | `Absent | `Foreign ];
   usable : bool;  (** some intact cert data (or a valid empty store) remains *)
   repaired : bool;
 }
@@ -187,6 +187,8 @@ val fsck : ?repair:bool -> dir:string -> unit -> fsck_report
     [*.quarantined] and logged to [store-quarantine.jsonl]), delete
     strays, and rewrite the manifest to reference only intact files
     (demoting [`Complete] to [`Building] when coverage was lost).
+    A store of another format version is [`Foreign]: one ["version"]
+    issue, and no file touched, [repair] or not.
     Never raises on corruption — corruption is the expected input. *)
 
 val prewarm : unit -> unit

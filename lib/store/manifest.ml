@@ -187,3 +187,11 @@ let save ~dir t =
         (Filename.concat dir file) (to_json t))
 
 let load ~dir = load_with of_json (Filename.concat dir file)
+
+let foreign_version ~dir =
+  List.find_map
+    (fun name ->
+      match load_with (field num "version") (Filename.concat dir name) with
+      | Ok (Some v) when v <> version -> Some (name, v)
+      | _ -> None)
+    [ id_file; file ]

@@ -53,3 +53,7 @@ val save : dir:string -> t -> unit
     ["manifest.rename.after"] crash points. *)
 
 val load : dir:string -> (t option, string) result
+
+val foreign_version : dir:string -> (string * int) option
+(** [Some (basename, v)] when [dir]'s identity or manifest declares
+    format version [v], not {!version}: rebuild the store. *)

@@ -14,16 +14,25 @@
      the acknowledged prefix, and a restarted daemon answers the
      battery byte-identically to an independent replay of it;
    - a request line over the 64 KiB cap gets a sealed refusal and the
-     daemon keeps serving.
+     daemon keeps serving;
+   - the shared fault flags go through the pipeline's fault boundary:
+     --quarantine writes one line per committed fault record, the same
+     lines unicert_report quarantines from the same corpus;
+     --fail-fast and --max-errors abort with exit 3 at the fault that
+     spends the budget over the daemon's lifetime (committed faults
+     count on restart) and leave a clean store that a restart without
+     them completes byte-identically;
+     --checkpoint/--resume are refused with exit 2.
 
-   The daemon path arrives as argv(1) from the dune rule. *)
+   The daemon and report paths arrive as argv(1) and argv(2) from the
+   dune rule. *)
 
-let daemon =
-  if Array.length Sys.argv < 2 then begin
-    prerr_endline "usage: serve_smoke DAEMON_EXE";
+let daemon, report_exe =
+  if Array.length Sys.argv < 3 then begin
+    prerr_endline "usage: serve_smoke DAEMON_EXE REPORT_EXE";
     exit 2
   end
-  else Sys.argv.(1)
+  else (Sys.argv.(1), Sys.argv.(2))
 
 let scale = 600
 let seed = 5
@@ -76,11 +85,22 @@ let read_all ic =
    with End_of_file -> ());
   Buffer.contents buf
 
+(* The fault runs' corpus: a reliable transport, corrupted entries. *)
+let corpus_args =
+  [
+    "--scale"; string_of_int scale; "--seed"; string_of_int seed;
+    "--source"; "fetch"; "--logs"; "8"; "--net-seed"; "41";
+    "--net-fault-rate"; "0"; "--corrupt-rate"; "0.1"; "--no-progress";
+  ]
+
+let fault_args ~publish ~commit =
+  corpus_args @ [ "--publish-per-tick"; publish; "--commit-every"; commit ]
+
 (* Run the daemon over a fresh or existing store with [extra] args,
-   write [input] lines to stdin, return (stdout, exit status). *)
-let run_daemon ~dir ~extra ~input () =
+   write [input] lines to stdin, return (stdout, stderr, exit status). *)
+let run_daemon ?(base = base_args) ~dir ~extra ~input () =
   let args =
-    Array.of_list ((daemon :: "--store" :: dir :: base_args) @ extra)
+    Array.of_list ((daemon :: "--store" :: dir :: base) @ extra)
   in
   let out, inp, err =
     Unix.open_process_args_full daemon args (Unix.environment ())
@@ -396,6 +416,100 @@ let () =
         "the daemon keeps serving after a refused line";
       checkf (bye = "bye") "quit still answers bye"
   | fs -> checkf false "five frames around a long line, got %d" (List.length fs));
+  rm_rf dir;
+
+  (* --- 5. the fault contract ----------------------------------------- *)
+  let read_lines file =
+    if Sys.file_exists file then In_channel.with_open_bin file In_channel.input_lines
+    else []
+  in
+  let quarantine dir = read_lines (Filename.concat dir (Printf.sprintf "quarantine-%d.jsonl" seed)) in
+  let dir = tmp "faults" and qdir = tmp "faults-q" and rqdir = tmp "faults-rq" in
+  List.iter rm_rf [ dir; qdir; rqdir ];
+  let base = fault_args ~publish:"8" ~commit:"4" in
+  let fault_out, stderr_s, status =
+    run_daemon ~base ~dir ~extra:[ "--ticks"; "12"; "--quarantine"; qdir ]
+      ~input:(battery @ [ "quit" ]) ()
+  in
+  checkf (status = Unix.WEXITED 0) "quarantining daemon exits 0 (stderr: %s)"
+    (String.trim stderr_s);
+  let faults = ref 0 in
+  Store.Db.iter_pairs (Store.Db.open_ro ~dir) (fun recd _ ->
+      match recd with Store.Db.Fault _ -> incr faults | Store.Db.Cert _ -> ());
+  let lines = quarantine qdir in
+  checkf
+    (!faults > 0 && List.length lines = !faults)
+    "one quarantine line per committed fault record (%d lines, %d records)"
+    (List.length lines) !faults;
+  let status =
+    Unix.system
+      (Filename.quote_command report_exe ~stdout:Filename.null
+         ([ "summary"; "--quarantine"; rqdir ] @ corpus_args))
+  in
+  checkf (status = Unix.WEXITED 0) "unicert_report over the same corpus exits 0";
+  checkf
+    (List.sort compare lines = List.sort compare (quarantine rqdir))
+    "the daemon quarantines the lines unicert_report does";
+  List.iter rm_rf [ dir; qdir; rqdir ];
+  (* One entry per log and a commit per tick, so the budget is spent
+     over several ticks, after some commits: the abort comes at the
+     budget's last fault over the daemon's lifetime, not a tick's. *)
+  List.iter
+    (fun (flags, budget) ->
+      let name = String.concat " " flags in
+      let dir = tmp "abort" in
+      List.iter rm_rf [ dir; qdir ];
+      let _, stderr_s, status =
+        run_daemon ~base:(fault_args ~publish:"1" ~commit:"1") ~dir
+          ~extra:([ "--ticks"; "80"; "--quarantine"; qdir ] @ flags)
+          ~input:[ "quit" ] ()
+      in
+      checkf
+        (status = Unix.WEXITED 3 && starts_with "error: run aborted: " stderr_s)
+        "%s aborts with exit 3 (stderr: %s)" name (String.trim stderr_s);
+      checkf
+        (List.length (quarantine qdir) = budget)
+        "%s aborts at fault %d (%d quarantined)" name budget
+        (List.length (quarantine qdir));
+      let report = Store.Db.fsck ~dir () in
+      checkf
+        (report.Store.Db.issues = [] && report.Store.Db.usable)
+        "%s leaves a store that fscks clean (%d issues)" name
+        (List.length report.Store.Db.issues);
+      (* The committed fault records count toward a restart's budget. *)
+      let committed = ref 0 in
+      Store.Db.iter_pairs (Store.Db.open_ro ~dir) (fun recd _ ->
+          match recd with Store.Db.Fault _ -> incr committed | Store.Db.Cert _ -> ());
+      rm_rf qdir;
+      let _, _, status =
+        run_daemon ~base:(fault_args ~publish:"1" ~commit:"1") ~dir
+          ~extra:([ "--ticks"; "80"; "--quarantine"; qdir ] @ flags)
+          ~input:[ "quit" ] ()
+      in
+      checkf
+        (status = Unix.WEXITED 3
+        && List.length (quarantine qdir) = max 1 (budget - !committed))
+        "a restart with %s aborts once the budget is spent (%d committed, %d quarantined)"
+        name !committed (List.length (quarantine qdir));
+      let stdout_s, stderr_s, status =
+        run_daemon ~base ~dir ~extra:[ "--ticks"; "12" ] ~input:(battery @ [ "quit" ]) ()
+      in
+      checkf (status = Unix.WEXITED 0) "restart after %s exits 0 (stderr: %s)" name
+        (String.trim stderr_s);
+      checkf (stdout_s = fault_out)
+        "restart after %s answers byte-identically to an uninterrupted run" name;
+      List.iter rm_rf [ dir; qdir ])
+    [ ([ "--fail-fast" ], 1); ([ "--max-errors"; "3" ], 3) ];
+  let dir = tmp "checkpoint" in
+  rm_rf dir;
+  let _, stderr_s, status =
+    run_daemon ~dir
+      ~extra:[ "--ticks"; "1"; "--checkpoint"; Filename.concat dir "ck"; "--resume" ]
+      ~input:[ "quit" ] ()
+  in
+  checkf
+    (status = Unix.WEXITED 2 && not (Sys.file_exists dir))
+    "--checkpoint/--resume are refused with exit 2 (stderr: %s)" (String.trim stderr_s);
   rm_rf dir;
 
   if !failures > 0 then begin

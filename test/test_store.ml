@@ -903,22 +903,71 @@ let test_pack_fsck_unit () =
       check Alcotest.int "the other commits read back" 64
         (List.length (read_all (Store.Db.open_ro ~dir))))
 
+(* A store of the previous format version: committed packs and index
+   deltas under a version-1 identity and manifest.  Opening it is
+   refused with the version and a rebuild hint, and fsck, with or
+   without --repair, reports the one version issue and touches no
+   file. *)
 let test_v1_refused () =
   let dir = fresh_dir "v1" in
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      ignore (open_daemon_store dir);
+      let db = open_daemon_store dir in
+      commit_spans db [ (0, 4, [ 0; 1; 2; 3 ]) ] ~index:[ 0; 1; 2; 3 ];
+      commit_spans db [ (4, 8, [ 4; 5; 6; 7 ]) ] ~index:[ 4; 5; 6; 7 ];
+      let path = Filename.concat dir Store.Manifest.file in
+      let man = In_channel.with_open_bin path In_channel.input_all in
+      let v2 = {|{"version":2,|} in
+      check Alcotest.bool "manifest starts with its version" true
+        (String.starts_with ~prefix:v2 man);
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc
+            ({|{"version":1,|}
+            ^ String.sub man (String.length v2) (String.length man - String.length v2)));
       Out_channel.with_open_bin (Filename.concat dir Store.Manifest.id_file) (fun oc ->
           output_string oc {|{"version":1,"scale":1000000,"seed":1,"fingerprint":"packs"}|});
-      match Store.Db.open_ro ~dir with
-      | _ -> Alcotest.fail "a version-1 store opened"
-      | exception Store.Db.Store_error e ->
-          check Alcotest.bool ("version message: " ^ e) true
-            (let want = "format version 1, this build reads 2" in
-             let n = String.length want in
-             let rec at i = i + n <= String.length e && (String.sub e i n = want || at (i + 1)) in
-             at 0))
+      let contains e want =
+        let n = String.length want in
+        let rec at i = i + n <= String.length e && (String.sub e i n = want || at (i + 1)) in
+        at 0
+      in
+      let refused () =
+        match Store.Db.open_ro ~dir with
+        | _ -> Alcotest.fail "a version-1 store opened"
+        | exception Store.Db.Store_error e ->
+            check Alcotest.bool ("version message: " ^ e) true
+              (contains e "format version 1, this build reads 2");
+            check Alcotest.bool ("rebuild hint: " ^ e) true
+              (contains e "rebuild the store" && not (contains e "fsck"))
+      in
+      refused ();
+      let snapshot () =
+        Sys.readdir dir |> Array.to_list |> List.sort compare
+        |> List.map (fun f ->
+               (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+      in
+      let before = snapshot () in
+      check Alcotest.bool "the store has index deltas" true
+        (List.exists (fun (f, _) -> Filename.check_suffix f ".idx") before);
+      List.iter
+        (fun repair ->
+          let r = Store.Db.fsck ~repair ~dir () in
+          check
+            Alcotest.(list (pair string string))
+            "one version issue, no repair"
+            [ (Store.Manifest.id_file, "version") ]
+            (List.map
+               (fun (i : Store.Db.issue) -> (i.Store.Db.file, i.Store.Db.problem))
+               r.Store.Db.issues);
+          check Alcotest.bool "repair none" true
+            (List.for_all (fun (i : Store.Db.issue) -> i.Store.Db.repair = "none")
+               r.Store.Db.issues);
+          check Alcotest.bool "state foreign" true (r.Store.Db.store_state = `Foreign);
+          check Alcotest.bool "nothing repaired" false r.Store.Db.repaired;
+          check Alcotest.bool "every file kept byte for byte" true (snapshot () = before))
+        [ false; true ];
+      refused ())
 
 let suite =
   [
