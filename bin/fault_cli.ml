@@ -28,14 +28,37 @@ type t = {
    Every nonzero path of every binary must still flush metrics and
    traces, and a run that earns several codes must exit with the most
    diagnostic one (Faults.Exitcode: 2 > 3 > 4 > 1 > 0).  Binaries
-   register their --metrics target here and route every exit through
-   [exit_via]; [guard] catches the two "your inputs are unusable"
+   take their --metrics target from the [metrics] term below and route
+   every exit through [exit_via]; [guard] catches the two "your inputs are unusable"
    exceptions of the store/resume stack and funnels them as code 2. *)
 
 let metrics_target : string option ref = ref None
 let profile_target = ref false
 
-let set_metrics file = metrics_target := file
+(* The telemetry flags every binary shares.  Evaluating [metrics]
+   registers the --metrics target [flush_outputs] writes; evaluating
+   [progress] applies --progress/--no-progress. *)
+let metrics =
+  Term.(
+    const (fun file -> metrics_target := file)
+    $ Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
+           ~doc:"Write collected telemetry at exit: Prometheus text, or JSON \
+                 when FILE ends in .json"))
+
+let progress =
+  let force_on =
+    Arg.(value & flag & info [ "progress" ]
+         ~doc:"Force progress reporting on (default: only on a TTY, and not \
+               under OBS_QUIET)")
+  in
+  let force_off =
+    Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
+  in
+  Term.(
+    const (fun on off ->
+        if on then Obs.Progress.set_override (Some true)
+        else if off then Obs.Progress.set_override (Some false))
+    $ force_on $ force_off)
 
 let flush_outputs () =
   let code = ref 0 in
@@ -208,7 +231,10 @@ let make corrupt_rate corrupt_seed corrupt_kinds drop max_errors fail_fast
           Printf.eprintf "error: --logs must be >= 1\n";
           exit 2
         end;
-        let base = Ctlog.Fetch.default_cfg in
+        (* --breaker-threshold tunes the per-log fetch breakers as well as
+           the pipeline boundary; set here once, so the cfg every binary
+           fingerprints a store with is the cfg it fetches with. *)
+        let base = { Ctlog.Fetch.default_cfg with Ctlog.Fetch.breaker_threshold } in
         let fault_kinds =
           match net_kinds with
           | None -> base.Ctlog.Fetch.fault_kinds

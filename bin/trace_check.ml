@@ -92,9 +92,6 @@ let () =
           match Obs.Jsonv.member "s" ev with
           | Some (Obs.Jsonv.Str _) -> ()
           | _ -> fail "event %d (%s): instant lacks a scope \"s\"" i name)
-      | "b" | "e" ->
-          if Obs.Jsonv.member "id" ev = None then
-            fail "event %d (%s): async phase lacks an id" i name
       | other -> fail "event %d (%s): unknown phase %S" i name other)
     events;
   Hashtbl.iter

@@ -32,9 +32,8 @@ let summarize ppf (t : Fuzz.Campaign.t) =
   Fuzz.Findings.report ppf t.Fuzz.Campaign.findings
 
 let run budget seed jobs round_size timeout max_seconds breaker_threshold
-    checkpoint resume findings_file minimize fault_models fault_hang metrics
+    checkpoint resume findings_file minimize fault_models fault_hang ()
     trace =
-  Fault_cli.set_metrics metrics;
   (match trace with
   | None -> ()
   | Some file -> Obs.Trace.enable ~file ());
@@ -180,9 +179,6 @@ let fault_models =
 let fault_hang =
   Arg.(value & flag & info [ "fault-hang" ]
        ~doc:"Injected faults hang (bounded busy loop) instead of crashing")
-let metrics =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-       ~doc:"Write collected telemetry at exit")
 let trace =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
        ~doc:"Record a Chrome-trace timeline")
@@ -201,7 +197,7 @@ let run_c =
   Cmd.v (Cmd.info "run" ~doc:"execute a fuzzing campaign")
     Term.(const run $ budget $ seed $ jobs $ round_size $ timeout $ max_seconds
           $ breaker_threshold $ checkpoint $ resume $ findings_file
-          $ minimize_flag $ fault_models $ fault_hang $ metrics $ trace)
+          $ minimize_flag $ fault_models $ fault_hang $ Fault_cli.metrics $ trace)
 
 let minimize_c =
   Cmd.v (Cmd.info "minimize" ~doc:"minimize cluster exemplars from a findings file")

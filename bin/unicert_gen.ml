@@ -128,11 +128,7 @@ let run_mutant field payload st_name =
   in
   emit_pem (Tlsparsers.Testgen.make mutation)
 
-let run mode count seed flawed_only field payload st fault metrics progress
-    no_progress =
-  if progress then Obs.Progress.set_override (Some true)
-  else if no_progress then Obs.Progress.set_override (Some false);
-  Fault_cli.set_metrics metrics;
+let run mode count seed flawed_only field payload st fault () () =
   let code =
     match mode with
     | "corpus" ->
@@ -155,18 +151,11 @@ let flawed_only = Arg.(value & flag & info [ "flawed" ] ~doc:"Emit only noncompl
 let field = Arg.(value & opt string "san" & info [ "field" ] ~doc:"Mutated field (cn|o|san|email|uri|crldp)")
 let payload = Arg.(value & opt string "test\x01.com" & info [ "payload" ] ~doc:"Raw payload bytes")
 let st = Arg.(value & opt string "UTF8String" & info [ "string-type" ] ~doc:"Declared ASN.1 string type for DN mutants")
-let metrics =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-       ~doc:"Write collected telemetry at exit: Prometheus text, or JSON when FILE ends in .json")
-let progress =
-  Arg.(value & flag & info [ "progress" ] ~doc:"Force progress reporting on (default: only on a TTY, and not under OBS_QUIET)")
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
 
 let cmd =
   let doc = "generate test Unicerts (calibrated corpus samples or field mutants)" in
   Cmd.v (Cmd.info "unicert-gen" ~doc)
     Term.(const run $ mode $ count $ seed $ flawed_only $ field $ payload $ st
-          $ Fault_cli.term $ metrics $ progress $ no_progress)
+          $ Fault_cli.term $ Fault_cli.metrics $ Fault_cli.progress)
 
 let () = exit (Cmd.eval cmd)

@@ -128,11 +128,8 @@ let json_findings path findings =
     findings;
   print_string "]}\n"
 
-let run files corpus scale seed ignore_dates issued_str list_lints json fault
-    metrics progress no_progress =
-  if progress then Obs.Progress.set_override (Some true)
-  else if no_progress then Obs.Progress.set_override (Some false);
-  Fault_cli.set_metrics metrics;
+let run files corpus scale seed ignore_dates issued_str list_lints json fault ()
+    () =
   let issued =
     match Asn1.Time.of_generalized (issued_str ^ "000000Z") with
     | Ok t -> t
@@ -173,19 +170,12 @@ let list_lints =
 let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit findings as JSON")
 let corpus =
   Arg.(value & flag & info [ "corpus" ] ~doc:"Lint a freshly generated corpus sample (the default when no files are given)")
-let metrics =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-       ~doc:"Write collected telemetry at exit: Prometheus text, or JSON when FILE ends in .json")
-let progress =
-  Arg.(value & flag & info [ "progress" ] ~doc:"Force progress reporting on (default: only on a TTY, and not under OBS_QUIET)")
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
 
 let cmd =
   let doc = "lint X.509 certificates against the 95 Unicert constraint rules" in
   Cmd.v (Cmd.info "unicert-lint" ~doc)
     Term.(const run $ files $ corpus $ scale $ seed $ ignore_dates $ issued
-          $ list_lints $ json $ Fault_cli.term $ metrics $ progress
-          $ no_progress)
+          $ list_lints $ json $ Fault_cli.term $ Fault_cli.metrics
+          $ Fault_cli.progress)
 
 let () = exit (Cmd.eval cmd)

@@ -108,10 +108,7 @@ let read_line_opt () =
   if !stop_requested then None else take ()
 
 let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
-    respond_fault_rate client metrics progress no_progress =
-  if progress then Obs.Progress.set_override (Some true)
-  else if no_progress then Obs.Progress.set_override (Some false);
-  Fault_cli.set_metrics metrics;
+    respond_fault_rate client () () =
   Sys.set_signal Sys.sigterm
     (Sys.Signal_handle (fun _ -> stop_requested := true));
   let dir =
@@ -137,9 +134,10 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
   Fault_cli.guard @@ fun () ->
   let policy = fault.Fault_cli.policy in
   let cfg =
-    let base = Option.value fault.Fault_cli.fetch ~default:Ctlog.Fetch.default_cfg in
-    { base with
-      Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
+    Option.value fault.Fault_cli.fetch
+      ~default:
+        { Ctlog.Fetch.default_cfg with
+          Ctlog.Fetch.breaker_threshold = policy.Faults.Policy.breaker_threshold }
   in
   let jobs = fault.Fault_cli.jobs in
   let mutator = Fault_cli.mutator ~default_seed:seed fault in
@@ -449,17 +447,6 @@ let client =
   Arg.(value & opt string "cli" & info [ "client" ] ~docv:"NAME"
        ~doc:"Client name keying the response-fault stream")
 
-let metrics =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-       ~doc:"Write collected telemetry at exit: Prometheus text, or JSON \
-             when FILE ends in .json")
-
-let progress =
-  Arg.(value & flag & info [ "progress" ] ~doc:"Force progress reporting on")
-
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
-
 let cmd =
   let doc =
     "continuously monitor simulated CT logs and serve a crt.sh-style query API"
@@ -467,6 +454,6 @@ let cmd =
   Cmd.v (Cmd.info "unicert-monitord" ~doc)
     Term.(const run $ scale $ seed $ Fault_cli.term $ ticks
           $ publish_per_tick $ commit_every $ respond_fault_rate $ client
-          $ metrics $ progress $ no_progress)
+          $ Fault_cli.metrics $ Fault_cli.progress)
 
 let () = exit (Cmd.eval cmd)

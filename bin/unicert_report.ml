@@ -61,10 +61,7 @@ let experiments =
 
 let ids = String.concat " " (List.map fst experiments)
 
-let run id scale seed (fault : Fault_cli.t) metrics progress no_progress =
-  if progress then Obs.Progress.set_override (Some true)
-  else if no_progress then Obs.Progress.set_override (Some false);
-  Fault_cli.set_metrics metrics;
+let run id scale seed (fault : Fault_cli.t) () () =
   let render =
     match List.assoc_opt (String.lowercase_ascii id) experiments with
     | Some render -> render
@@ -124,18 +121,11 @@ let id =
        & info [] ~docv:"EXPERIMENT" ~doc:("Experiment id from DESIGN.md, one of: " ^ ids))
 let scale = Arg.(value & opt int Ctlog.Dataset.default_scale & info [ "scale" ] ~doc:"Corpus size")
 let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Corpus seed")
-let metrics =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-       ~doc:"Write collected telemetry at exit: Prometheus text, or JSON when FILE ends in .json")
-let progress =
-  Arg.(value & flag & info [ "progress" ] ~doc:"Force progress reporting on (default: only on a TTY, and not under OBS_QUIET)")
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
 
 let cmd =
   let doc = "regenerate one of the paper's tables or figures, or all of them" in
   Cmd.v (Cmd.info "unicert-report" ~doc)
-    Term.(const run $ id $ scale $ seed $ Fault_cli.term $ metrics $ progress
-          $ no_progress)
+    Term.(const run $ id $ scale $ seed $ Fault_cli.term $ Fault_cli.metrics
+          $ Fault_cli.progress)
 
 let () = exit (Cmd.eval cmd)

@@ -72,10 +72,7 @@ let arm_chaos ~chaos_rate ~chaos_seed ~chaos_kinds ~crash_at =
 (* --- build --- *)
 
 let build dir scale seed (fault : Fault_cli.t) chaos_rate chaos_seed
-    chaos_kinds crash_at metrics progress no_progress =
-  if progress then Obs.Progress.set_override (Some true)
-  else if no_progress then Obs.Progress.set_override (Some false);
-  Fault_cli.set_metrics metrics;
+    chaos_kinds crash_at () () =
   arm_chaos ~chaos_rate ~chaos_seed ~chaos_kinds ~crash_at;
   let source =
     match fault.Fault_cli.fetch with
@@ -240,23 +237,12 @@ let repair =
              corrupt segments, delete strays, rewrite the manifest to \
              reference only intact files")
 
-let progress =
-  Arg.(value & flag & info [ "progress" ] ~doc:"Force progress reporting on")
-
-let no_progress =
-  Arg.(value & flag & info [ "no-progress" ] ~doc:"Force progress reporting off")
-
-let metrics =
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE"
-       ~doc:"Write collected telemetry at exit: Prometheus text, or JSON \
-             when FILE ends in .json")
-
 let build_cmd =
   let doc = "populate (or resume populating) a store from a corpus pass" in
   Cmd.v (Cmd.info "build" ~doc)
     Term.(const build $ dir_arg $ scale $ seed $ Fault_cli.term $ chaos_rate
-          $ chaos_seed $ chaos_kinds $ crash_at $ metrics $ progress
-          $ no_progress)
+          $ chaos_seed $ chaos_kinds $ crash_at $ Fault_cli.metrics
+          $ Fault_cli.progress)
 
 let fsck_cmd =
   let doc = "verify every segment, index and the manifest; optionally repair" in

@@ -14,8 +14,6 @@ val of_string : string -> t option
 val of_string_exn : string -> t
 (** Like {!of_string}; raises [Invalid_argument] on parse failure. *)
 
-val compare : t -> t -> int
-
 val equal : t -> t -> bool
 (** Structural equality with a physical-equality fast path — interned
     OIDs compare in one pointer test. *)
@@ -24,13 +22,7 @@ val register : t -> t
 (** [register oid] adds [oid] to the intern table and returns the
     canonical representative.  Must only be called during module
     initialisation (single-threaded); the table is read-only afterwards
-    so {!intern} and {!decode} are safe under parallel domains. *)
-
-val intern : t -> t
-(** [intern oid] is the registered representative of [oid], or [oid]
-    itself if unregistered.  Never mutates the table.  {!decode}
-    interns every OID it parses, so decoded well-known OIDs are
-    physically equal to their registered constants. *)
+    so {!decode}'s interning is safe under parallel domains. *)
 
 val encode : t -> string
 (** [encode oid] is the DER content octets (no tag/length). Raises

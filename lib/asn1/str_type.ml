@@ -66,9 +66,6 @@ let allows st cp =
   | Universal_string -> Unicode.Cp.is_scalar cp
   | Bmp_string -> Unicode.Cp.is_bmp cp && not (Unicode.Cp.is_surrogate cp)
 
-let validate st cps =
-  Array.to_list cps |> List.filter (fun cp -> not (allows st cp))
-
 let encode_value st cps =
   match Unicode.Codec.encode (standard_encoding st) cps with
   | Ok s -> Ok s

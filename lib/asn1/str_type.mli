@@ -37,10 +37,6 @@ val allows : t -> Unicode.Cp.t -> bool
 (** [allows st cp] is [true] iff the code point is inside the type's
     standard repertoire. *)
 
-val validate : t -> Unicode.Cp.t array -> Unicode.Cp.t list
-(** [validate st cps] lists (in order) the code points of [cps] that
-    violate the repertoire — empty means compliant. *)
-
 val encode_value : t -> Unicode.Cp.t array -> (string, string) result
 (** [encode_value st cps] serializes code points into content octets
     using {!standard_encoding} {e without} repertoire checks (a CA with

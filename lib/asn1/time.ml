@@ -21,8 +21,6 @@ let compare a b =
     (a.year, a.month, a.day, a.hour, a.minute, a.second)
     (b.year, b.month, b.day, b.hour, b.minute, b.second)
 
-let equal a b = compare a b = 0
-
 (* Day count from the proleptic Gregorian epoch 0001-01-01. *)
 let to_days t =
   let y = t.year - 1 in
@@ -144,10 +142,6 @@ let of_generalized_sub s ~pos ~len =
     | _ -> Error "GeneralizedTime: non-digit field"
 
 let of_generalized s = of_generalized_sub s ~pos:0 ~len:(String.length s)
-
-let pp ppf t =
-  Format.fprintf ppf "%04d-%02d-%02dT%02d:%02d:%02dZ" t.year t.month t.day t.hour
-    t.minute t.second
 
 let ( <= ) a b = compare a b <= 0
 let ( < ) a b = compare a b < 0

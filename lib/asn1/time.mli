@@ -11,17 +11,11 @@ val make : ?hour:int -> ?minute:int -> ?second:int -> int -> int -> int -> t
 (** [make year month day] builds a timestamp (clamping is not applied;
     invalid dates raise [Invalid_argument]). *)
 
-val compare : t -> t -> int
-val equal : t -> t -> bool
 val ( <= ) : t -> t -> bool
 val ( < ) : t -> t -> bool
 
 val days_in_month : int -> int -> int
 (** [days_in_month year month] accounts for leap years. *)
-
-val to_days : t -> int
-(** [to_days t] is a day count from a fixed epoch (0001-01-01), ignoring
-    the time-of-day components. *)
 
 val days_between : t -> t -> int
 (** [days_between a b] is [to_days b - to_days a]. *)
@@ -45,6 +39,3 @@ val of_generalized_sub : string -> pos:int -> len:int -> (t, string) result
 (** [of_generalized_sub s ~pos ~len] is
     [of_generalized (String.sub s pos len)] without the copy.
     @raise Invalid_argument on a range outside [s]. *)
-
-val pp : Format.formatter -> t -> unit
-(** [pp] prints ISO-8601 [YYYY-MM-DDTHH:MM:SSZ]. *)

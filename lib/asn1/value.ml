@@ -259,12 +259,6 @@ let integer_of_int n =
     Integer s
   end
 
-let str_utf8 st text =
-  let cps = Unicode.Codec.cps_of_utf8 text in
-  match Str_type.encode_value st cps with
-  | Ok raw -> Str (st, raw)
-  | Error m -> invalid_arg (Printf.sprintf "Value.str_utf8 (%s): %s" (Str_type.name st) m)
-
 let str_raw st bytes = Str (st, bytes)
 
 let hex s =

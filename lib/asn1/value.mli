@@ -55,11 +55,6 @@ val int_of_integer : t -> int option
 
 val integer_of_int : int -> t
 
-val str_utf8 : Str_type.t -> string -> t
-(** [str_utf8 st text] builds a [Str] by transcoding UTF-8 [text] into
-    the type's standard encoding; raises [Invalid_argument] if a code
-    point cannot be represented. *)
-
 val str_raw : Str_type.t -> string -> t
 (** [str_raw st bytes] declares [st] but stores [bytes] verbatim — the
     vehicle for crafting noncompliant values. *)

@@ -21,13 +21,6 @@ let universal ?(constructed = false) n content =
   if n > 30 then invalid_arg "Writer.universal: multi-byte tags unsupported";
   tlv ((if constructed then 0x20 else 0x00) lor n) content
 
-let context ?(constructed = false) n content =
-  if n > 30 then invalid_arg "Writer.context: multi-byte tags unsupported";
-  tlv (0x80 lor (if constructed then 0x20 else 0x00) lor n) content
-
-let boolean b = universal 1 (if b then "\xFF" else "\x00")
-let null = universal 5 ""
-
 let integer_bytes b =
   let b = if b = "" then "\x00" else b in
   (* Strip redundant leading 0x00 octets, then restore one if needed. *)
@@ -40,34 +33,4 @@ let integer_bytes b =
   let b = if Char.code b.[0] >= 0x80 then "\x00" ^ b else b in
   universal 2 b
 
-let integer_of_int n =
-  if n = 0 then universal 2 "\x00"
-  else begin
-    let negative = n < 0 in
-    let rec bytes n acc =
-      if n = 0 || n = -1 then acc else bytes (n asr 8) (Char.chr (n land 0xFF) :: acc)
-    in
-    let b = bytes n [] in
-    let b = if b = [] then [ (if negative then '\xFF' else '\x00') ] else b in
-    let s = String.init (List.length b) (List.nth b) in
-    let s =
-      if negative then if Char.code s.[0] < 0x80 then "\xFF" ^ s else s
-      else if Char.code s.[0] >= 0x80 then "\x00" ^ s
-      else s
-    in
-    universal 2 s
-  end
-
-let oid o = universal 6 (Oid.encode o)
-let octet_string s = universal 4 s
-let bit_string ?(unused = 0) s = universal 3 (String.make 1 (Char.chr unused) ^ s)
 let sequence parts = universal ~constructed:true 16 (String.concat "" parts)
-
-let set parts =
-  universal ~constructed:true 17 (String.concat "" (List.sort Stdlib.compare parts))
-
-let set_unsorted parts = universal ~constructed:true 17 (String.concat "" parts)
-let str st content = universal (Str_type.tag st) content
-let utc_time t = universal 23 (Time.to_utctime t)
-let generalized_time t = universal 24 (Time.to_generalized t)
-let time t = if t.Time.year < 2050 then utc_time t else generalized_time t

@@ -7,46 +7,9 @@
 val definite_length : int -> string
 (** [definite_length n] is the DER length octets for content length [n]. *)
 
-val tlv : int -> string -> string
-(** [tlv tag_byte content] assembles a TLV triplet.  [tag_byte] is the
-    full identifier octet (class bits, constructed bit, tag number). *)
-
-val universal : ?constructed:bool -> int -> string -> string
-(** [universal n content] is a universal-class TLV with tag number [n]. *)
-
-val context : ?constructed:bool -> int -> string -> string
-(** [context n content] is a context-specific TLV with tag number [n]. *)
-
-val boolean : bool -> string
-val null : string
-
-val integer_of_int : int -> string
-(** [integer_of_int n] encodes a (possibly negative) OCaml int. *)
-
 val integer_bytes : string -> string
 (** [integer_bytes b] wraps raw big-endian content octets as INTEGER,
     inserting a leading zero if the sign bit would flip. *)
 
-val oid : Oid.t -> string
-val octet_string : string -> string
-val bit_string : ?unused:int -> string -> string
 val sequence : string list -> string
 (** [sequence parts] concatenates already-encoded elements. *)
-
-val set : string list -> string
-(** [set parts] sorts elements into DER SET-OF order before wrapping. *)
-
-val set_unsorted : string list -> string
-(** [set_unsorted parts] wraps without sorting — used to synthesize the
-    noncompliant encodings that DER forbids. *)
-
-val str : Str_type.t -> string -> string
-(** [str st content] wraps raw content octets with the string type's
-    universal tag — no repertoire or encoding checks, by design. *)
-
-val utc_time : Time.t -> string
-val generalized_time : Time.t -> string
-
-val time : Time.t -> string
-(** [time t] follows RFC 5280: UTCTime before 2050, GeneralizedTime
-    from 2050 on. *)

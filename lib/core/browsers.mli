@@ -29,9 +29,6 @@ val render_field : t -> string -> string
     layout characters dropped, and bidirectional overrides applied
     visually (RLO segments render reversed). *)
 
-val warning_identity_string : t -> X509.Certificate.t -> string
-(** The identity line a warning page would display. *)
-
 val display_hostname : t -> string -> string
 (** [display_hostname b domain] applies the IDN display policy to an
     (ASCII, possibly punycoded) domain: labels that decode to
@@ -51,7 +48,8 @@ type row = {
 }
 
 val table14 : unit -> row list
-(** Probe the three engines with crafted Unicerts. *)
+(** Probe the three engines with crafted Unicerts.  A table generator
+    for Table 14: the test suite checks its rows against the paper. *)
 
 type spoof = { browser : string; crafted : string; displayed : string; spoofed : bool }
 

@@ -39,7 +39,6 @@ let dns_like cert =
          X509.Attr.Common_name)
 
 let has_idn cert = List.exists Idna.is_idn (dns_like cert)
-let is_idncert = has_idn
 let is_unicert cert = has_non_printable_ascii cert || has_idn cert
 
 (* The 21 fields Figure 4 surveys. *)

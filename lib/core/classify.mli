@@ -3,16 +3,7 @@
     printable ASCII in any field, or IDNs in DNSName-related fields —
     and an {e IDNCert} when those fields contain IDNs. *)
 
-val has_non_printable_ascii : X509.Certificate.t -> bool
-(** Any subject/issuer attribute or SAN payload containing bytes beyond
-    U+0020–U+007E. *)
-
-val has_idn : X509.Certificate.t -> bool
-(** An A-label (or raw non-ASCII label) in SAN dNSNames or a
-    domain-shaped subject CN. *)
-
 val is_unicert : X509.Certificate.t -> bool
-val is_idncert : X509.Certificate.t -> bool
 
 val unicode_fields : X509.Certificate.t -> (string * bool) list
 (** [(field name, beyond-ASCII content present)] for the 21 fields

@@ -1,10 +1,5 @@
 type trust = Public | Limited | Untrusted
 
-let trust_name = function
-  | Public -> "public"
-  | Limited -> "limited"
-  | Untrusted -> "untrusted"
-
 type issuer = {
   org : string;
   region : string;

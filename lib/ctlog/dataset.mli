@@ -9,8 +9,6 @@
 
 type trust = Public | Limited | Untrusted
 
-val trust_name : trust -> string
-
 type issuer = {
   org : string;          (** IssuerOrganizationName *)
   region : string;

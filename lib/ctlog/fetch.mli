@@ -144,7 +144,6 @@ val feeds :
     with nothing published yet.  [checkpoint] is the cursor base path
     ({!cursor_file} per log). *)
 
-val feed_name : feed -> string
 val feed_range : feed -> int * int
 (** The contiguous corpus-index range [(lo, hi)) this log carries. *)
 

@@ -59,5 +59,4 @@ let size t = Merkle.size t.tree
 let entries t = List.init (size t) (fun i -> t.stored.(i))
 let tree_head t = Merkle.root t.tree
 let prove_inclusion t i = Merkle.inclusion_proof t.tree i
-let prove_consistency t m = Merkle.consistency_proof t.tree m
 let get t i = if i >= 0 && i < size t then Some t.stored.(i) else None

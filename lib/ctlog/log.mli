@@ -42,6 +42,5 @@ val size : t -> int
 val tree_head : t -> string
 
 val prove_inclusion : t -> int -> string list
-val prove_consistency : t -> int -> string list
 
 val get : t -> int -> entry option

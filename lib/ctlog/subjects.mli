@@ -2,16 +2,6 @@
     multilingual organization names (modelled on the paper's Table 3
     examples), IDN U-labels across scripts, and ASCII base domains. *)
 
-val ascii_hosts : string array
-(** Base host name stems, e.g. ["shop"], ["mail"]. *)
-
-val ascii_domains : string array
-(** Registrable ASCII domains. *)
-
-val idn_ulabels : string array
-(** UTF-8 U-labels across Latin-diacritic, Greek, Cyrillic, CJK, Hangul
-    and Arabic scripts. *)
-
 val unicode_orgs : (string * string) array
 (** [(organization name, country code)] pairs with non-ASCII content. *)
 

@@ -37,8 +37,6 @@ let create ?(threshold = default_threshold) ?cooldown name =
     opened_at = Atomic.make 0.0 }
 
 let name t = t.name
-let threshold t = Atomic.get t.threshold
-
 let set_threshold t n =
   if n < 1 then invalid_arg "Faults.Breaker.set_threshold: threshold < 1";
   Atomic.set t.threshold n

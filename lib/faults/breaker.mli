@@ -27,7 +27,6 @@ val create : ?threshold:int -> ?cooldown:float -> string -> t
     half-open recovery path; omitted, the breaker latches open. *)
 
 val name : t -> string
-val threshold : t -> int
 val set_threshold : t -> int -> unit
 (** Adjust the trip threshold (policy wiring).  Lowering it below the
     current consecutive count trips on the next failure, not

@@ -14,10 +14,6 @@ let class_name = function
   | Resource _ -> "resource"
   | Integrity _ -> "integrity"
 
-let all_class_names =
-  [ "decode_error"; "lint_crash"; "model_crash"; "timeout"; "resource";
-    "integrity" ]
-
 let detail = function
   | Decode_error { offset = Some off; detail } ->
       Printf.sprintf "offset %d: %s" off detail
@@ -31,8 +27,6 @@ let detail = function
   | Integrity { log; detail } -> Printf.sprintf "%s: %s" log detail
 
 let to_string e = class_name e ^ ": " ^ detail e
-
-let pp ppf e = Format.pp_print_string ppf (to_string e)
 
 let exn_name e =
   match e with

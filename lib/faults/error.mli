@@ -27,15 +27,11 @@ val class_name : t -> string
     ["timeout"], ["resource"], ["integrity"] — stable keys used for
     telemetry labels and the quarantine sidecar. *)
 
-val all_class_names : string list
-
 val detail : t -> string
 (** The human-readable payload (no class prefix). *)
 
 val to_string : t -> string
 (** ["class: detail"]. *)
-
-val pp : Format.formatter -> t -> unit
 
 val exn_name : exn -> string
 (** Constructor name of an exception (e.g. ["Failure"],

@@ -26,11 +26,3 @@ let rank code =
   go 0 precedence
 
 let worst a b = if rank a <= rank b then a else b
-
-let describe = function
-  | 0 -> "ok"
-  | 1 -> "output flush failed"
-  | 2 -> "unusable input"
-  | 3 -> "aborted"
-  | 4 -> "degraded"
-  | c -> Printf.sprintf "exit %d" c

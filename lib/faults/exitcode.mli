@@ -14,12 +14,6 @@
 val precedence : int list
 (** The known codes, most severe first: [[2; 3; 4; 1; 0]]. *)
 
-val rank : int -> int
-(** Position in {!precedence}; unknown codes rank before every known
-    one so they are never masked. *)
-
 val worst : int -> int -> int
 (** The more severe of two codes under the precedence law.
     Commutative and associative; [0] is the identity. *)
-
-val describe : int -> string

@@ -41,11 +41,6 @@ let reset () =
 
 let active () = Atomic.get any
 
-let armed () =
-  Mutex.protect lock (fun () ->
-      Hashtbl.fold (fun k s acc -> (k, s.mode, s.every) :: acc) slots [])
-  |> List.sort compare
-
 (* An allocating busy loop: OCaml delivers pending signals at
    allocation points, so a Watchdog alarm interrupts this "hang" on the
    main domain; on worker domains it expires at [hang_bound] and the

@@ -18,12 +18,8 @@ type mode =
   | Crash  (** raise {!Injected_crash} *)
   | Hang
       (** busy-loop (allocating, so signals are delivered) for up to
-          {!hang_bound} seconds, then raise {!Injected_hang}.  Under
+          2 seconds, then raise {!Injected_hang}.  Under
           {!Watchdog.with_timeout} the watchdog fires first. *)
-
-val hang_bound : float
-(** Upper bound on a simulated hang (seconds) so unwatched injection
-    cannot deadlock a run. *)
 
 val arm : ?mode:mode -> every:int -> string -> unit
 (** [arm ~every target] schedules a fault on every [every]-th tick of
@@ -36,9 +32,6 @@ val reset : unit -> unit
 
 val active : unit -> bool
 (** Cheap global check: true when at least one target is armed. *)
-
-val armed : unit -> (string * mode * int) list
-(** [(target, mode, every)] for every armed target, sorted. *)
 
 val tick : string -> unit
 (** Count one invocation of [target]; raises when the schedule says so.

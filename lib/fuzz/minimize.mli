@@ -4,8 +4,6 @@
     (class, signature) pair under {!Exec.eval}.  Deterministic; bounded
     by [max_evals] re-evaluations. *)
 
-val default_max_evals : int
-
 val minimize : ?threshold:int -> ?max_evals:int -> string -> string
 (** [minimize der] is a (weakly) smaller DER with the same anomaly
     class and outcome signature; [der] itself when nothing smaller

@@ -70,9 +70,6 @@ let check ?(allow_wildcard = true) name =
 
 let is_ldh_name name = check name = []
 
-let is_reserved_ldh_label l =
-  String.length l >= 4 && l.[2] = '-' && l.[3] = '-'
-
 let is_a_label_candidate l =
   String.length l >= 4
   && (l.[0] = 'x' || l.[0] = 'X')
@@ -136,5 +133,3 @@ let idn_cctlds =
     "xn--mgbcpq6gpa1a" (* .البحرين Bahrain *) ]
 
 let is_idn_cctld l = List.mem (String.lowercase_ascii l) idn_cctlds
-
-let normalize_case name = String.lowercase_ascii name

@@ -25,10 +25,6 @@ val check : ?allow_wildcard:bool -> string -> issue list
 val is_ldh_name : string -> bool
 (** [is_ldh_name name] is [check name = []]. *)
 
-val is_reserved_ldh_label : string -> bool
-(** [is_reserved_ldh_label l] — hyphens in positions 3 and 4
-    (RFC 5890 R-LDH), e.g. any ["xn--"] label. *)
-
 val is_a_label_candidate : string -> bool
 (** [is_a_label_candidate l] — case-insensitive ["xn--"] prefix. *)
 
@@ -37,7 +33,3 @@ val is_idn_cctld : string -> bool
     {e country-code} TLD (e.g. ["xn--p1ai"] = .рф).  IDN generic TLDs
     are deliberately excluded: monitors that refuse "Punycode IDN
     ccTLD" queries (Table 6) refuse only the former. *)
-
-val normalize_case : string -> string
-(** [normalize_case name] lowercases ASCII letters (DNS names compare
-    case-insensitively). *)

@@ -21,11 +21,6 @@ val property : Unicode.Cp.t -> property
     BMP lookups hit a flat direct-index table; astral code points are
     classified on the fly. *)
 
-val property_classify : Unicode.Cp.t -> property
-(** The block-search reference implementation of {!property}; the flat
-    BMP table is generated from it and tested against it
-    exhaustively. *)
-
 type issue =
   | Malformed_punycode of string     (** A-label that cannot decode. *)
   | Unpermitted_char of Unicode.Cp.t (** DISALLOWED code point. *)

@@ -211,6 +211,3 @@ let of_cert cert =
 
 let san_dns t = san_dns_of t.san
 let dns_names t = List.map (fun f -> f.d_name) t.dns_facts
-
-let subject_texts t =
-  List.map (fun info -> (info.atv.X509.Dn.typ, X509.Dn.atv_text info.atv)) t.subject

@@ -67,8 +67,5 @@ val dns_names : t -> string list
 (** All dNSName payloads from SAN plus the subject CN values that look
     like DNS names — the fields the IDN lints inspect. *)
 
-val subject_texts : t -> (X509.Attr.t * string) list
-(** Decoded (leniently) subject attribute texts, in order. *)
-
 val san_dns : t -> string list
 (** Raw dNSName payloads from the SAN extension only. *)

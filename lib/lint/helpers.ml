@@ -6,8 +6,6 @@ let cab_br_date = Asn1.Time.make 2012 7 1
 let community_date = Asn1.Time.make 2015 1 1
 let rfc8399_date = Asn1.Time.make 2018 5 1
 let rfc9598_date = Asn1.Time.make 2024 6 1
-let rfc9549_date = Asn1.Time.make 2024 7 1
-
 let emit level details =
   match details with
   | [] -> Types.Pass

@@ -14,7 +14,6 @@ val cab_br_date : Asn1.Time.t
 val community_date : Asn1.Time.t
 val rfc8399_date : Asn1.Time.t
 val rfc9598_date : Asn1.Time.t
-val rfc9549_date : Asn1.Time.t
 
 (** {1 Status helpers} *)
 

@@ -79,7 +79,8 @@ type lint_obs = {
 
 val obs_snapshot : unit -> lint_obs list
 (** Current counter values, one record per registered lint, in
-    {!all} order. *)
+    {!all} order.  A test hook: the pinned lint-telemetry test reads
+    the deltas through it. *)
 
 (** {2 Fault isolation}
 

@@ -86,8 +86,6 @@ let all =
       })
     Registry.all
 
-let find id = List.find_opt (fun r -> r.id = id) all
-let by_source s = List.filter (fun r -> r.source = s) all
 let covering_lint name = List.find_opt (fun r -> r.lint = name) all
 
 let json_escape s =

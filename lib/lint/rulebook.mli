@@ -19,11 +19,6 @@ type rule = {
 val all : rule list
 (** Exactly one rule per registered lint, in registry order. *)
 
-val find : string -> rule option
-(** [find id] looks up by rule id. *)
-
-val by_source : Types.source -> rule list
-
 val covering_lint : string -> rule option
 (** [covering_lint name] is the rule a lint enforces. *)
 

@@ -80,6 +80,3 @@ let is_noncompliant f =
 
 let mk ~name ~description ~source ~level ~nc_type ?(is_new = false) ~effective check =
   { name; description; source; level; nc_type; is_new; effective_date = effective; check }
-
-let fail_if = function [] -> Pass | details -> Fail details
-let warn_if = function [] -> Pass | details -> Warn details

@@ -74,9 +74,3 @@ val mk :
   effective:Asn1.Time.t ->
   (Ctx.t -> status) ->
   t
-
-val fail_if : string list -> status
-(** [fail_if details] is [Pass] on an empty list, [Fail details]
-    otherwise. *)
-
-val warn_if : string list -> status

@@ -18,8 +18,4 @@ val urllib3 : t
 val requests : t
 (** Built on urllib3; inherits its SAN handling. *)
 
-val httpclient : t
-(** Case-insensitive matching; accepts syntactically Punycode labels
-    without IDNA validation. *)
-
 val all : t list

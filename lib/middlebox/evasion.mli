@@ -4,25 +4,10 @@
 
 type finding = { id : string; description : string; demonstrated : bool }
 
-val duplicated_cn_divergence : unit -> finding
-(** Snort takes the first CN, Zeek the last: a certificate with a benign
-    first CN and malicious last CN splits the engines ([P2.1]). *)
-
-val non_ia5_san_skip : unit -> finding
-(** Zeek drops non-IA5 SAN entries, so a malicious U-label SAN escapes
-    its logs while other engines still see it ([P2.1]). *)
-
-val case_sensitive_bypass : unit -> finding
-(** Suricata's case-sensitive subject match is bypassed by a case
-    variant that Snort (case-insensitive) still catches ([P2.1]). *)
-
 val ulabel_san_client_acceptance : unit -> (string * bool) list
 (** For each client model: does a certificate whose SAN carries a raw
     U-label validate against the U-label hostname ([P2.2])?  urllib3 and
     requests accept; libcurl does not. *)
-
-val malformed_punycode_client_acceptance : unit -> (string * bool) list
-(** Does a syntactically-Punycode but undecodable SAN label validate? *)
 
 val all_findings : unit -> finding list
 

@@ -4,8 +4,6 @@
 
 type capability = Yes | No | Not_applicable
 
-val capability_symbol : capability -> string
-
 type row = {
   monitor : string;
   case_sensitive : capability;
@@ -18,7 +16,8 @@ type row = {
 }
 
 val table6 : unit -> row list
-(** Probe all five monitors and report the Table 6 matrix. *)
+(** Probe all five monitors and report the Table 6 matrix.  A table
+    generator: the test suite checks the matrix against the paper. *)
 
 type concealment = {
   monitor : string;

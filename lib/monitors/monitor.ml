@@ -17,8 +17,6 @@ type instance = {
 }
 
 let create prof = { prof; entries = [] }
-let profile m = m.prof
-
 let has_special s =
   String.exists (fun c -> Char.code c < 0x20 || Char.code c = 0x7F) s
 

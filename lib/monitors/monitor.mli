@@ -31,8 +31,6 @@ type fields = {
     incremental-ingest surface the monitor daemon feeds from store
     rows. *)
 
-val fields_of_cert : X509.Certificate.t -> fields
-
 val keys_of_fields : profile -> fields -> string list
 (** The folded index keys this monitor derives from one certificate's
     fields: CN filtering (slash split, space drop), subject attributes
@@ -52,7 +50,6 @@ val matches : profile -> needle:string -> string list -> bool
 type instance
 
 val create : profile -> instance
-val profile : instance -> profile
 
 val ingest : instance -> X509.Certificate.t -> unit
 (** [ingest m cert] indexes a logged certificate. *)
@@ -73,7 +70,6 @@ val crtsh : profile
 val sslmate : profile
 val facebook : profile
 val entrust : profile
-val merklemap : profile
 
 val all : profile list
 

@@ -99,8 +99,6 @@ let commit t ~upto =
       t.staged_ix <- [];
       t.committed <- max t.committed upto)
 
-let committed t = locked t (fun () -> t.committed)
-
 (* --- the query protocol ------------------------------------------------ *)
 
 let hits ids =

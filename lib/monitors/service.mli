@@ -31,8 +31,6 @@ val commit : t -> upto:int -> unit
 (** Publish everything staged and raise the committed watermark to
     [upto] (never lowers). *)
 
-val committed : t -> int
-
 val respond : t -> string -> string list
 (** Answer one request line with payload lines (the caller frames
     them).  Grammar:

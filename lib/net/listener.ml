@@ -32,8 +32,6 @@ let prewarm () =
 let create ?plan ~seal handler =
   { plan; seal; handler; served = 0; mu = Mutex.create () }
 
-let served t = t.served
-
 let flip_byte body frac =
   let n = String.length body in
   if n = 0 then body

@@ -23,8 +23,5 @@ val serve : t -> client:string -> seq:int -> ?attempt:int -> string -> string
     [attempt]).  Returns the sealed frame — possibly truncated,
     corrupted, or dropped to [""] by the fault plan. *)
 
-val served : t -> int
-(** Requests served so far (all clients, including faulted ones). *)
-
 val prewarm : unit -> unit
 (** Force lazy telemetry handles before spawning worker domains. *)

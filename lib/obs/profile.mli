@@ -47,6 +47,7 @@ val slowest : unit -> slow list
 (** The current top K, slowest first. *)
 
 val reset_slow : unit -> unit
+(** Empty the slow-cert log; a test hook so each test starts clean. *)
 
 val print_top : out_channel -> unit
 (** Human-readable slow-cert table; prints nothing when the log is

@@ -13,8 +13,6 @@ type t = {
 let override_state : bool option Atomic.t = Atomic.make None
 
 let set_override o = Atomic.set override_state o
-let override () = Atomic.get override_state
-
 let auto_active () =
   let quiet =
     match Sys.getenv_opt "OBS_QUIET" with Some v when v <> "" -> true | _ -> false

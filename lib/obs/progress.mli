@@ -13,8 +13,6 @@ val set_override : bool option -> unit
     the TTY + [OBS_QUIET] autodetection.  Applies to reporters created
     afterwards. *)
 
-val override : unit -> bool option
-
 val create : ?total:int -> ?out:out_channel -> ?interval:float ->
   label:string -> unit -> t
 (** [create ~label ()] starts a reporter.  [total] enables percentage

@@ -35,5 +35,3 @@ val metrics : t -> (string * metric) list
     order). *)
 
 val find : t -> string -> metric option
-
-val metric_name : metric -> string

@@ -9,9 +9,6 @@
     trace track; when {!Profile} is enabled the GC work inside the
     span is attributed to its name. *)
 
-val histogram_name : string
-(** ["unicert_span_seconds"]. *)
-
 type t
 (** A declared span: a name and its target registry.  Its histogram
     child is resolved on first use and kept, so a span run once per

@@ -1,6 +1,6 @@
 type arg = Str of string | Int of int | Float of float | Bool of bool
 
-type phase = Begin | End | Instant | Async_begin | Async_end
+type phase = Begin | End | Instant
 
 type event = {
   name : string;
@@ -8,7 +8,6 @@ type event = {
   ph : phase;
   ts : float;
   tid : int;
-  id : int;
   args : (string * arg) list;
 }
 
@@ -37,7 +36,6 @@ type ring = {
   mutable ph : int array;
   mutable ts : float array;
   mutable tid : int array;
-  mutable id : int array;
   mutable args : (string * arg) list array;
   mutable cap : int;
   mutable start : int;  (** index of the oldest event *)
@@ -46,22 +44,18 @@ type ring = {
 }
 
 let rb =
-  { name = [||]; cat = [||]; ph = [||]; ts = [||]; tid = [||]; id = [||];
+  { name = [||]; cat = [||]; ph = [||]; ts = [||]; tid = [||];
     args = [||]; cap = 0; start = 0; len = 0; evicted = 0 }
 
 let ph_to_int = function
   | Begin -> 0
   | End -> 1
   | Instant -> 2
-  | Async_begin -> 3
-  | Async_end -> 4
 
 let ph_of_int = function
   | 0 -> Begin
   | 1 -> End
-  | 2 -> Instant
-  | 3 -> Async_begin
-  | _ -> Async_end
+  | _ -> Instant
 let out_file = ref None
 let epoch = ref 0.
 let dirty = ref false
@@ -76,7 +70,7 @@ let tid () = (Domain.self () :> int)
 (* Manual lock/unlock: nothing in the critical section allocates or
    raises, and [Mutex.protect]'s closure would itself be a young
    allocation per event. *)
-let emit ?(args = []) ?(id = 0) ph ~cat name =
+let emit ?(args = []) ph ~cat name =
   if Atomic.get on then begin
     let ts = now_us () and tid = tid () in
     Mutex.lock lock;
@@ -101,7 +95,6 @@ let emit ?(args = []) ?(id = 0) ph ~cat name =
       rb.ph.(i) <- ph_to_int ph;
       rb.ts.(i) <- ts;
       rb.tid.(i) <- tid;
-      rb.id.(i) <- id;
       rb.args.(i) <- args;
       dirty := true
     end;
@@ -111,9 +104,6 @@ let emit ?(args = []) ?(id = 0) ph ~cat name =
 let emit_begin ?args ~cat name = emit ?args Begin ~cat name
 let emit_end ?args ~cat name = emit ?args End ~cat name
 let instant ?args ~cat name = emit ?args Instant ~cat name
-let async_begin ?args ~cat ~id name = emit ?args ~id Async_begin ~cat name
-let async_end ?args ~cat ~id name = emit ?args ~id Async_end ~cat name
-
 let span ?args ~cat name f =
   if not (Atomic.get on) then f ()
   else begin
@@ -162,7 +152,6 @@ let raw_events () =
             ph = ph_of_int rb.ph.(i);
             ts = rb.ts.(i);
             tid = rb.tid.(i);
-            id = rb.id.(i);
             args = rb.args.(i);
           }))
 
@@ -197,7 +186,7 @@ let balance (evs : event list) =
                 st := rest;
                 true
             | [] -> false)
-        | Instant | Async_begin | Async_end -> true)
+        | Instant -> true)
       evs
   in
   let closers =
@@ -219,8 +208,6 @@ let ph_string = function
   | Begin -> "B"
   | End -> "E"
   | Instant -> "i"
-  | Async_begin -> "b"
-  | Async_end -> "e"
 
 let arg_json = function
   | Str s -> Jsonv.escape s
@@ -233,11 +220,7 @@ let event_json (e : event) =
   Buffer.add_string buf
     (Printf.sprintf "{\"name\": %s, \"cat\": %s, \"ph\": \"%s\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d"
        (Jsonv.escape e.name) (Jsonv.escape e.cat) (ph_string e.ph) e.ts e.tid);
-  (match e.ph with
-  | Async_begin | Async_end ->
-      Buffer.add_string buf (Printf.sprintf ", \"id\": %d" e.id)
-  | Instant -> Buffer.add_string buf ", \"s\": \"t\""
-  | Begin | End -> ());
+  if e.ph = Instant then Buffer.add_string buf ", \"s\": \"t\"";
   if e.args <> [] then begin
     Buffer.add_string buf ", \"args\": {";
     List.iteri
@@ -299,7 +282,6 @@ let enable ?(ring = default_ring) ?(sample = default_sample) ?file () =
       rb.ph <- Array.make ring 0;
       rb.ts <- Array.make ring 0.;
       rb.tid <- Array.make ring 0;
-      rb.id <- Array.make ring 0;
       rb.args <- Array.make ring [];
       rb.cap <- ring;
       rb.start <- 0;
@@ -329,7 +311,6 @@ let disable () =
       rb.ph <- [||];
       rb.ts <- [||];
       rb.tid <- [||];
-      rb.id <- [||];
       rb.args <- [||];
       rb.cap <- 0;
       rb.start <- 0;

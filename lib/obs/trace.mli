@@ -20,8 +20,6 @@ type phase =
   | Begin  (** "B": opens a duration slice on this domain's track *)
   | End  (** "E": closes the innermost open slice *)
   | Instant  (** "i": a point event (breaker trip, hedge outcome...) *)
-  | Async_begin  (** "b": opens an async slice keyed by [id] *)
-  | Async_end  (** "e": closes the async slice keyed by [id] *)
 
 type event = {
   name : string;
@@ -29,7 +27,6 @@ type event = {
   ph : phase;
   ts : float;  (** microseconds since [enable] *)
   tid : int;  (** emitting domain id *)
-  id : int;  (** correlation id for async phases; 0 otherwise *)
   args : (string * arg) list;
 }
 
@@ -58,12 +55,6 @@ val dropped : unit -> int
 val emit_begin : ?args:(string * arg) list -> cat:string -> string -> unit
 val emit_end : ?args:(string * arg) list -> cat:string -> string -> unit
 val instant : ?args:(string * arg) list -> cat:string -> string -> unit
-
-val async_begin :
-  ?args:(string * arg) list -> cat:string -> id:int -> string -> unit
-
-val async_end :
-  ?args:(string * arg) list -> cat:string -> id:int -> string -> unit
 
 val span : ?args:(string * arg) list -> cat:string -> string -> (unit -> 'a) -> 'a
 (** [span ~cat name f] brackets [f] in a Begin/End pair (the End is

@@ -9,6 +9,3 @@ val write : op:string -> rename_point:string -> string -> string -> unit
 (** [write ~op ~rename_point path content]: [op] names the Chaos write
     operation (e.g. ["manifest.write"]); the crash points hit are
     [rename_point ^ ".before"] and [rename_point ^ ".after"]. *)
-
-val commits : Obs.Counter.t
-(** [unicert_store_commits_total], bumped per completed rename. *)

@@ -30,8 +30,6 @@ type writer = {
 
 let seal_digest headers n = Ucrypto.Sha256.digest (headers ^ u32be n)
 
-let count w = w.n
-
 let create path =
   let oc = open_out_bin path in
   output_string oc magic;

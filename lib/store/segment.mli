@@ -52,7 +52,6 @@ val seal : writer -> string
     writer writes nothing but still returns the digest. *)
 
 val close : writer -> unit
-val count : writer -> int
 
 type problem =
   | Bad_header                               (** magic mismatch / too short *)

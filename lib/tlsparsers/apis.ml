@@ -89,14 +89,6 @@ let all =
 
 let find library = List.find_opt (fun a -> a.library = library) all
 
-let api_for library field =
-  match find library with
-  | None -> None
-  | Some a -> (
-      match field with
-      | Model.Subject_dn -> ( match a.subject with s :: _ -> Some s | [] -> None)
-      | field -> List.assoc_opt field a.extensions)
-
 let render ppf =
   Format.fprintf ppf "== Tables 12/13: tested TLS libraries and APIs ==@.";
   List.iter

@@ -15,9 +15,5 @@ val all : t list
 
 val find : string -> t option
 
-val api_for : string -> Model.field -> string option
-(** [api_for library field] is the concrete API name the model's
-    behaviour was taken from, if the library supports the field. *)
-
 val render : Format.formatter -> unit
 (** Print Tables 12/13. *)

@@ -21,12 +21,6 @@ val handling_name : handling -> string
 
 type observation = { raw : string; output : string option }
 
-val candidates : (method_ * handling) list
-(** Ordered candidate set; earlier entries are preferred on ties. *)
-
-val apply : method_ * handling -> string -> string option
-(** [apply candidate raw] is the text the candidate decoder yields. *)
-
 val infer : observation list -> (method_ * handling) option
 (** [infer obs] is the first candidate consistent with every
     observation, or [None] (no output at all, or no consistent
@@ -53,6 +47,3 @@ val classify :
 (** [classify ~declared inferred ~all_none] maps an inference result to
     the Table 4 verdict set for a field declared as [declared].
     [all_none] marks APIs that produced no output for any probe. *)
-
-val standard_method : Asn1.Str_type.t -> method_ option
-(** [None] for UniversalString (UCS-4 is outside the five methods). *)

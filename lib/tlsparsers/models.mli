@@ -3,15 +3,7 @@
     handling, field support and string-rendering quirks the paper
     documents for that library. *)
 
-val openssl : Model.t
-val gnutls : Model.t
 val pyopenssl : Model.t
-val cryptography : Model.t
-val gocrypto : Model.t
-val javasec : Model.t
-val bouncycastle : Model.t
-val nodecrypto : Model.t
-val forge : Model.t
 
 val all : Model.t list
 (** In the paper's Table 4 column order. *)

@@ -67,17 +67,6 @@ let byte_battery =
     "mix\xC3\xA9\xE9" (* valid + invalid UTF-8 in one value *);
   ]
 
-let embed payload = "test" ^ payload ^ ".com"
-
-let block_samples () =
-  Array.to_list Unicode.Blocks.non_surrogate
-  |> List.map (fun b ->
-         let cp = Unicode.Blocks.sample b in
-         (b.Unicode.Blocks.name, embed (Unicode.Codec.utf8_of_cps [| cp |])))
-
-let c0_to_ff_samples () =
-  List.init 0x100 (fun cp -> embed (Unicode.Codec.utf8_of_cps [| cp |]))
-
 let raw_subject_attr cert attr =
   match X509.Dn.get cert.X509.Certificate.tbs.X509.Certificate.subject attr with
   | { X509.Dn.value = Asn1.Value.Str (st, raw); _ } :: _ -> Some (st, raw)

@@ -19,13 +19,6 @@ val byte_battery : string list
 (** The probe payloads used for decoding inference: ASCII, UTF-8,
     Latin-1, control bytes, UCS-2, surrogate pairs, overlong UTF-8. *)
 
-val block_samples : unit -> (string * string) list
-(** [(block name, UTF-8 payload)] — one code point sampled from every
-    non-surrogate Unicode block (§3.2), embedded in a default value. *)
-
-val c0_to_ff_samples : unit -> string list
-(** UTF-8 payloads embedding each code point U+0000–U+00FF. *)
-
 val raw_subject_attr : X509.Certificate.t -> X509.Attr.t -> (Asn1.Str_type.t * string) option
 (** Pull the declared type and raw octets of a subject attribute back
     out of a parsed certificate. *)

@@ -21,12 +21,6 @@ type handshake =
   | Certificate of string list  (** DER certificates, leaf first *)
   | Other of int * string      (** message type, raw body *)
 
-val encode_handshake : handshake -> string
-(** The handshake message bytes (type, 24-bit length, body). *)
-
-val decode_handshakes : string -> (handshake list, string) result
-(** Parse the concatenated handshake messages of a record payload. *)
-
 (** {1 Flows} *)
 
 type flow = string

@@ -27,25 +27,6 @@ let of_int n =
     Array.of_list (digits n [])
   end
 
-let to_int_opt a =
-  let bits = Array.length a * base_bits in
-  if bits <= 62 then begin
-    let v = ref 0 in
-    for i = Array.length a - 1 downto 0 do
-      v := (!v lsl base_bits) lor a.(i)
-    done;
-    Some !v
-  end
-  else begin
-    (* May still fit: check the high digits. *)
-    let v = ref 0 and ok = ref true in
-    for i = Array.length a - 1 downto 0 do
-      if !v > (max_int - a.(i)) lsr base_bits then ok := false
-      else v := (!v lsl base_bits) lor a.(i)
-    done;
-    if !ok then Some !v else None
-  end
-
 let is_zero a = Array.length a = 0
 let is_even a = is_zero a || a.(0) land 1 = 0
 
@@ -192,8 +173,6 @@ let mod_pow ~base:b ~exp ~modulus =
     b := rem (mul !b !b) modulus
   done;
   !result
-
-let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
 (* Extended Euclid over signed pairs (sign, magnitude). *)
 let mod_inverse a m =

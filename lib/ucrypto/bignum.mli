@@ -6,15 +6,10 @@
 
 type t
 
-val zero : t
 val one : t
-val two : t
 
 val of_int : int -> t
 (** [of_int n] with [n >= 0]. *)
-
-val to_int_opt : t -> int option
-(** [to_int_opt n] when the value fits in an OCaml int. *)
 
 val of_bytes_be : string -> t
 (** [of_bytes_be b] interprets big-endian bytes. *)
@@ -28,8 +23,6 @@ val to_hex : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val is_zero : t -> bool
-val is_even : t -> bool
 val bit_length : t -> int
 
 val add : t -> t -> t
@@ -50,12 +43,6 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
 
 val mod_inverse : t -> t -> t option
 (** [mod_inverse a m] is [a]{^-1} mod [m] when [gcd a m = 1]. *)
-
-val gcd : t -> t -> t
-
-val random_bits : Prng.t -> int -> t
-(** [random_bits g n] is a uniformly random [n]-bit number with the top
-    bit set. *)
 
 val is_probable_prime : Prng.t -> t -> bool
 (** Miller–Rabin with trial division by small primes and 16 witness

@@ -23,10 +23,6 @@ let bits64 g =
   g.state <- Int64.add g.state gamma;
   mix g.state
 
-let split g =
-  let seed = bits64 g in
-  { state = mix seed }
-
 let int g bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 2) in
@@ -51,11 +47,3 @@ let weighted g choices =
   go 0.0 choices
 
 let bytes g n = String.init n (fun _ -> Char.chr (int g 256))
-
-let shuffle g arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int g (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -16,9 +16,6 @@ val of_pair : int -> int -> t
     any index range regenerates exactly the entries a full sequential
     pass would produce. *)
 
-val split : t -> t
-(** [split g] derives a statistically independent child stream. *)
-
 val bits64 : t -> int64
 (** [bits64 g] is the next raw 64-bit output. *)
 
@@ -43,6 +40,3 @@ val weighted : t -> ('a * float) list -> 'a
 
 val bytes : t -> int -> string
 (** [bytes g n] is [n] pseudo-random bytes. *)
-
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

@@ -74,9 +74,11 @@ val hmac_with : hmac_key -> string -> string
     count, and raises [Invalid_argument] on a bad range. *)
 module Private : sig
   val accel_available : bool
-  (** Whether this CPU has the SHA-NI path. *)
+  (** Whether this CPU has the SHA-NI path; the kernel-equivalence
+      test checks it before comparing the two kernels. *)
 
   val blocks_portable : int array -> string -> int -> int -> unit
+  (** The portable kernel, exported as the oracle for {!blocks_accel}. *)
 
   val blocks_accel : int array -> string -> int -> int -> unit
   (** @raise Invalid_argument when [accel_available] is false. *)

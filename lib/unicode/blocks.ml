@@ -335,11 +335,6 @@ let all =
 
 let count = Array.length all
 
-let is_surrogate_block b = b.first >= 0xD800 && b.last <= 0xDFFF
-
-let non_surrogate =
-  Array.of_list (List.filter (fun b -> not (is_surrogate_block b)) (Array.to_list all))
-
 (* Blocks are sorted by [first]; binary search.  Kept as the reference
    implementation: the flat BMP index below is generated from it and
    the test suite checks the two agree over the full code-point
@@ -376,6 +371,3 @@ let find cp =
     let i = Array.unsafe_get bmp_index cp in
     if i < 0 then None else Some (Array.unsafe_get all i)
   else find_interval cp
-
-let name_of cp = match find cp with Some b -> b.name | None -> "No_Block"
-let sample b = b.first

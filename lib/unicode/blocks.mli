@@ -14,10 +14,6 @@ val all : t array
 val count : int
 (** [count] is [Array.length all]. *)
 
-val non_surrogate : t array
-(** [non_surrogate] is [all] minus the three surrogate blocks — the
-    sampling universe used by the generator. *)
-
 val find : Cp.t -> t option
 (** [find cp] is the block containing [cp], if any (the block table does
     not cover all of the code space).  BMP lookups hit a flat
@@ -26,11 +22,3 @@ val find : Cp.t -> t option
 val find_interval : Cp.t -> t option
 (** The binary-search reference implementation of {!find}; the flat BMP
     table is generated from it and tested against it exhaustively. *)
-
-val name_of : Cp.t -> string
-(** [name_of cp] is the containing block's name or ["No_Block"]. *)
-
-val sample : t -> Cp.t
-(** [sample b] is a representative code point of [b] (its first code
-    point, matching the generator's "one character from each block"
-    rule). *)

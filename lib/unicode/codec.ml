@@ -341,5 +341,3 @@ let cps_of_latin1 = decode_latin1
 
 let well_formed_utf8 s =
   match decode Utf8 s with Ok _ -> true | Error _ -> false
-
-let cp_list s = Array.to_list (cps_of_utf8 s)

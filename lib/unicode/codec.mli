@@ -15,9 +15,6 @@ type encoding =
   | Utf16be      (** Big-endian UTF-16 with surrogate pairing. *)
   | Ucs4         (** Big-endian 4-byte units (ISO 10646 UCS-4). *)
 
-val encoding_name : encoding -> string
-(** [encoding_name e] is a human-readable name, e.g. ["ISO-8859-1"]. *)
-
 type policy =
   | Strict                (** Fail on the first undecodable sequence. *)
   | Replace of Cp.t       (** Substitute a replacement code point. *)
@@ -59,6 +56,3 @@ val cps_of_latin1 : string -> Cp.t array
 
 val well_formed_utf8 : string -> bool
 (** [well_formed_utf8 s] checks strict UTF-8 well-formedness. *)
-
-val cp_list : string -> Cp.t list
-(** [cp_list s] is {!cps_of_utf8} as a list, convenient in tests. *)

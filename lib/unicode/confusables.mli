@@ -14,7 +14,7 @@ val lookalike : Cp.t -> Cp.t option
 val lookalike_hashed : Cp.t -> Cp.t option
 (** The hashtable reference implementation of {!lookalike}; the flat
     BMP table is generated from it and tested against it
-    exhaustively. *)
+    exhaustively.  Exported only as that test's oracle. *)
 
 val skeleton : Cp.t array -> Cp.t array
 (** [skeleton cps] maps every confusable to its lookalike, lowercases
@@ -22,7 +22,7 @@ val skeleton : Cp.t array -> Cp.t array
 
 val skeleton_hashed : Cp.t array -> Cp.t array
 (** {!skeleton} computed through {!lookalike_hashed} — the reference
-    path for the equivalence tests. *)
+    path for the equivalence tests, exported only as their oracle. *)
 
 val utf8_skeleton : string -> string
 (** [utf8_skeleton s] is {!skeleton} over a UTF-8 string. *)

@@ -9,9 +9,6 @@
 type t = int
 (** A code point.  Valid Unicode code points lie in [0 .. 0x10FFFF]. *)
 
-val min_value : t
-(** [min_value] is [0x0000]. *)
-
 val max_value : t
 (** [max_value] is [0x10FFFF], the last Unicode code point. *)
 
@@ -29,16 +26,9 @@ val is_scalar : t -> bool
 val is_ascii : t -> bool
 (** [is_ascii cp] is [true] iff [cp <= 0x7F]. *)
 
-val is_printable_ascii : t -> bool
-(** [is_printable_ascii cp] is [true] iff [cp] is in the printable ASCII
-    range [0x20 .. 0x7E] used by the paper to delimit Unicerts. *)
-
 val is_bmp : t -> bool
 (** [is_bmp cp] is [true] iff [cp <= 0xFFFF] (Basic Multilingual Plane). *)
 
 val to_string : t -> string
 (** [to_string cp] renders the code point in the conventional [U+XXXX]
     notation (at least four hex digits). *)
-
-val of_char : char -> t
-(** [of_char c] is the code point of the latin-1 character [c]. *)

@@ -8,24 +8,6 @@ let hex_escape_nonprintable bytes =
     bytes;
   Buffer.contents buf
 
-let url_encode_controls s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      let b = Char.code c in
-      if b < 0x20 || b = 0x7F then Buffer.add_string buf (Printf.sprintf "%%%02X" b)
-      else Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let control_pictures cps =
-  Array.map
-    (fun cp ->
-      if Props.is_c0_control cp then 0x2400 + cp
-      else if Props.is_del cp then 0x2421
-      else cp)
-    cps
-
 let strip_invisible cps =
   Array.of_list (List.filter (fun cp -> not (Props.is_invisible cp)) (Array.to_list cps))
 

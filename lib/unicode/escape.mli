@@ -10,19 +10,6 @@ val hex_escape_nonprintable : string -> string
     printable ASCII with a literal [\xNN] escape — OpenSSL's
     modified-decoding presentation. *)
 
-val url_encode_controls : string -> string
-(** [url_encode_controls s] percent-encodes C0 controls and DEL in a
-    UTF-8 string — the URL-style indicator some browsers use. *)
-
-val control_pictures : Cp.t array -> Cp.t array
-(** [control_pictures cps] replaces C0 controls with the corresponding
-    Control Pictures block symbols (U+2400 + cp) and DEL with U+2421 —
-    the visual-indicator rendering of certificate viewers. *)
-
-val strip_invisible : Cp.t array -> Cp.t array
-(** [strip_invisible cps] drops invisible layout controls; what remains
-    is what a user actually sees. *)
-
 val visible_utf8 : string -> string
 (** [visible_utf8 s] is the visually rendered form of a UTF-8 string:
     invisible layout characters removed (i.e. what the user perceives,

@@ -19,15 +19,6 @@ val combining_class : Cp.t -> int
     starters and for code points outside the embedded table).  BMP
     lookups hit a flat byte table. *)
 
-val combining_class_chain : Cp.t -> int
-(** The range-chain reference implementation of {!combining_class}; the
-    flat table is generated from it and tested against it
-    exhaustively. *)
-
-val canonical_decomposition : Cp.t -> Cp.t list option
-(** [canonical_decomposition cp] is the (non-recursive) canonical
-    mapping of [cp], if any. *)
-
 val decompose : Cp.t array -> Cp.t array
 (** [decompose cps] is the full canonical decomposition (NFD) with
     canonical ordering applied. *)

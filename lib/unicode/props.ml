@@ -44,7 +44,6 @@ module Ref = struct
     || cp = 0x2028 || cp = 0x2029 || cp = 0x202F || cp = 0x205F || cp = 0x3000
 
   let is_nonascii_whitespace cp = is_whitespace cp && cp > 0x20
-  let is_invisible cp = is_layout_control cp || is_nonascii_whitespace cp
 end
 
 let is_ascii_upper cp = cp >= Char.code 'A' && cp <= Char.code 'Z'
@@ -70,8 +69,6 @@ let is_teletex_char cp =
   is_visible_string_char cp || (cp >= 0xA0 && cp <= 0xFF)
 
 let is_ldh cp = is_ascii_letter cp || is_ascii_digit cp || cp = Char.code '-'
-let is_dns_name_char cp = is_ldh cp || cp = Char.code '.'
-
 (* Property bitmask: every class a lint tests for, resolved by one
    table load.  Bits are computed once per BMP code point at module
    init; astral code points fall back to the range chains. *)
@@ -128,15 +125,3 @@ let is_format cp = mask cp land m_format <> 0
 let is_whitespace cp = mask cp land m_whitespace <> 0
 let is_nonascii_whitespace cp = mask cp land m_nonascii_ws <> 0
 let is_invisible cp = mask cp land m_invisible <> 0
-
-let classify cp =
-  if is_c0_control cp then "C0"
-  else if is_del cp then "DEL"
-  else if is_c1_control cp then "C1"
-  else if is_layout_control cp then "layout"
-  else if is_format cp then "format"
-  else if is_whitespace cp && cp <> 0x20 then "space"
-  else if Cp.is_printable_ascii cp then "printable-ascii"
-  else if cp <= 0xFF then "latin1"
-  else if Cp.is_bmp cp then "bmp"
-  else "astral"

@@ -67,9 +67,6 @@ val is_ldh : Cp.t -> bool
 (** [is_ldh cp] — letter/digit/hyphen, the DNSName alphabet
     [a-zA-Z0-9-]. *)
 
-val is_dns_name_char : Cp.t -> bool
-(** [is_dns_name_char cp] — [is_ldh] or the dot separator. *)
-
 val is_noncharacter : Cp.t -> bool
 (** [is_noncharacter cp] — the 66 Unicode noncharacters
     (U+FDD0–U+FDEF and the plane-final [xxFFFE]/[xxFFFF] pairs). *)
@@ -83,11 +80,6 @@ val ascii_lowercase : Cp.t -> Cp.t
 (** [ascii_lowercase cp] lowercases [A-Z] and leaves everything else
     untouched. *)
 
-val classify : Cp.t -> string
-(** [classify cp] is a coarse human-readable class name used in reports:
-    ["C0"], ["DEL"], ["C1"], ["layout"], ["format"], ["space"],
-    ["printable-ascii"], ["latin1"], ["bmp"], or ["astral"]. *)
-
 (** {2 Property bitmask}
 
     One flat-table load answers every class membership question the
@@ -97,12 +89,7 @@ val classify : Cp.t -> string
 
 val m_c0 : int
 val m_del : int
-val m_c1 : int
-val m_layout : int
 val m_bidi : int
-val m_format : int
-val m_whitespace : int
-val m_nonascii_ws : int
 val m_surrogate : int
 val m_noncharacter : int
 val m_replacement : int
@@ -116,7 +103,6 @@ val m_not_printable : int
 
 val m_not_visible : int
 val m_not_numeric : int
-val m_not_teletex : int
 
 val m_control : int
 (** [m_c0 lor m_del lor m_c1]. *)
@@ -131,15 +117,3 @@ val compute_mask : Cp.t -> int
 (** The interval-chain computation the flat BMP table is generated
     from.  Exposed as the oracle for the exhaustive equivalence test;
     use {!mask} everywhere else. *)
-
-(** The original interval/range-chain implementations.  The flat table
-    is generated from these at module init; the test suite asserts
-    exhaustive equivalence over the whole code-point range. *)
-module Ref : sig
-  val is_layout_control : Cp.t -> bool
-  val is_bidi_control : Cp.t -> bool
-  val is_format : Cp.t -> bool
-  val is_whitespace : Cp.t -> bool
-  val is_nonascii_whitespace : Cp.t -> bool
-  val is_invisible : Cp.t -> bool
-end

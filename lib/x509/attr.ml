@@ -67,25 +67,4 @@ let short_name = function
   | Unknown _ -> None
   | a -> ( match row a with Some (_, _, _, s, _) -> s | None -> None)
 
-let upper_bound = function
-  | Unknown _ -> None
-  | a -> ( match row a with Some (_, _, _, _, ub) -> ub | None -> None)
-
-let is_directory_string = function
-  | Common_name | Surname | Locality_name | State_or_province_name | Street_address
-  | Organization_name | Organizational_unit_name | Title | Given_name
-  | Business_category | Postal_code | Jurisdiction_locality | Jurisdiction_state ->
-      true
-  | Serial_number | Country_name | Domain_component | Email_address
-  | Jurisdiction_country | Unknown _ ->
-      false
-
-let permitted_string_types a =
-  let open Asn1.Str_type in
-  match a with
-  | Country_name | Jurisdiction_country | Serial_number -> [ Printable_string ]
-  | Domain_component | Email_address -> [ Ia5_string ]
-  | Unknown _ -> all
-  | _ -> [ Printable_string; Utf8_string ]
-
 let all_known = List.map (fun (a, _, _, _, _) -> a) table

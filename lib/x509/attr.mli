@@ -32,19 +32,5 @@ val short_name : t -> string option
 (** [short_name a] is the RFC 4514 short form (["CN"], ["O"], …) when
     one exists. *)
 
-val upper_bound : t -> int option
-(** [upper_bound a] is the RFC 5280 ub- length limit in characters, if
-    specified (e.g. 64 for commonName, 2 for countryName). *)
-
-val permitted_string_types : t -> Asn1.Str_type.t list
-(** [permitted_string_types a] lists the encodings RFC 5280 / CA/B BR
-    permit for this attribute's value (for DirectoryString attributes:
-    PrintableString and UTF8String; countryName: PrintableString only;
-    emailAddress and domainComponent: IA5String). *)
-
-val is_directory_string : t -> bool
-(** [is_directory_string a] — attribute value is a DirectoryString
-    CHOICE. *)
-
 val all_known : t list
 (** Every concrete attribute type (no [Unknown]). *)

@@ -36,9 +36,7 @@ type t = {
 
 module Oids : sig
   val sha256_with_rsa : Asn1.Oid.t
-  val rsa_encryption : Asn1.Oid.t
   val mock_signature : Asn1.Oid.t
-  val mock_key : Asn1.Oid.t
 end
 
 (** {1 Keys and signing} *)

@@ -20,9 +20,6 @@ val pp_failure : Format.formatter -> failure -> unit
 
 val anchor_of_keypair : Dn.t -> Certificate.keypair -> anchor
 
-val is_ca : Certificate.t -> bool
-(** BasicConstraints cA flag present and set. *)
-
 val verify :
   at:Asn1.Time.t ->
   anchors:anchor list ->

@@ -1,7 +1,9 @@
 (** Certificate revocation lists (RFC 5280 §5): the substrate behind
     the paper's CRL-spoofing threat (§5.2 impact 2), where a lenient
     parser rewrites a CRLDistributionPoints location and a strict
-    revocation-checking client silently fetches the wrong list. *)
+    revocation-checking client silently fetches the wrong list.  With
+    {!Ocsp} and {!Chain} it backs README's reproduced "PyOpenSSL CRLDP
+    → CRL spoofing" row, which the test suite exercises end to end. *)
 
 type revoked_entry = {
   serial : string;             (** INTEGER content octets *)
@@ -51,7 +53,6 @@ module Store : sig
 
   val create : unit -> store
   val publish : store -> url:string -> t -> unit
-  val fetch : store -> string -> t option
 end
 
 type status = Good | Revoked | Unavailable of string

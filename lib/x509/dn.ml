@@ -33,18 +33,10 @@ let atv_text v =
       | Error _ -> Format.asprintf "%a" Asn1.Value.pp v.value)
   | other -> Format.asprintf "%a" Asn1.Value.pp other
 
-let atv_cps v =
-  match v.value with
-  | Asn1.Value.Str (st, raw) -> (
-      match Asn1.Str_type.decode_value st raw with Ok cps -> Some cps | Error _ -> None)
-  | _ -> None
-
 let all_atvs dn = List.concat dn
 let get dn a = List.filter (fun v -> v.typ = a) (all_atvs dn)
 let get_text dn a = List.map atv_text (get dn a)
 let first dn a = match get dn a with [] -> None | v :: _ -> Some v
-let last dn a = match List.rev (get dn a) with [] -> None | v :: _ -> Some v
-
 let to_value dn =
   Asn1.Value.Sequence
     (List.map
@@ -178,8 +170,6 @@ let to_string ?(flavor = Rfc4514) dn =
   | Rfc2253 | Rfc4514 ->
       (* Reverse (least significant RDN first). *)
       String.concat "," (List.rev_map (rdn_to_string flavor) dn)
-
-let equal_strict a b = String.equal (encode a) (encode b)
 
 (* Export under the interface name; the internal [escape_value] keeps
    its backslash-only signature. *)

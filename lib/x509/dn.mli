@@ -38,10 +38,6 @@ val atv_text : atv -> string
     encoding, replacing undecodable bytes with U+FFFD; non-string
     values render via {!Asn1.Value.pp}. *)
 
-val atv_cps : atv -> Unicode.Cp.t array option
-(** [atv_cps v] is the strict standard decoding, or [None] when the
-    bytes are invalid for the declared type. *)
-
 val all_atvs : t -> atv list
 (** [all_atvs dn] flattens in encoding order. *)
 
@@ -52,7 +48,6 @@ val get_text : t -> Attr.t -> string list
 (** [get_text dn a] is [List.map atv_text (get dn a)]. *)
 
 val first : t -> Attr.t -> atv option
-val last : t -> Attr.t -> atv option
 
 val to_value : t -> Asn1.Value.t
 (** [to_value dn] is the RDNSequence as an ASN.1 value (SETs emitted in
@@ -86,9 +81,6 @@ val escape_value : flavor -> string -> string
     (RFC 1779) attribute-value form used by {!to_string} — exposed so
     the differential harness can check library escaping against the
     reference. *)
-
-val equal_strict : t -> t -> bool
-(** [equal_strict a b] compares encoded bytes. *)
 
 val equal_normalized : t -> t -> bool
 (** [equal_normalized a b] implements the RFC 5280 §7.1 comparison

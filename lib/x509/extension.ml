@@ -8,7 +8,6 @@ module Oids = struct
   let certificate_policies = o "2.5.29.32"
   let basic_constraints = o "2.5.29.19"
   let key_usage = o "2.5.29.15"
-  let ext_key_usage = o "2.5.29.37"
   let authority_info_access = o "1.3.6.1.5.5.7.1.1"
   let subject_info_access = o "1.3.6.1.5.5.7.1.11"
   let name_constraints = o "2.5.29.30"

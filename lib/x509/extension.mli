@@ -13,8 +13,6 @@ module Oids : sig
   val crl_distribution_points : Asn1.Oid.t
   val certificate_policies : Asn1.Oid.t
   val basic_constraints : Asn1.Oid.t
-  val key_usage : Asn1.Oid.t
-  val ext_key_usage : Asn1.Oid.t
   val authority_info_access : Asn1.Oid.t
   val subject_info_access : Asn1.Oid.t
   val name_constraints : Asn1.Oid.t

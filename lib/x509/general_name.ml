@@ -62,5 +62,3 @@ let text = function
       else
         String.concat ":"
           (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
-
-let dns_name s = Dns_name s

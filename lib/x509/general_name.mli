@@ -23,6 +23,3 @@ val kind : t -> string
 val text : t -> string
 (** [text gn] is a best-effort human-readable payload (IP addresses in
     dotted/hex form, directory names via {!Dn.to_string}). *)
-
-val dns_name : string -> t
-(** [dns_name s] builds a dNSName carrying [s] verbatim. *)

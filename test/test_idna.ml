@@ -80,7 +80,6 @@ let test_alabel_detection () =
   check Alcotest.bool "xn--" true (Idna.Dns.is_a_label_candidate "xn--bcher-kva");
   check Alcotest.bool "XN-- case" true (Idna.Dns.is_a_label_candidate "XN--BCHER-KVA");
   check Alcotest.bool "plain" false (Idna.Dns.is_a_label_candidate "bcher");
-  check Alcotest.bool "r-ldh non-xn" true (Idna.Dns.is_reserved_ldh_label "ab--cd");
   check Alcotest.bool "short" false (Idna.Dns.is_a_label_candidate "xn-")
 
 (* --- IDNA ------------------------------------------------------------ *)

@@ -210,8 +210,7 @@ let test_ctx_helpers () =
   let ctx = Lint.Ctx.of_cert cert in
   check Alcotest.bool "san parsed" true
     (match ctx.Lint.Ctx.san with Some (Ok _) -> true | _ -> false);
-  check Alcotest.bool "dns names include san" true (Lint.Ctx.dns_names ctx <> []);
-  check Alcotest.bool "subject texts" true (List.length (Lint.Ctx.subject_texts ctx) >= 4)
+  check Alcotest.bool "dns names include san" true (Lint.Ctx.dns_names ctx <> [])
 
 (* Telemetry must track behavior exactly: after a linter run, the
    per-lint invocation counter deltas equal the number of lints whose

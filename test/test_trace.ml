@@ -53,10 +53,8 @@ let test_chrome_round_trip () =
         ~args:[ ("log", Obs.Trace.Str "weird\"log\n"); ("page", Obs.Trace.Int 3) ]
         "outer"
         (fun () -> Obs.Trace.instant ~cat:"net" "backoff");
-      Obs.Trace.async_begin ~cat:"net" ~id:7 "request";
-      Obs.Trace.async_end ~cat:"net" ~id:7 "request";
       let events = Obs.Trace.snapshot () in
-      check Alcotest.int "event count" 5 (List.length events);
+      check Alcotest.int "event count" 3 (List.length events);
       let doc =
         match Obs.Jsonv.parse (Obs.Trace.to_chrome events) with
         | Ok v -> v
@@ -67,7 +65,7 @@ let test_chrome_round_trip () =
         | Some (Obs.Jsonv.List l) -> l
         | _ -> Alcotest.fail "no traceEvents array"
       in
-      check Alcotest.int "array length" 5 (List.length arr);
+      check Alcotest.int "array length" 3 (List.length arr);
       let first = List.hd arr in
       check
         (Alcotest.option Alcotest.string)
@@ -89,7 +87,7 @@ let test_chrome_round_trip () =
       let lines =
         String.split_on_char '\n' (String.trim (Obs.Trace.to_jsonl events))
       in
-      check Alcotest.int "jsonl line count" 5 (List.length lines);
+      check Alcotest.int "jsonl line count" 3 (List.length lines);
       List.iter
         (fun line ->
           match Obs.Jsonv.parse line with

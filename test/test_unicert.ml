@@ -27,15 +27,11 @@ let cert ?(org = None) ?(cn = "plain.example.com") sans =
 let test_classify () =
   let plain = cert [ "plain.example.com" ] in
   check Alcotest.bool "plain not unicert" false (Unicert.Classify.is_unicert plain);
-  check Alcotest.bool "plain not idncert" false (Unicert.Classify.is_idncert plain);
   let idn = cert ~cn:"xn--bcher-kva.de" [ "xn--bcher-kva.de" ] in
   check Alcotest.bool "alabel is unicert" true (Unicert.Classify.is_unicert idn);
-  check Alcotest.bool "alabel is idncert" true (Unicert.Classify.is_idncert idn);
   let multilingual = cert ~org:(Some "St\xC3\xB6ri AG") [ "plain.example.com" ] in
   check Alcotest.bool "unicode org is unicert" true
     (Unicert.Classify.is_unicert multilingual);
-  check Alcotest.bool "unicode org not idncert" false
-    (Unicert.Classify.is_idncert multilingual);
   let ctrl = cert ~org:(Some "Evil\x01Org") [ "plain.example.com" ] in
   check Alcotest.bool "control char is unicert" true (Unicert.Classify.is_unicert ctrl)
 

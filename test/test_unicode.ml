@@ -24,12 +24,11 @@ let scalar_array =
 (* --- codec tests ---------------------------------------------------- *)
 
 let test_utf8_known () =
-  check (Alcotest.list Alcotest.int) "ascii" [ 0x68; 0x69 ] (Unicode.Codec.cp_list "hi");
-  check (Alcotest.list Alcotest.int) "2-byte" [ 0xE9 ] (Unicode.Codec.cp_list "\xC3\xA9");
-  check (Alcotest.list Alcotest.int) "3-byte" [ 0x4E2D ]
-    (Unicode.Codec.cp_list "\xE4\xB8\xAD");
-  check (Alcotest.list Alcotest.int) "4-byte" [ 0x1F600 ]
-    (Unicode.Codec.cp_list "\xF0\x9F\x98\x80")
+  let cps = Unicode.Codec.cps_of_utf8 in
+  check (Alcotest.array Alcotest.int) "ascii" [| 0x68; 0x69 |] (cps "hi");
+  check (Alcotest.array Alcotest.int) "2-byte" [| 0xE9 |] (cps "\xC3\xA9");
+  check (Alcotest.array Alcotest.int) "3-byte" [| 0x4E2D |] (cps "\xE4\xB8\xAD");
+  check (Alcotest.array Alcotest.int) "4-byte" [| 0x1F600 |] (cps "\xF0\x9F\x98\x80")
 
 let test_utf8_malformed () =
   let bad =
@@ -89,11 +88,13 @@ let prop_utf16_roundtrip =
 (* --- blocks --------------------------------------------------------- *)
 
 let test_blocks_lookup () =
-  check Alcotest.string "latin" "Basic Latin" (Unicode.Blocks.name_of 0x41);
-  check Alcotest.string "cjk" "CJK Unified Ideographs" (Unicode.Blocks.name_of 0x4E2D);
-  check Alcotest.string "hangul" "Hangul Syllables" (Unicode.Blocks.name_of 0xAC00);
-  check Alcotest.string "emoji" "Emoticons" (Unicode.Blocks.name_of 0x1F600);
-  check Alcotest.string "no block" "No_Block" (Unicode.Blocks.name_of 0x2FE0)
+  let name_of cp = Option.map (fun b -> b.Unicode.Blocks.name) (Unicode.Blocks.find cp) in
+  let block = Alcotest.(option string) in
+  check block "latin" (Some "Basic Latin") (name_of 0x41);
+  check block "cjk" (Some "CJK Unified Ideographs") (name_of 0x4E2D);
+  check block "hangul" (Some "Hangul Syllables") (name_of 0xAC00);
+  check block "emoji" (Some "Emoticons") (name_of 0x1F600);
+  check block "no block" None (name_of 0x2FE0)
 
 let test_blocks_structure () =
   (* Ranges are sorted, non-overlapping, and aligned. *)
@@ -108,9 +109,7 @@ let test_blocks_structure () =
       if b.Unicode.Blocks.first mod 16 <> 0 then
         Alcotest.failf "block %s start not 16-aligned" b.Unicode.Blocks.name)
     a;
-  check Alcotest.bool "over 300 blocks" true (Unicode.Blocks.count > 300);
-  check Alcotest.int "three surrogate blocks" (Unicode.Blocks.count - 3)
-    (Array.length Unicode.Blocks.non_surrogate)
+  check Alcotest.bool "over 300 blocks" true (Unicode.Blocks.count > 300)
 
 let prop_block_find =
   QCheck.Test.make ~name:"find agrees with linear scan" ~count:300
@@ -235,18 +234,6 @@ let test_confusables () =
   check Alcotest.string "fullwidth folds" "abc"
     (Unicode.Confusables.utf8_skeleton "\xEF\xBD\x81\xEF\xBD\x82\xEF\xBD\x83")
 
-let test_classify () =
-  check Alcotest.string "c0" "C0" (Unicode.Props.classify 0x01);
-  check Alcotest.string "del" "DEL" (Unicode.Props.classify 0x7F);
-  check Alcotest.string "c1" "C1" (Unicode.Props.classify 0x90);
-  check Alcotest.string "layout" "layout" (Unicode.Props.classify 0x200B);
-  check Alcotest.string "format" "format" (Unicode.Props.classify 0xAD);
-  check Alcotest.string "space" "space" (Unicode.Props.classify 0x3000);
-  check Alcotest.string "ascii" "printable-ascii" (Unicode.Props.classify 0x41);
-  check Alcotest.string "latin1" "latin1" (Unicode.Props.classify 0xE9);
-  check Alcotest.string "bmp" "bmp" (Unicode.Props.classify 0x4E2D);
-  check Alcotest.string "astral" "astral" (Unicode.Props.classify 0x1F600)
-
 (* Exhaustive equivalence of the direct-index flat tables against the
    interval/hashtable reference implementations they were generated
    from — every code point from U+0000 to U+10FFFF, so a table
@@ -286,7 +273,6 @@ let prop_block_edges =
 let test_escape_helpers () =
   check Alcotest.string "hex escape" "a\\x00b\\xFF"
     (Unicode.Escape.hex_escape_nonprintable "a\x00b\xFF");
-  check Alcotest.string "url encode" "a%00b" (Unicode.Escape.url_encode_controls "a\x00b");
   check Alcotest.string "visible strips ZWSP" "shop"
     (Unicode.Escape.visible_utf8 "sh\xE2\x80\x8Bop")
 
@@ -356,7 +342,6 @@ let suite =
     Alcotest.test_case "nfc blocking" `Quick test_nfc_blocked;
     Alcotest.test_case "confusables" `Quick test_confusables;
     Alcotest.test_case "escape helpers" `Quick test_escape_helpers;
-    Alcotest.test_case "classify" `Quick test_classify;
     Alcotest.test_case "flat tables exhaustive" `Quick test_flat_tables_exhaustive;
     qtest prop_skeleton_equiv;
     qtest prop_block_edges;

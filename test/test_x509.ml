@@ -14,11 +14,7 @@ let test_attr_oids () =
   check Alcotest.bool "unknown preserved" true
     (match X509.Attr.of_oid [ 1; 2; 3; 4 ] with
     | X509.Attr.Unknown o -> o = [ 1; 2; 3; 4 ]
-    | _ -> false);
-  check (Alcotest.option Alcotest.int) "cn bound" (Some 64)
-    (X509.Attr.upper_bound X509.Attr.Common_name);
-  check (Alcotest.option Alcotest.int) "country bound" (Some 2)
-    (X509.Attr.upper_bound X509.Attr.Country_name)
+    | _ -> false)
 
 (* --- DN --------------------------------------------------------------- *)
 
@@ -31,7 +27,8 @@ let sample_dn =
 let test_dn_roundtrip () =
   match X509.Dn.decode (X509.Dn.encode sample_dn) with
   | Ok dn ->
-      check Alcotest.bool "strict equal" true (X509.Dn.equal_strict sample_dn dn)
+      check Alcotest.string "re-encodes identically" (X509.Dn.encode sample_dn)
+        (X509.Dn.encode dn)
   | Error m -> Alcotest.fail m
 
 let test_dn_accessors () =
@@ -45,9 +42,7 @@ let test_dn_accessors () =
       [ X509.Dn.atv X509.Attr.Common_name "one"; X509.Dn.atv X509.Attr.Common_name "two" ]
   in
   check (Alcotest.option Alcotest.string) "first of dup" (Some "one")
-    (Option.map X509.Dn.atv_text (X509.Dn.first dup X509.Attr.Common_name));
-  check (Alcotest.option Alcotest.string) "last of dup" (Some "two")
-    (Option.map X509.Dn.atv_text (X509.Dn.last dup X509.Attr.Common_name))
+    (Option.map X509.Dn.atv_text (X509.Dn.first dup X509.Attr.Common_name))
 
 let test_dn_strings () =
   check Alcotest.string "rfc4514 escapes comma" "CN=www.example.cz,O=Acme\\, s.r.o.,C=CZ"
