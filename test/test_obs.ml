@@ -7,7 +7,7 @@ let check = Alcotest.check
 (* --- counters --------------------------------------------------------- *)
 
 let test_counter () =
-  let c = Obs.Counter.make ~help:"h" "c_total" in
+  let c = Obs.Counter.make ~help:"h" () in
   check (Alcotest.float 0.0) "starts at zero" 0.0 (Obs.Counter.value c);
   Obs.Counter.inc c;
   Obs.Counter.inc c;
@@ -20,7 +20,7 @@ let test_counter () =
   check (Alcotest.float 0.0) "reset" 0.0 (Obs.Counter.value c)
 
 let test_labeled_counter () =
-  let f = Obs.Counter.Labeled.make ~label:"k" "lc_total" in
+  let f = Obs.Counter.Labeled.make ~label:"k" () in
   let a = Obs.Counter.Labeled.get f "a" in
   let a' = Obs.Counter.Labeled.get f "a" in
   let b = Obs.Counter.Labeled.get f "b" in
@@ -39,7 +39,7 @@ let test_labeled_counter () =
 (* --- histograms ------------------------------------------------------- *)
 
 let test_histogram_edges () =
-  let h = Obs.Histogram.make ~buckets:[| 1.0; 10.0; 100.0 |] "h_seconds" in
+  let h = Obs.Histogram.make ~buckets:[| 1.0; 10.0; 100.0 |] () in
   (* Values exactly on an edge belong to that edge's bucket (le). *)
   Obs.Histogram.observe h 1.0;
   Obs.Histogram.observe h 10.0;
