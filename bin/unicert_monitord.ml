@@ -293,8 +293,9 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
         (List.map (fun fs () -> Ctlog.Fetch.poll fs.feed) states)
     in
     (* The new deliveries of every log, in log order: the partitions
-       ascend, so the tick's items ascend by index. *)
-    let items =
+       ascend, so the tick's deliveries ascend by index.  They stay
+       unparsed until the driver's step reaches them. *)
+    let deliveries =
       List.concat
         (List.map2
            (fun fs (s : Ctlog.Fetch.session) ->
@@ -305,16 +306,16 @@ let run scale seed (fault : Fault_cli.t) ticks publish_per_tick commit_every
                || cov.Ctlog.Fetch.split_view
                || cov.Ctlog.Fetch.page_gaps > 0
              then fs.degraded <- true;
-             let items = Ctlog.Fetch.items_of_session ~from:fs.next s in
-             List.iter (fun i -> fs.next <- Ctlog.Fetch.item_index i + 1) items;
-             items)
+             let ds = Ctlog.Fetch.deliveries ~from:fs.next s in
+             List.iter (fun d -> fs.next <- Ctlog.Fetch.delivery_index d + 1) ds;
+             ds)
            states sessions)
     in
     (* The budget spans the daemon's lifetime: this tick may absorb
        what the earlier ones left of it. *)
     let budget = policy.Faults.Policy.max_errors in
     let t, landed =
-      Unicert.Pipeline.ingest ~scale ~seed ~jobs items
+      Unicert.Pipeline.ingest ~scale ~seed ~jobs deliveries
         ~policy:
           { policy with
             Faults.Policy.max_errors = Option.map (fun m -> m - !faults_seen) budget }

@@ -570,16 +570,18 @@ let trace_fault ~index error =
       "fault"
 
 (* The one guarded step over a live entry: analyze it into a row, fold
-   the row into [part] and hand it to [sink].  A failure is
-   classified and handed to [fault]; the control exception and store
-   failures pass through untouched. *)
-let analyze part policy ~fault ~sink index (entry : Ctlog.Dataset.entry) =
+   the row into [part] when there is one and hand it to [sink].  A
+   failure is classified and handed to [fault]; the control exception
+   and store failures pass through untouched. *)
+let analyze ?part policy ~fault ~sink index (entry : Ctlog.Dataset.entry) =
   let der = entry.Ctlog.Dataset.cert.X509.Certificate.der in
   let work () =
     with_profiling ~index (fun ~timer ~note_aggregate ->
         let row, nc = row_of_entry ~timer entry ~index in
         note_aggregate (fun () ->
-            absorb_row part ~issuer:entry.Ctlog.Dataset.issuer row nc);
+            Option.iter
+              (fun part -> absorb_row part ~issuer:entry.Ctlog.Dataset.issuer row nc)
+              part);
         sink ~der row)
   in
   match
@@ -1235,24 +1237,28 @@ let build_pieces db ~scale =
     (List.map (fun pr -> Stored pr) (Store.Db.spans db))
     (List.map (fun g -> Gap g) (Store.Db.gaps db ~scale))
 
-(* --- sources: live deliveries over an index range, ascending --- *)
+(* --- sources: live deliveries over an index range, ascending ---
 
-type feed = start:int -> stop:int -> (Ctlog.Fetch.item -> unit) -> unit
+   A source hands each delivery over as its index and a thunk for its
+   item, so fetched DER is parsed by the driver's step, inside the
+   shard that reaches it, and dropped with its row. *)
+
+type feed = start:int -> stop:int -> (int -> (unit -> Ctlog.Fetch.item) -> unit) -> unit
 
 let generate_feed ~scale ~seed ~mutator ~drop : feed =
  fun ~start ~stop f ->
   Ctlog.Dataset.iter_deliveries ~scale ~start ~stop ?mutator ~drop ~seed
     (fun index -> function
-      | Ctlog.Dataset.Entry e -> f (Ctlog.Fetch.Got (index, e))
+      | Ctlog.Dataset.Entry e -> f index (fun () -> Ctlog.Fetch.Got (index, e))
       | Ctlog.Dataset.Corrupt { der; error; _ } ->
-          f (Ctlog.Fetch.Undecodable (index, der, error)))
+          f index (fun () -> Ctlog.Fetch.Undecodable (index, der, error)))
 
-(* Items already in hand, ascending by index: a range starts one
+(* Fetched deliveries in hand, ascending by index: a range starts one
    binary search in. *)
-let items_feed items : feed =
-  let items = Array.of_list items in
-  let n = Array.length items in
-  let index i = Ctlog.Fetch.item_index items.(i) in
+let fetched_feed deliveries : feed =
+  let ds = Array.of_list deliveries in
+  let n = Array.length ds in
+  let index i = Ctlog.Fetch.delivery_index ds.(i) in
   fun ~start ~stop f ->
     let rec first a b =
       if a >= b then a
@@ -1262,18 +1268,20 @@ let items_feed items : feed =
     in
     let i = ref (first 0 n) in
     while !i < n && index !i < stop do
-      f items.(!i);
+      let d = ds.(!i) in
+      f (index !i) (fun () -> Ctlog.Fetch.decode d);
       incr i
     done
 
-(* The fetch source materializes the corpus up front. *)
+(* The fetch source fetches the corpus up front; each delivery is
+   parsed when its shard reaches it. *)
 let fetch_feed ~scale ~seed ~policy ~mutator ~drop ~resume ~jobs cfg =
-  let items, coverage =
+  let deliveries, coverage =
     Obs.Span.with_ "fetch" (fun () ->
         Ctlog.Fetch.corpus ~scale ~seed ?mutator ~drop
           ?checkpoint:policy.Faults.Policy.checkpoint_file ~resume ~jobs cfg)
   in
-  (items_feed items, coverage)
+  (fetched_feed deliveries, coverage)
 
 (* The live source a run reads when nothing is stored: [coverage] is
    [[]] for the generate source. *)
@@ -1439,20 +1447,21 @@ let drive ~scale ~seed ~policy ~jobs ~cursor ~resume body =
    to [got]; bytes the source already failed to decode go straight to
    [fault]. *)
 let deliveries (feed : feed) ~start ~stop ~each ~fault got =
-  feed ~start ~stop (fun item ->
-      each (Ctlog.Fetch.item_index item) (fun () ->
-          match item with
+  feed ~start ~stop (fun index item ->
+      each index (fun () ->
+          match item () with
           | Ctlog.Fetch.Got (index, e) -> got index e
           | Ctlog.Fetch.Undecodable (index, der, error) -> fault ~index ~der error))
 
-(* The live step: every entry goes through {!analyze}. *)
-let live feed ~start ~stop ~each part policy ~fault ~sink =
-  deliveries feed ~start ~stop ~each ~fault (analyze part policy ~fault ~sink)
+(* The live step: every entry goes through {!analyze}, folding into
+   [part] when given. *)
+let live feed ~start ~stop ~each ?part policy ~fault ~sink =
+  deliveries feed ~start ~stop ~each ~fault (analyze ?part policy ~fault ~sink)
 
 (* The storeless body: the shard's live deliveries feed the aggregate
    alone. *)
 let stream feed policy ~lo:_ ~hi ~start part ~record ~each =
-  live feed ~start ~stop:hi ~each part policy ~fault:record
+  live feed ~start ~stop:hi ~each ~part policy ~fault:record
     ~sink:(fun ~der:_ _ -> ())
 
 (* The store step over a shard's share of [pieces].  Stored records in
@@ -1522,7 +1531,7 @@ let land_store db ~lints ~pieces ~feed ~recompute ~indexing policy ~lo ~hi
             let pair =
               span pw ~finish:Store.Db.finish_span ~close:Store.Db.close_noerr
                 (fun _ ->
-                  live feed ~start:glo ~stop:ghi ~each part policy ~fault ~sink)
+                  live feed ~start:glo ~stop:ghi ~each ~part policy ~fault ~sink)
             in
             written := pair :: !written
           end)
@@ -1655,10 +1664,12 @@ let collect ?(seed = 1) ?(policy = Faults.Policy.default) ?mutator
   (t, List.filteri (fun i _ -> i < count) (List.concat parts))
 
 (* The monitor daemon's tick: its deliveries are the feed, {!live} the
-   step, and each shard's sink stages what the store lands per item. *)
-let ingest ~scale ~seed ~policy ~jobs items =
-  let feed = items_feed items in
-  let body ~lo:_ ~hi ~start part ~record ~each =
+   step, and each shard's sink stages what the store lands per item.
+   Nothing folds into an aggregate: the daemon reads only the fault
+   ledger. *)
+let ingest ~scale ~seed ~policy ~jobs deliveries =
+  let feed = fetched_feed deliveries in
+  let body ~lo:_ ~hi ~start _part ~record ~each =
     let staged = ref [] in
     let stage (recd, rowstr) row = staged := (recd, rowstr, row) :: !staged in
     let fault ~index ~der error =
@@ -1666,7 +1677,7 @@ let ingest ~scale ~seed ~policy ~jobs items =
       record ~index ~der error
     in
     let sink ~der row = stage (cert_pair ~der row) (Some row) in
-    live feed ~start ~stop:hi ~each part policy ~fault ~sink;
+    live feed ~start ~stop:hi ~each policy ~fault ~sink;
     List.rev !staged
   in
   let t, parts = drive ~scale ~seed ~policy ~jobs ~cursor:None ~resume:false body in

@@ -259,13 +259,15 @@ type row
 
 val ingest :
   scale:int -> seed:int -> policy:Faults.Policy.t -> jobs:int ->
-  Ctlog.Fetch.item list -> t * (Store.Db.record * string * row option) list
-(** [ingest ~scale ~seed ~policy ~jobs items] runs delivered [items]
-    (ascending by index) through the driver and its fault boundary as
-    {!run} does, [policy] counting within this call.  Returns the
-    aggregate, whose [faults.aborted] forbids committing the batch, and
-    in index order each item's record, encoded row and, for a
-    certificate, row. *)
+  Ctlog.Fetch.delivery list -> t * (Store.Db.record * string * row option) list
+(** [ingest ~scale ~seed ~policy ~jobs deliveries] runs fetched
+    [deliveries] (ascending by index) through the driver and its fault
+    boundary as {!run} does, [policy] counting within this call: each
+    is parsed ({!Ctlog.Fetch.decode}) just before its analysis, in the
+    shard that reaches it.  Returns the aggregate — only its fault
+    ledger is filled, and [faults.aborted] forbids committing the
+    batch — and in index order each delivery's record, encoded row
+    and, for a certificate, row. *)
 
 val analyze_entry : Ctlog.Dataset.entry -> index:int -> row
 (** Run the (fused or reference) analysis engine over one delivered

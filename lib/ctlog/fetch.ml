@@ -18,7 +18,7 @@
    far), so a resumed run produces byte-identical results to an
    uninterrupted one.  A long-lived feed reads its cursor
    file once and then carries the last saved cursor, with its tree,
-   in memory from poll to poll. *)
+   in memory from poll to poll, without the DER it has handed over. *)
 
 type cfg = {
   logs : int;
@@ -116,19 +116,21 @@ type event =
   | Quarantined of string  (* every pending row was quarantined, for this reason *)
 
 (* What the events replay to.  Rows are delivered or quarantined in
-   tree order, so [raw] and [quar] each descend by corpus index. *)
+   tree order, so [raw] and [quar] each descend by corpus index.  They
+   hold only what the next hand-over ({!hand_over}) gives the caller:
+   after it, the history keeps counts, coverage spans, the running tree
+   and the pending window, never DER already handed over. *)
 type history = {
   tree : Merkle.t;  (* running leaf tree *)
   mutable pend : row list;  (* fetched, not yet verified; newest first *)
-  mutable raw : (int * string) list;  (* delivered: corpus idx, DER; newest first *)
-  mutable quar : (int * string * Faults.Error.t) list;  (* newest first *)
-  mutable n_raw : int;  (* List.length raw *)
-  mutable n_quar : int;  (* List.length quar *)
+  mutable raw : (int * string) list;
+      (* delivered since the last hand-over: corpus idx, DER; newest first *)
+  mutable quar : (int * string * Faults.Error.t) list;
+      (* quarantined since the last hand-over; newest first *)
+  mutable n_raw : int;  (* delivered in all *)
+  mutable n_quar : int;  (* quarantined in all *)
   mutable spans : (int * int) list;
-      (* coverage spans over the first [spans_raw] delivered and
-         [spans_quar] quarantined entries, newest first *)
-  mutable spans_raw : int;
-  mutable spans_quar : int;
+      (* coverage spans over everything handed over, newest first *)
 }
 
 let apply ~name h = function
@@ -168,20 +170,18 @@ let coalesce ~adjacency spans covered =
       | _ -> (ci, ci) :: acc)
     spans covered
 
-(* Bring [h.spans] up to date with the entries delivered or quarantined
-   since it was last extended: those are the heads of [raw] and [quar],
-   and they all follow the entries already covered, so the spans grow
-   by the new entries alone.  Should an entry ever arrive out of order,
-   the spans are rebuilt from the whole history. *)
-let extend_spans ~adjacency h =
-  let rec take n acc l =
-    if n = 0 then acc
-    else match l with x :: rest -> take (n - 1) (x :: acc) rest | [] -> acc
-  in
+(* Hand the deliveries and quarantines since the last hand-over to the
+   caller, extending [h.spans] by their indices alone: they all follow
+   the entries already covered.  Should an entry ever arrive out of
+   order, the spans are rebuilt from the indices they cover — a span
+   covers exactly the [present] indices between its ends, so no index
+   list need be kept. *)
+let hand_over ~present ~adjacency h =
+  let raw = h.raw and quar = h.quar in
   let fresh =
     List.merge compare
-      (List.map fst (take (h.n_raw - h.spans_raw) [] h.raw))
-      (List.map (fun (i, _, _) -> i) (take (h.n_quar - h.spans_quar) [] h.quar))
+      (List.rev_map fst raw)
+      (List.rev_map (fun (i, _, _) -> i) quar)
   in
   let rec ascending = function
     | a :: (b :: _ as rest) -> a < b && ascending rest
@@ -191,11 +191,19 @@ let extend_spans ~adjacency h =
   h.spans <-
     (if ascending (covered @ fresh) then coalesce ~adjacency h.spans fresh
      else
-       coalesce ~adjacency []
-         (List.sort_uniq compare
-            (List.map fst h.raw @ List.map (fun (i, _, _) -> i) h.quar)));
-  h.spans_raw <- h.n_raw;
-  h.spans_quar <- h.n_quar
+       let spans = h.spans in
+       let old =
+         Array.fold_right
+           (fun ci acc ->
+             if ci >= 0 && List.exists (fun (lo, hi) -> lo <= ci && ci <= hi) spans
+             then ci :: acc
+             else acc)
+           present []
+       in
+       coalesce ~adjacency [] (List.sort_uniq compare (old @ fresh)));
+  h.raw <- [];
+  h.quar <- [];
+  (raw, quar)
 
 let fresh_cursor name =
   {
@@ -225,7 +233,7 @@ let fresh_start name =
     journal = Faults.Checkpoint.empty_mark;
     hist =
       { tree = Merkle.create (); pend = []; raw = []; quar = []; n_raw = 0;
-        n_quar = 0; spans = []; spans_raw = 0; spans_quar = 0 };
+        n_quar = 0; spans = [] };
   }
 
 (* The cursor saved in [file] for this log and corpus, replayed; a
@@ -316,6 +324,8 @@ let parse_consistency lines =
       | _ -> None)
   | [] -> None
 
+(* A row is [0 ] or [1 ] (the precertificate flag) and the DER in hex,
+   decoded in place from offset 2. *)
 let parse_entries lines =
   match lines with
   | header :: rows -> (
@@ -327,10 +337,14 @@ let parse_entries lines =
               let decoded =
                 List.filter_map
                   (fun row ->
-                    match String.split_on_char ' ' row with
-                    | [ "0"; der ] -> Option.map (fun d -> (false, d)) (Wire.of_hex der)
-                    | [ "1"; der ] -> Option.map (fun d -> (true, d)) (Wire.of_hex der)
-                    | _ -> None)
+                    if String.length row < 2 || row.[1] <> ' ' then None
+                    else
+                      match row.[0] with
+                      | ('0' | '1') as flag ->
+                          Option.map
+                            (fun d -> (flag = '1', d))
+                            (Ucrypto.Hex.decode_from row ~pos:2)
+                      | _ -> None)
                   rows
               in
               if List.length decoded = List.length rows then Some (start, decoded)
@@ -341,9 +355,12 @@ let parse_entries lines =
 
 (* --- one log session --------------------------------------------------- *)
 
+(* What one session hands over: the deliveries and quarantines since
+   the feed's previous session, newest first (descending corpus index),
+   and the cumulative coverage. *)
 type session = {
-  s_raw : (int * string) list;  (* newest first: descending corpus index *)
-  s_quar : (int * string * Faults.Error.t) list;  (* newest first *)
+  s_raw : (int * string) list;
+  s_quar : (int * string * Faults.Error.t) list;
   s_cov : coverage;
   s_interrupted : bool;
 }
@@ -644,10 +661,10 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   | Interrupted ->
       interrupted := true;
       save_ckpt ());
-  extend_spans ~adjacency hist;
+  let s_raw, s_quar = hand_over ~present ~adjacency hist in
   ( {
-      s_raw = hist.raw;
-      s_quar = hist.quar;
+      s_raw;
+      s_quar;
       s_cov =
         {
           log = name;
@@ -708,26 +725,22 @@ let simulated_log ?mutator ~drop ~scale ~seed ~plan cfg ~name (lo, hi) =
   let bucket = Net.Bucket.create ~clock ~rate:cfg.rate_per_sec ~burst:cfg.burst in
   (Array.of_list (List.rev !present), server, transport, bucket)
 
+type delivery =
+  | Der of int * string                      (* corpus index, delivered DER *)
+  | Flagged of int * string * Faults.Error.t (* corpus index, DER, error *)
+
 (* Merge one session's delivered and quarantined streams back into a
-   single ascending item stream, parsing delivered DER into entries —
-   only those at or after [from], which are the heads of the
-   newest-first streams, so the older history is never walked. *)
-let items_of_session ?(from = 0) s =
+   single ascending stream — only those at or after [from], which are
+   the heads of the newest-first streams, so nothing older is walked. *)
+let deliveries ?(from = 0) s =
   let rec merge raws quars =
     match (raws, quars) with
     | [], [] -> []
-    | (ci, der) :: rest, [] -> item_of ci der :: merge rest []
-    | [], (ci, der, e) :: rest -> Undecodable (ci, der, e) :: merge [] rest
+    | (ci, der) :: rest, [] -> Der (ci, der) :: merge rest []
+    | [], (ci, der, e) :: rest -> Flagged (ci, der, e) :: merge [] rest
     | ((ci, der) :: rrest as rs), ((qi, qder, qe) :: qrest as qs) ->
-        if ci <= qi then item_of ci der :: merge rrest qs
-        else Undecodable (qi, qder, qe) :: merge rs qrest
-  and item_of ci der =
-    match X509.Certificate.parse der with
-    | Error e -> Undecodable (ci, der, e)
-    | Ok cert -> (
-        match Dataset.entry_of_cert cert with
-        | Ok entry -> Got (ci, entry)
-        | Error e -> Undecodable (ci, der, e))
+        if ci <= qi then Der (ci, der) :: merge rrest qs
+        else Flagged (qi, qder, qe) :: merge rs qrest
   in
   let rec since acc = function
     | ((ci, _) as x) :: rest when ci >= from -> since (x :: acc) rest
@@ -738,6 +751,20 @@ let items_of_session ?(from = 0) s =
     | _ -> acc
   in
   merge (since [] s.s_raw) (since_quar [] s.s_quar)
+
+let delivery_index = function Der (i, _) | Flagged (i, _, _) -> i
+
+let decode = function
+  | Flagged (ci, der, e) -> Undecodable (ci, der, e)
+  | Der (ci, der) -> (
+      match X509.Certificate.parse der with
+      | Error e -> Undecodable (ci, der, e)
+      | Ok cert -> (
+          match Dataset.entry_of_cert cert with
+          | Ok entry -> Got (ci, entry)
+          | Error e -> Undecodable (ci, der, e)))
+
+let items_of_session ?from s = List.map decode (deliveries ?from s)
 
 let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
     ?checkpoint ?(resume = false) ?stop_after_pages ?(jobs = 1) cfg =
@@ -765,24 +792,27 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
   in
   let sessions = Par.run ~jobs tasks in
   (* Per-log corpus-index ranges are contiguous and ascending, so
-     joining per-log streams in log order keeps items globally
+     joining per-log streams in log order keeps deliveries globally
      ascending — the same order the generate source uses. *)
-  let items = List.concat_map items_of_session sessions in
-  (items, List.map (fun s -> s.s_cov) sessions)
+  ( List.concat_map (fun s -> deliveries s) sessions,
+    List.map (fun s -> s.s_cov) sessions )
 
 (* --- long-lived feeds (the monitor daemon) ----------------------------- *)
 
 (* A feed is one log's whole fetch apparatus kept alive between polls:
    the populated log and its server, the per-log clock, transport and
    token bucket, and the session state (trusted STH, pending window,
-   cumulative deliveries).  That state is read from the cursor file
-   once, on the first poll or {!feed_trusted}, and from then on the
+   delivery counts and coverage).  That state is read from the cursor
+   file once, on the first poll or {!feed_trusted}, and from then on the
    last saved cursor and its running tree stay in [f_start]; each
    session still saves the file at the same points, so a restarted
    daemon resumes exactly where an uninterrupted one would.  The server
    starts with nothing published; the caller grows it with
    {!feed_publish} and each {!poll} runs an ordinary session against
-   the currently published head. *)
+   the currently published head.  A poll hands its deliveries over and
+   the feed keeps no DER: the first poll after the cursor file is read
+   hands over everything its journal replays, so a restarted daemon can
+   re-stage the entries it had not committed. *)
 type feed = {
   f_k : int;
   f_name : string;

@@ -71,9 +71,28 @@ type session = {
   s_cov : coverage;
   s_interrupted : bool;
 }
-(** One log session: the raw DER delivered and the entries quarantined,
-    each with its corpus index and newest first (descending index), the
-    log's coverage, and whether [stop_after_pages] interrupted it. *)
+(** One log session: the raw DER delivered and the entries quarantined
+    since the feed's previous session (everything, for a session of
+    {!corpus}), each with its corpus index and newest first (descending
+    index); the log's cumulative coverage; and whether
+    [stop_after_pages] interrupted it. *)
+
+type delivery =
+  | Der of int * string  (** (corpus index, delivered DER), not yet parsed *)
+  | Flagged of int * string * Faults.Error.t
+      (** (corpus index, DER, error) — integrity-flagged at fetch time *)
+
+val delivery_index : delivery -> int
+
+val deliveries : ?from:int -> session -> delivery list
+(** One session's delivered + quarantined streams merged back into a
+    single ascending stream.  With [from], only those at corpus index
+    [from] or later — the others are not walked. *)
+
+val decode : delivery -> item
+(** Parse a delivered DER into its entry ({!Undecodable} when it does
+    not parse or {!Dataset.entry_of_cert} refuses it); a flagged
+    delivery stays {!Undecodable} with its error. *)
 
 val cursor_file : string -> int -> string
 (** [cursor_file base k] is [base.fetch<k>] — the per-log checkpoint
@@ -93,12 +112,13 @@ val corpus :
   ?stop_after_pages:int ->
   ?jobs:int ->
   cfg ->
-  item list * coverage list
+  delivery list * coverage list
 (** Partition the corpus across [cfg.logs] simulated logs (contiguous
     index ranges), populate each log (the corruption [mutator] and
     [drop] compose exactly as in the generate source), fetch every log
     over its own clock/transport/bucket, and join the streams in log
-    order — items arrive globally ascending by corpus index.  [jobs]
+    order — deliveries arrive globally ascending by corpus index, and
+    the caller {!decode}s each when it needs it.  [jobs]
     fetches logs on parallel domains; results are independent of it.
     [stop_after_pages] interrupts each log's session after that many
     pages (cursor saved) — the resume-after-kill test hook. *)
@@ -113,7 +133,7 @@ val prewarm : unit -> unit
     A feed keeps one log's whole fetch apparatus alive between polls:
     the populated log and its paged server, the per-log virtual clock,
     transport and token bucket, and the session state (trusted STH,
-    pending window, cumulative deliveries).  The cursor file carries
+    pending window, delivery counts and coverage).  The cursor file carries
     that state across process restarts; it is read once per feed, and
     between polls the last saved cursor stays in memory.  The server starts with
     nothing published; the driver grows the published head with
@@ -164,16 +184,14 @@ val feed_trusted : feed -> int option
 val poll : ?stop_after_pages:int -> feed -> session
 (** Run one fetch session against the currently published head,
     resuming from the feed's last saved cursor and saving it at the
-    same points a one-shot {!corpus} fetch does.  [s_raw] is
-    cumulative across polls — the driver filters by its own
-    watermark.  A poll's own cost grows with the entries it fetches,
-    not with the history: the coverage spans are extended by the new
-    entries only. *)
+    same points a one-shot {!corpus} fetch does.  The session hands
+    over what was delivered or quarantined since the feed's previous
+    poll, and the feed drops that DER: between polls it keeps only the
+    running leaf tree, the pending (unverified) window, counts and
+    coverage spans.  The first poll after the cursor file is read
+    hands over everything the file's journal replays, so a restarted
+    caller can re-stage from its own watermark.  A poll's own cost
+    grows with the entries it fetches, not with the history. *)
 
 val items_of_session : ?from:int -> session -> item list
-(** One session's delivered + quarantined streams merged back into a
-    single ascending item stream (delivered DER parsed into entries,
-    unparseable or integrity-flagged bytes as {!Undecodable}).  With
-    [from], only items at corpus index [from] or later — the others
-    are neither parsed, returned nor walked; the session's coverage
-    stays cumulative either way. *)
+(** {!deliveries} with each one {!decode}d. *)

@@ -20,7 +20,11 @@ let create prof = { prof; entries = [] }
 let has_special s =
   String.exists (fun c -> Char.code c < 0x20 || Char.code c = 0x7F) s
 
-let fold_key s = String.lowercase_ascii s
+(* A key that is already lowercase is returned as it is, not copied. *)
+let fold_key s =
+  if String.exists (function 'A' .. 'Z' -> true | _ -> false) s then
+    String.lowercase_ascii s
+  else s
 
 (* The subject material a monitor indexes, independent of where it came
    from — a parsed certificate or a stored analysis row. *)
@@ -43,6 +47,12 @@ let keys_of_fields prof f =
     else keys
   in
   List.map fold_key keys
+
+let same_keys a b =
+  a.indexes_subject_attrs = b.indexes_subject_attrs
+  && a.cn_split_slash = b.cn_split_slash
+  && a.cn_drop_with_space = b.cn_drop_with_space
+  && a.index_drops_special = b.index_drops_special
 
 let fields_of_cert cert =
   let tbs = cert.X509.Certificate.tbs in

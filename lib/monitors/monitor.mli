@@ -36,6 +36,10 @@ val keys_of_fields : profile -> fields -> string list
     fields: CN filtering (slash split, space drop), subject attributes
     when indexed, special-character dropping, case folding. *)
 
+val same_keys : profile -> profile -> bool
+(** Whether two profiles derive the same keys from any fields: they
+    agree on every profile field {!keys_of_fields} reads. *)
+
 val prepare_query : profile -> string -> (string, string) result
 (** [prepare_query prof q] is the lookup string the monitor would
     actually search for — U-labels converted to A-labels — or [Error
@@ -73,8 +77,6 @@ val entrust : profile
 
 val all : profile list
 
-val profile_key : profile -> string
-(** Short stable key (["crtsh"], ["sslmate"], ...) used by the query
-    protocol and CLI flags. *)
-
 val of_key : string -> profile option
+(** The profile with this short stable key (["crtsh"], ["sslmate"],
+    ...), as the query protocol and CLI flags name them. *)

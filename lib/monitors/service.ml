@@ -12,12 +12,26 @@
    certificates: replaying the committed rows of a recovered store
    rebuilds byte-identical serving state. *)
 
-type entry = { e_id : int; e_keys : string list }
+(* Profiles that derive the same keys ({!Monitor.same_keys}) share one
+   key rule: [rules] holds one representative profile per rule, and an
+   entry holds one key list per rule, with equal lists stored once.
+   Keys are derived at stage time, so a query only matches. *)
+let rules =
+  Array.of_list
+    (List.fold_left
+       (fun acc p -> if List.exists (Monitor.same_keys p) acc then acc else acc @ [ p ])
+       [] Monitor.all)
+
+let rule_of prof =
+  let rec go i = if Monitor.same_keys prof rules.(i) then i else go (i + 1) in
+  go 0
+
+type entry = { e_id : int; e_keys : string list array  (* by rule *) }
 
 type t = {
   mu : Mutex.t;
-  mutable staged : (string * entry) list;  (* (profile key, entry), newest first *)
-  serving : (string, entry list) Hashtbl.t;  (* profile key -> newest first *)
+  mutable staged : entry list;  (* newest first *)
+  mutable serving : entry list;  (* newest first *)
   mutable staged_ix : (string * (string * int)) list;
       (* (index name, (key, id)), newest first *)
   serving_ix : (string, (string, int list) Hashtbl.t) Hashtbl.t;
@@ -43,16 +57,12 @@ let prewarm () =
   ignore (Lazy.force obs_latency)
 
 let create () =
-  let serving = Hashtbl.create 8 in
-  List.iter
-    (fun p -> Hashtbl.replace serving (Monitor.profile_key p) [])
-    Monitor.all;
   let serving_ix = Hashtbl.create 8 in
   List.iter (fun n -> Hashtbl.replace serving_ix n (Hashtbl.create 64)) indexes;
   {
     mu = Mutex.create ();
     staged = [];
-    serving;
+    serving = [];
     staged_ix = [];
     serving_ix;
     committed = 0;
@@ -66,14 +76,14 @@ let stage_fields t ~id ~cns ~sans ~attrs =
   let fields =
     { Monitor.f_cns = cns; Monitor.f_sans = sans; Monitor.f_attrs = attrs }
   in
-  let staged =
-    List.map
-      (fun p ->
-        ( Monitor.profile_key p,
-          { e_id = id; e_keys = Monitor.keys_of_fields p fields } ))
-      Monitor.all
+  let keys = Array.map (fun r -> Monitor.keys_of_fields r fields) rules in
+  (* Equal lists are stored once: each rule keeps the first equal one. *)
+  let first k =
+    let rec go j = if keys.(j) = k then keys.(j) else go (j + 1) in
+    go 0
   in
-  locked t (fun () -> t.staged <- staged @ t.staged)
+  let e = { e_id = id; e_keys = Array.map first keys } in
+  locked t (fun () -> t.staged <- e :: t.staged)
 
 let stage_index t ~index ~key ~id =
   locked t (fun () -> t.staged_ix <- (index, (key, id)) :: t.staged_ix)
@@ -82,11 +92,7 @@ let commit t ~upto =
   locked t (fun () ->
       (* Staged and serving lists are both newest-first, so a commit
          costs O(staged); [hits] sorts the ids it answers with. *)
-      List.iter
-        (fun (pk, e) ->
-          let es = Option.value ~default:[] (Hashtbl.find_opt t.serving pk) in
-          Hashtbl.replace t.serving pk (e :: es))
-        (List.rev t.staged);
+      t.serving <- List.rev_append (List.rev t.staged) t.serving;
       t.staged <- [];
       List.iter
         (fun (ix, (key, id)) ->
@@ -111,16 +117,14 @@ let subject_query t prof text =
   | Error reason -> [ "refused " ^ reason ]
   | Ok prepared ->
       let needle = String.lowercase_ascii prepared in
+      let rule = rule_of prof in
       let ids =
         locked t (fun () ->
-            match Hashtbl.find_opt t.serving (Monitor.profile_key prof) with
-            | None -> []
-            | Some es ->
-                List.filter_map
-                  (fun e ->
-                    if Monitor.matches prof ~needle e.e_keys then Some e.e_id
-                    else None)
-                  es)
+            List.filter_map
+              (fun e ->
+                if Monitor.matches prof ~needle e.e_keys.(rule) then Some e.e_id
+                else None)
+              t.serving)
       in
       [ hits ids ]
 
@@ -139,14 +143,8 @@ let index_query t name key =
 
 let stats t =
   locked t (fun () ->
-      let entries =
-        match Hashtbl.find_opt t.serving "crtsh" with
-        | Some es -> List.length es
-        | None -> 0
-      in
       [ Printf.sprintf "stats committed=%d entries=%d staged=%d" t.committed
-          entries
-          (List.length t.staged / max 1 (List.length Monitor.all)) ])
+          (List.length t.serving) (List.length t.staged) ])
 
 let split2 s =
   match String.index_opt s ' ' with

@@ -24,17 +24,21 @@ let nibbles =
         | 'A' .. 'F' -> c - Char.code 'A' + 10
         | _ -> 0x10))
 
-let decode s =
-  let n = String.length s in
+let decode_from s ~pos =
+  let n = String.length s - pos in
+  if pos < 0 || n < 0 then invalid_arg "Hex.decode_from";
   if n land 1 <> 0 then None
   else begin
     let b = Bytes.create (n / 2) in
     let bad = ref 0 in
     for i = 0 to (n / 2) - 1 do
-      let hi = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s (2 * i)))) in
-      let lo = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s ((2 * i) + 1)))) in
+      let j = pos + (2 * i) in
+      let hi = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s j))) in
+      let lo = Char.code (String.unsafe_get nibbles (Char.code (String.unsafe_get s (j + 1)))) in
       bad := !bad lor hi lor lo;
       Bytes.unsafe_set b i (Char.unsafe_chr (((hi lsl 4) lor lo) land 0xff))
     done;
     if !bad < 0x10 then Some (Bytes.unsafe_to_string b) else None
   end
+
+let decode s = decode_from s ~pos:0

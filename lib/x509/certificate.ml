@@ -202,16 +202,27 @@ let parse ?(config = Asn1.Value.strict) der =
           >>= fun tbs -> Ok (outer_sig_alg, tbs) )
       >>= fun (outer_sig_alg, tbs) ->
       (* Recover the exact TBS byte span from the outer encoding: the
-         outer header length tells us where the first child starts. *)
-      let child_offset =
-        let l0 = Char.code der.[1] in
+         outer header's length octets tell where the TBS starts, and
+         the TBS header's (validated by the decode above) where it
+         ends. *)
+      let header_len off =
+        let l0 = Char.code der.[off + 1] in
         if l0 < 0x80 then 2 else 2 + (l0 land 0x7F)
       in
-      match Asn1.Value.decode_prefix ~config der child_offset with
-      | Ok (_, stop) ->
-          let tbs_der = String.sub der child_offset (stop - child_offset) in
-          Ok { tbs; tbs_der; outer_sig_alg; signature; der }
-      | Error e -> Error (der_err e))
+      let content_len off =
+        let l0 = Char.code der.[off + 1] in
+        if l0 < 0x80 then l0
+        else begin
+          let len = ref 0 in
+          for i = 1 to l0 land 0x7F do
+            len := (!len lsl 8) lor Char.code der.[off + 1 + i]
+          done;
+          !len
+        end
+      in
+      let start = header_len 0 in
+      let tbs_der = String.sub der start (header_len start + content_len start) in
+      Ok { tbs; tbs_der; outer_sig_alg; signature; der })
   | Ok _ -> Error (layout_err "Certificate must be SEQUENCE { tbs, alg, BIT STRING }")
 
 let of_pem pem =

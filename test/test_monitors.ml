@@ -227,21 +227,23 @@ let service_battery =
     "stats";
   ]
 
+module P = Unicert.Pipeline
+module S = Monitors.Service
+
+(* Stage one row's material as the daemon does. *)
+let stage service row =
+  let id = P.row_index row in
+  S.stage_fields service ~id ~cns:(P.row_cns row)
+    ~sans:(P.row_domains row) ~attrs:(P.row_attrs row);
+  P.add_index_entries (P.fresh_acc ()) row ~on_entry:(fun ~index ~key ->
+      S.stage_index service ~index ~key ~id)
+
 let test_service_commit_batching () =
-  let module P = Unicert.Pipeline in
-  let module S = Monitors.Service in
   let scale = 300 in
   let rows =
     List.mapi
       (fun index entry -> P.analyze_entry entry ~index)
       (Ctlog.Dataset.generate ~scale ~seed:5 ())
-  in
-  let stage service row =
-    let id = P.row_index row in
-    S.stage_fields service ~id ~cns:(P.row_cns row)
-      ~sans:(P.row_domains row) ~attrs:(P.row_attrs row);
-    P.add_index_entries (P.fresh_acc ()) row ~on_entry:(fun ~index ~key ->
-        S.stage_index service ~index ~key ~id)
   in
   let once = S.create () in
   List.iter (stage once) rows;
@@ -261,6 +263,24 @@ let test_service_commit_batching () =
       check Alcotest.(list string) line (S.respond once line) (S.respond batched line))
     service_battery
 
+(* The serving state holds one key list per key rule, equal lists once,
+   and keys that are already lowercase uncopied: at scale 4,096 (seed 1)
+   everything the service keeps stays within 70 words per committed
+   entry.  Five freshly folded lists per entry would take 123. *)
+let test_service_words_bounded () =
+  let scale = 4096 in
+  let service = S.create () in
+  List.iteri
+    (fun index entry -> stage service (P.analyze_entry entry ~index))
+    (Ctlog.Dataset.generate ~scale ~seed:1 ());
+  S.commit service ~upto:scale;
+  let per_entry =
+    float_of_int (Obj.reachable_words (Obj.repr service)) /. float_of_int scale
+  in
+  if per_entry > 70. then
+    Alcotest.failf "the service holds %.1f words per committed entry (bound 70)"
+      per_entry
+
 let suite =
   [
     Alcotest.test_case "exact and case handling" `Quick test_exact_and_case;
@@ -279,4 +299,6 @@ let suite =
     Alcotest.test_case "corpus recall (F.2)" `Slow test_corpus_recall;
     Alcotest.test_case "corpus recall over corrupted corpus" `Slow
       test_corpus_recall_corrupted;
+    Alcotest.test_case "service words per entry bounded" `Quick
+      test_service_words_bounded;
   ]

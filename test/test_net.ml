@@ -460,6 +460,15 @@ let small_cfg ?(fault_rate = 0.0) ?(down = []) ?(equivocate = [])
     equivocate;
     page_cap }
 
+(* A one-shot fetch with every delivery decoded. *)
+let corpus_items ?mutator ?drop ?checkpoint ?resume ?stop_after_pages ?jobs ~scale
+    ~seed cfg =
+  let deliveries, covs =
+    Fetch.corpus ?mutator ?drop ?checkpoint ?resume ?stop_after_pages ?jobs ~scale
+      ~seed cfg
+  in
+  (List.map Fetch.decode deliveries, covs)
+
 let item_fp = function
   | Fetch.Got (i, e) ->
       Printf.sprintf "%d got %s" i
@@ -493,7 +502,7 @@ let assert_complete covs =
     covs
 
 let test_fetch_clean () =
-  let items, covs = Fetch.corpus ~scale:64 ~seed:5 (small_cfg ()) in
+  let items, covs = corpus_items ~scale:64 ~seed:5 (small_cfg ()) in
   check Alcotest.int "one coverage row per log" 4 (List.length covs);
   assert_complete covs;
   assert_ascending items;
@@ -507,9 +516,9 @@ let test_fetch_clean () =
     (List.length items)
 
 let test_fetch_faulty_identical () =
-  let clean = fps (fst (Fetch.corpus ~scale:64 ~seed:5 (small_cfg ()))) in
+  let clean = fps (fst (corpus_items ~scale:64 ~seed:5 (small_cfg ()))) in
   let items, covs =
-    Fetch.corpus ~scale:64 ~seed:5 (small_cfg ~fault_rate:0.2 ~page_cap:4 ())
+    corpus_items ~scale:64 ~seed:5 (small_cfg ~fault_rate:0.2 ~page_cap:4 ())
   in
   assert_complete covs;
   if sum_retries covs = 0 then
@@ -520,7 +529,7 @@ let test_fetch_split_view () =
   let cfg =
     small_cfg ~page_cap:4 ~equivocate:[ (Fetch.log_name 1, 1, 2) ] ()
   in
-  let items, covs = Fetch.corpus ~scale:64 ~seed:5 cfg in
+  let items, covs = corpus_items ~scale:64 ~seed:5 cfg in
   let forked = List.find (fun c -> c.Fetch.log = Fetch.log_name 1) covs in
   check Alcotest.bool "split view flagged" true forked.Fetch.split_view;
   if Fetch.coverage_complete forked then
@@ -544,7 +553,7 @@ let test_fetch_split_view () =
 
 let test_fetch_down_abandoned () =
   let cfg = small_cfg ~down:[ Fetch.log_name 2 ] () in
-  let items, covs = Fetch.corpus ~scale:64 ~seed:5 cfg in
+  let items, covs = corpus_items ~scale:64 ~seed:5 cfg in
   let dead = List.find (fun c -> c.Fetch.log = Fetch.log_name 2) covs in
   (match dead.Fetch.abandoned with
   | Some _ -> ()
@@ -565,14 +574,14 @@ let test_fetch_resume_after_kill () =
     (fun () ->
       let base = Filename.concat dir "ckpt" in
       let cfg = small_cfg ~page_cap:2 () in
-      let full = fps (fst (Fetch.corpus ~scale:64 ~seed:5 cfg)) in
+      let full = fps (fst (corpus_items ~scale:64 ~seed:5 cfg)) in
       let _, covs1 =
-        Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~stop_after_pages:2 cfg
+        corpus_items ~scale:64 ~seed:5 ~checkpoint:base ~stop_after_pages:2 cfg
       in
       if List.for_all Fetch.coverage_complete covs1 then
         Alcotest.fail "the kill hook must leave the fetch unfinished";
       let items2, covs2 =
-        Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~resume:true cfg
+        corpus_items ~scale:64 ~seed:5 ~checkpoint:base ~resume:true cfg
       in
       assert_complete covs2;
       check Alcotest.string "resumed run delivers the full-run bytes" full
@@ -606,18 +615,18 @@ let test_fetch_resume_journal_tail () =
     (fun () ->
       let base = Filename.concat dir "ckpt" in
       let cfg = small_cfg ~page_cap:2 () in
-      let full = fps (fst (Fetch.corpus ~scale:64 ~seed:5 cfg)) in
-      ignore (Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~stop_after_pages:2 cfg);
+      let full = fps (fst (corpus_items ~scale:64 ~seed:5 cfg)) in
+      ignore (corpus_items ~scale:64 ~seed:5 ~checkpoint:base ~stop_after_pages:2 cfg);
       let early = cursor_headers dir "ckpt.fetch" in
       let early_sizes = journal_sizes early in
       ignore
-        (Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~resume:true
+        (corpus_items ~scale:64 ~seed:5 ~checkpoint:base ~resume:true
            ~stop_after_pages:2 cfg);
       restore_headers early;
       if List.for_all2 ( = ) early_sizes (journal_sizes early) then
         Alcotest.fail "the journals must run past their restored headers";
       let items, covs =
-        Fetch.corpus ~scale:64 ~seed:5 ~checkpoint:base ~resume:true cfg
+        corpus_items ~scale:64 ~seed:5 ~checkpoint:base ~resume:true cfg
       in
       assert_complete covs;
       check Alcotest.string "a journal tail past the header resumes byte-identically"
@@ -625,7 +634,7 @@ let test_fetch_resume_journal_tail () =
 
 let test_fetch_jobs_deterministic () =
   let cfg = small_cfg ~fault_rate:0.15 ~page_cap:4 () in
-  let run jobs = Fetch.corpus ~scale:96 ~seed:7 ~jobs cfg in
+  let run jobs = corpus_items ~scale:96 ~seed:7 ~jobs cfg in
   let items1, covs1 = run 1 in
   let items4, covs4 = run 4 in
   let items4', covs4' = run 4 in
@@ -637,8 +646,8 @@ let test_fetch_jobs_deterministic () =
 let test_fetch_mutator_drop () =
   let m = Faults.Mutator.plan ~seed:77 ~rate:0.15 () in
   let cfg = small_cfg () in
-  let items_m, covs_m = Fetch.corpus ~scale:64 ~seed:5 ~mutator:m cfg in
-  let items_d, covs_d = Fetch.corpus ~scale:64 ~seed:5 ~mutator:m ~drop:true cfg in
+  let items_m, covs_m = corpus_items ~scale:64 ~seed:5 ~mutator:m cfg in
+  let items_d, covs_d = corpus_items ~scale:64 ~seed:5 ~mutator:m ~drop:true cfg in
   assert_complete covs_m;
   assert_complete covs_d;
   let corrupt =
@@ -692,19 +701,27 @@ let test_items_of_session_from () =
           done)
         sessions)
 
-(* Ticks of [publish] entries per log until every feed has its whole
-   range; returns each log's cumulative items and final coverage. *)
+(* Ticks of 5 published entries per log; returns each log's final
+   coverage with the items all its polls handed over, in order — each
+   handed over once, so they ascend. *)
 let tick_feeds feeds ~ticks =
-  let last = ref [] in
+  let got = List.map (fun _ -> ref []) feeds and last = ref [] in
   for _ = 1 to ticks do
     last :=
-      List.map
-        (fun f ->
+      List.map2
+        (fun f acc ->
           Fetch.feed_publish f (Fetch.feed_published f + 5);
-          Fetch.poll f)
-        feeds
+          let s = Fetch.poll f in
+          acc := List.rev_append (Fetch.items_of_session s) !acc;
+          s.Fetch.s_cov)
+        feeds got
   done;
-  !last
+  List.map2
+    (fun c acc ->
+      let items = List.rev !acc in
+      assert_ascending items;
+      (c, items))
+    !last got
 
 (* A daemon restart mid-ingest: new feeds read the saved cursors
    (trusted STH, running leaf hashes, deliveries), republish to the
@@ -720,14 +737,13 @@ let test_feed_restart_resumes () =
       let mk sub =
         Fetch.feeds ~checkpoint:(Filename.concat dir sub) ~scale:64 ~seed:5 cfg
       in
-      let summary sessions =
+      let summary logs =
         List.iter
-          (fun s ->
-            let c = s.Fetch.s_cov in
+          (fun (c, _) ->
             if c.Fetch.split_view || not (Fetch.coverage_complete c) then
               Alcotest.failf "log %s did not verify to completion" c.Fetch.log)
-          sessions;
-        fps (List.concat_map (fun s -> Fetch.items_of_session s) sessions)
+          logs;
+        fps (List.concat_map snd logs)
       in
       let straight = summary (tick_feeds (mk "a") ~ticks:8) in
       ignore (tick_feeds (mk "b") ~ticks:2);
@@ -754,14 +770,13 @@ let test_feed_restart_journal_tail () =
       let mk sub =
         Fetch.feeds ~checkpoint:(Filename.concat dir sub) ~scale:64 ~seed:5 cfg
       in
-      let summary sessions =
+      let summary logs =
         List.iter
-          (fun s ->
-            let c = s.Fetch.s_cov in
+          (fun (c, _) ->
             if c.Fetch.split_view || not (Fetch.coverage_complete c) then
               Alcotest.failf "log %s did not verify to completion" c.Fetch.log)
-          sessions;
-        fps (List.concat_map (fun s -> Fetch.items_of_session s) sessions)
+          logs;
+        fps (List.concat_map snd logs)
       in
       let straight = summary (tick_feeds (mk "a") ~ticks:8) in
       let running = mk "b" in
@@ -804,15 +819,10 @@ let test_cursor_save_bytes_bounded () =
         let der =
           List.fold_left
             (fun acc f ->
-              let had = Fetch.feed_published f in
               Fetch.feed_publish f n;
-              let s = Fetch.poll f in
               List.fold_left
                 (fun acc (_, der) -> acc + String.length der + 256)
-                acc
-                (List.filteri
-                   (fun i _ -> i < List.length s.Fetch.s_raw - had)
-                   s.Fetch.s_raw))
+                acc (Fetch.poll f).Fetch.s_raw)
             0 feeds
         in
         (int_of_float (Obs.Counter.value written -. before), der)
@@ -827,6 +837,40 @@ let test_cursor_save_bytes_bounded () =
               bytes bound;
           if allowance = 0 then Alcotest.failf "%s history: nothing fetched" label)
         [ (16, "1x"); (64, "4x") ])
+
+(* A feed forgets the DER it hands over: after 16 polls of 64 entries
+   per log over 16 logs at scale 4,096 (seed 1), what the feeds grew by
+   — running leaf trees, counts and spans — stays within 30 words per
+   delivered entry.  Feeds that kept the DER they hand over would grow
+   by 86. *)
+let test_feed_words_bounded () =
+  let dir = tmp_dir "unicert-net-words" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let feeds =
+        Fetch.feeds ~checkpoint:(Filename.concat dir "c") ~scale:4096 ~seed:1
+          Fetch.default_cfg
+      in
+      check Alcotest.int "16 logs" 16 (List.length feeds);
+      let before = Obj.reachable_words (Obj.repr feeds) in
+      let delivered = ref 0 in
+      for _ = 1 to 16 do
+        List.iter
+          (fun f ->
+            Fetch.feed_publish f (Fetch.feed_published f + 64);
+            let s = Fetch.poll f in
+            delivered := !delivered + List.length s.Fetch.s_raw + List.length s.Fetch.s_quar)
+          feeds
+      done;
+      check Alcotest.int "every entry delivered" 4096 !delivered;
+      let per_entry =
+        float_of_int (Obj.reachable_words (Obj.repr feeds) - before)
+        /. float_of_int !delivered
+      in
+      if per_entry > 30. then
+        Alcotest.failf "the feeds grew by %.1f words per delivered entry (bound 30)"
+          per_entry)
 
 (* The restored tree must keep verifying: after the restart, log 1's
    new server answers its STH and consistency proof from the real
@@ -845,10 +889,10 @@ let test_feed_restart_verifies () =
         Fetch.feeds ~checkpoint:(Filename.concat dir "c") ~scale:64 ~seed:5 cfg
       in
       List.iter
-        (fun s ->
-          if s.Fetch.s_cov.Fetch.split_view then
+        (fun (c, _) ->
+          if c.Fetch.split_view then
             Alcotest.failf "%s forked before the flipped leaf was published"
-              s.Fetch.s_cov.Fetch.log)
+              c.Fetch.log)
         (tick_feeds (mk ()) ~ticks:2);
       let reopened = mk () in
       List.iter
@@ -857,7 +901,7 @@ let test_feed_restart_verifies () =
       let trusted =
         Option.get (Fetch.feed_trusted (List.nth reopened 1))
       in
-      let covs = List.map (fun s -> s.Fetch.s_cov) (tick_feeds reopened ~ticks:1) in
+      let covs = List.map fst (tick_feeds reopened ~ticks:1) in
       let forked = List.find (fun c -> c.Fetch.log = Fetch.log_name 1) covs in
       check Alcotest.bool "the fork is flagged" true forked.Fetch.split_view;
       (* A later STH refresh would flag the fork too, but only the
@@ -910,4 +954,5 @@ let suite =
       test_feed_restart_journal_tail;
     Alcotest.test_case "cursor-save-bytes-bounded" `Quick
       test_cursor_save_bytes_bounded;
+    Alcotest.test_case "feed-words-bounded" `Quick test_feed_words_bounded;
   ]

@@ -302,6 +302,23 @@ let test_rsa () =
   check Alcotest.bool "wrong key" false
     (Ucrypto.Rsa.verify other.Ucrypto.Rsa.public ~msg:"the quick brown fox" ~signature:s)
 
+(* The offset form decodes exactly what [decode] decodes of the suffix
+   [String.sub] would copy, mostly-hex strings included so that both
+   outcomes are drawn. *)
+let hex_chars = List.of_seq (String.to_seq "0123456789abcdefABCDEF")
+
+let prop_hex_decode_from =
+  QCheck.Test.make ~name:"Hex.decode_from = decode over String.sub" ~count:500
+    QCheck.(
+      pair
+        (string_gen_of_size (Gen.int_range 0 40)
+           Gen.(frequency [ (8, oneofl hex_chars); (1, char) ]))
+        small_nat)
+    (fun (s, a) ->
+      let pos = a mod (String.length s + 1) in
+      Ucrypto.Hex.decode_from s ~pos
+      = Ucrypto.Hex.decode (String.sub s pos (String.length s - pos)))
+
 let prop_shift_roundtrip =
   QCheck.Test.make ~name:"shift left/right inverse" ~count:300
     QCheck.(pair small_nat (int_range 0 200))
@@ -330,4 +347,5 @@ let suite =
     Alcotest.test_case "sha256 kernel name" `Quick test_kernel_name;
     qtest prop_digest_sub;
     Alcotest.test_case "sha256 slice bounds" `Quick test_digest_sub_bounds;
+    qtest prop_hex_decode_from;
   ]

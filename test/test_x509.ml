@@ -374,6 +374,71 @@ let prop_parse_mutated =
       match X509.Certificate.parse (Bytes.to_string der) with
       | Ok _ | Error _ -> true)
 
+(* [parse] reads where the TBS ends from the length octets its one
+   decode validated.  The oracle decodes the TBS a second time, as
+   [parse] once did: under either config, every accepted certificate's
+   [tbs_der] must be exactly that decode's span.  A rejection happens
+   before the span is read, so accept/reject outcomes, error offsets
+   and messages are those of the two-decode parse. *)
+let tbs_span_matches der =
+  List.for_all
+    (fun config ->
+      match X509.Certificate.parse ~config der with
+      | Error _ -> true
+      | Ok cert -> (
+          let start =
+            let l0 = Char.code der.[1] in
+            if l0 < 0x80 then 2 else 2 + (l0 land 0x7F)
+          in
+          match Asn1.Value.decode_prefix ~config der start with
+          | Ok (_, stop) ->
+              String.equal cert.X509.Certificate.tbs_der
+                (String.sub der start (stop - start))
+          | Error _ -> false))
+    [ Asn1.Value.strict; Asn1.Value.lenient ]
+
+let test_tbs_span_oracle () =
+  let generated =
+    List.concat_map
+      (fun seed ->
+        List.init 2000 (fun i ->
+            (Ctlog.Dataset.generate_at ~seed i).Ctlog.Dataset.cert.X509.Certificate.der))
+      [ 1; 2 ]
+  in
+  let reproducers =
+    Sys.readdir "fuzz_corpus" |> Array.to_list |> List.sort compare
+    |> List.filter_map (fun file ->
+           let pem =
+             In_channel.with_open_bin (Filename.concat "fuzz_corpus" file)
+               In_channel.input_all
+           in
+           Result.to_option (X509.Pem.decode_certificate pem))
+  in
+  (* Non-minimal lengths only the lenient config accepts. *)
+  let rewritten =
+    List.concat_map
+      (fun der ->
+        List.map
+          (fun oid -> Test_fuzz.long_length_after ~oid der)
+          [ Test_fuzz.cn_oid; Test_fuzz.san_oid ])
+      (List.filteri (fun i _ -> i mod 10 = 0) generated @ reproducers)
+  in
+  let lenient_only =
+    List.filter
+      (fun der ->
+        Result.is_error (X509.Certificate.parse der)
+        && Result.is_ok (X509.Certificate.parse ~config:Asn1.Value.lenient der))
+      rewritten
+  in
+  if List.length lenient_only < 100 then
+    Alcotest.failf "only %d rewrites reach the lenient-only path"
+      (List.length lenient_only);
+  List.iteri
+    (fun i der ->
+      if not (tbs_span_matches der) then
+        Alcotest.failf "input %d: tbs_der differs from the TBS decode's span" i)
+    (generated @ reproducers @ rewritten)
+
 let suite =
   [
     Alcotest.test_case "attribute oids" `Quick test_attr_oids;
@@ -397,4 +462,5 @@ let suite =
     qtest prop_cert_pem_roundtrip;
     qtest prop_parse_total;
     qtest prop_parse_mutated;
+    Alcotest.test_case "tbs span oracle" `Quick test_tbs_span_oracle;
   ]
