@@ -16,9 +16,6 @@ type t = {
   fetch : Ctlog.Fetch.cfg option;
       (* Some cfg when --source fetch: the corpus comes from simulated
          CT logs over the fault-injected transport *)
-  trace : string option;
-      (* --trace FILE: record a Chrome-trace timeline of the run *)
-  profile : bool;  (* --profile: GC attribution + slow-cert log *)
   store : string option;
       (* --store DIR: land the run in the crash-safe on-disk store *)
 }
@@ -181,6 +178,14 @@ let make corrupt_rate corrupt_seed corrupt_kinds drop max_errors fail_fast
       "error: --jobs must be a positive worker count (got %d)\n" jobs;
     exit 2
   end;
+  if breaker_threshold < 1 then begin
+    Printf.eprintf "error: --breaker-threshold must be >= 1\n";
+    exit 2
+  end;
+  if Option.fold ~none:false ~some:(fun m -> m < 1) max_errors then begin
+    Printf.eprintf "error: --max-errors must be >= 1\n";
+    exit 2
+  end;
   let kinds =
     match corrupt_kinds with
     | None -> None
@@ -229,6 +234,10 @@ let make corrupt_rate corrupt_seed corrupt_kinds drop max_errors fail_fast
         end;
         if logs < 1 then begin
           Printf.eprintf "error: --logs must be >= 1\n";
+          exit 2
+        end;
+        if page_cap < 1 then begin
+          Printf.eprintf "error: --page-cap must be >= 1\n";
           exit 2
         end;
         (* --breaker-threshold tunes the per-log fetch breakers as well as
@@ -288,8 +297,6 @@ let make corrupt_rate corrupt_seed corrupt_kinds drop max_errors fail_fast
     resume;
     jobs;
     fetch;
-    trace;
-    profile;
     store;
   }
 

@@ -117,16 +117,14 @@ let list_rules () =
   Lint.Rulebook.render_catalogue Format.std_formatter
 
 let json_findings path findings =
-  Printf.printf "{\"file\": \"%s\", \"findings\": [" path;
-  List.iteri
-    (fun i (f : Lint.finding) ->
-      (match Lint.Rulebook.covering_lint f.Lint.lint.Lint.name with
-      | Some rule ->
-          if i > 0 then print_string ", ";
-          Format.printf "%a" Lint.Rulebook.render_json rule
-      | None -> ()))
-    findings;
-  print_string "]}\n"
+  Printf.printf "{\"file\": %s, \"findings\": [" (Obs.Jsonv.escape path);
+  List.filter_map
+    (fun (f : Lint.finding) -> Lint.Rulebook.covering_lint f.Lint.lint.Lint.name)
+    findings
+  |> List.iteri (fun i rule ->
+         if i > 0 then print_string ", ";
+         Format.printf "%a" Lint.Rulebook.render_json rule);
+  Format.printf "]}\n%!"
 
 let run files corpus scale seed ignore_dates issued_str list_lints json fault ()
     () =
@@ -144,8 +142,8 @@ let run files corpus scale seed ignore_dates issued_str list_lints json fault ()
       (fun path ->
         match load_cert path with
         | Error m ->
-            Printf.printf "{\"file\": \"%s\", \"error\": \"%s\"}\n" path
-              (Faults.Error.to_string m)
+            Printf.printf "{\"file\": %s, \"error\": %s}\n" (Obs.Jsonv.escape path)
+              (Obs.Jsonv.escape (Faults.Error.to_string m))
         | Ok cert ->
             json_findings path
               (Lint.Registry.noncompliant ~respect_effective_dates:(not ignore_dates)

@@ -1,9 +1,5 @@
-type engine = Gecko | Webkit | Blink
-
 type t = {
   name : string;
-  version : string;
-  engine : engine;
   c0_indicator : [ `Raw | `Picture | `Url_encode ];
   warning_identity : [ `San_dns | `Subject_fields | `None ];
   checks_asn1_ranges : bool;
@@ -12,8 +8,6 @@ type t = {
 let firefox =
   {
     name = "Firefox";
-    version = "141.0";
-    engine = Gecko;
     c0_indicator = `Raw;
     warning_identity = `San_dns;
     checks_asn1_ranges = false;
@@ -22,8 +16,6 @@ let firefox =
 let safari =
   {
     name = "Safari";
-    version = "17.6";
-    engine = Webkit;
     c0_indicator = `Picture;
     warning_identity = `None;
     checks_asn1_ranges = false;
@@ -32,8 +24,6 @@ let safari =
 let chromium =
   {
     name = "Chromium-based";
-    version = "139.0";
-    engine = Blink;
     c0_indicator = `Url_encode;
     warning_identity = `Subject_fields;
     checks_asn1_ranges = true;

@@ -3,12 +3,8 @@
     fields in certificate viewers and warning pages, and the spoofing
     consequences. *)
 
-type engine = Gecko | Webkit | Blink
-
 type t = {
   name : string;
-  version : string;
-  engine : engine;
   c0_indicator : [ `Raw | `Picture | `Url_encode ];
       (** Firefox renders control characters raw; Safari marks them with
           control pictures; Chromium percent-encodes. *)

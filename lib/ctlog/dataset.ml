@@ -395,7 +395,7 @@ let obs_flaws =
 
 type delivery =
   | Entry of entry
-  | Corrupt of { der : string; kind : Faults.Mutator.kind; error : Faults.Error.t }
+  | Corrupt of { der : string; error : Faults.Error.t }
 
 let obs_injected =
   lazy
@@ -524,7 +524,7 @@ let iter_deliveries ?(scale = default_scale) ?(start = 0) ?stop ?mutator
                   Obs.Counter.inc
                     (Obs.Counter.Labeled.get c (Faults.Mutator.kind_name kind))
               | None -> ());
-              f i (Corrupt { der; kind; error })
+              f i (Corrupt { der; error })
           | None -> f i (Entry e)
         end
     | _ -> f i (Entry e)

@@ -71,7 +71,7 @@ val iter : ?scale:int -> seed:int -> (entry -> unit) -> unit
 
 type delivery =
   | Entry of entry
-  | Corrupt of { der : string; kind : Faults.Mutator.kind; error : Faults.Error.t }
+  | Corrupt of { der : string; error : Faults.Error.t }
       (** a mutated DER blob that no longer parses, with the decode
           error it produces *)
 

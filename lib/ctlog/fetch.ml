@@ -362,7 +362,6 @@ type session = {
   s_raw : (int * string) list;
   s_quar : (int * string * Faults.Error.t) list;
   s_cov : coverage;
-  s_interrupted : bool;
 }
 
 exception Stop of string     (* abandon this log *)
@@ -418,7 +417,6 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
   let retries = ref cur.c_retries in
   let split = ref false in
   let abandoned = ref None in
-  let interrupted = ref false in
   let pages_this_session = ref 0 in
   let saved = ref cur in
   let journal = ref start.journal in
@@ -658,9 +656,7 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
       abandoned := Some reason;
       Obs.Counter.inc (Obs.Counter.Labeled.get (Lazy.force obs_abandoned) name);
       save_ckpt ()
-  | Interrupted ->
-      interrupted := true;
-      save_ckpt ());
+  | Interrupted -> save_ckpt ());
   let s_raw, s_quar = hand_over ~present ~adjacency hist in
   ( {
       s_raw;
@@ -678,7 +674,6 @@ let run_session ?ckpt_file ?stop_after_pages ~(start : start) ~cfg ~scale ~seed
           requests = !requests;
           retries = !retries;
         };
-      s_interrupted = !interrupted;
     },
     { cursor = !saved; journal = !journal; hist } )
 
@@ -814,7 +809,6 @@ let corpus ?(scale = Dataset.default_scale) ~seed ?mutator ?(drop = false)
    hands over everything its journal replays, so a restarted daemon can
    re-stage the entries it had not committed. *)
 type feed = {
-  f_k : int;
   f_name : string;
   f_lo : int;
   f_hi : int;
@@ -846,7 +840,6 @@ let feeds ?mutator ?(drop = false) ~checkpoint ~scale ~seed cfg =
       in
       Server.set_published server 0;
       {
-        f_k = k;
         f_name = name;
         f_lo = lo;
         f_hi = hi;

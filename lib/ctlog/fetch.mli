@@ -69,13 +69,11 @@ type session = {
   s_raw : (int * string) list;
   s_quar : (int * string * Faults.Error.t) list;
   s_cov : coverage;
-  s_interrupted : bool;
 }
 (** One log session: the raw DER delivered and the entries quarantined
     since the feed's previous session (everything, for a session of
     {!corpus}), each with its corpus index and newest first (descending
-    index); the log's cumulative coverage; and whether
-    [stop_after_pages] interrupted it. *)
+    index); and the log's cumulative coverage. *)
 
 type delivery =
   | Der of int * string  (** (corpus index, delivered DER), not yet parsed *)

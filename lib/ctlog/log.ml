@@ -3,18 +3,15 @@ type entry = { index : int; der : string; precert : bool }
 
 type t = {
   id : string;
-  secret : string;
-  mac : Ucrypto.Sha256.hmac_key;  (* precomputed midstates for [secret] *)
+  mac : Ucrypto.Sha256.hmac_key;  (* precomputed midstates of the log's secret *)
   tree : Merkle.t;
   mutable stored : entry array;  (* by index; capacity >= size *)
 }
 
 let create ~name =
-  let secret = Ucrypto.Sha256.digest ("ct-log-secret:" ^ name) in
   {
     id = Ucrypto.Sha256.digest ("ct-log:" ^ name);
-    secret;
-    mac = Ucrypto.Sha256.hmac_init secret;
+    mac = Ucrypto.Sha256.hmac_init (Ucrypto.Sha256.digest ("ct-log-secret:" ^ name));
     tree = Merkle.create ();
     stored = [||];
   }

@@ -36,7 +36,6 @@ let sct_of_bytes s =
 type issued = {
   precert : X509.Certificate.t;
   final : X509.Certificate.t;
-  sct : Log.sct;
 }
 
 let issue_with_sct log ca (tbs : X509.Certificate.tbs) =
@@ -55,7 +54,7 @@ let issue_with_sct log ca (tbs : X509.Certificate.tbs) =
   in
   let final = X509.Certificate.sign ca final_tbs in
   ignore (Log.add_chain log final.X509.Certificate.der);
-  { precert; final; sct }
+  { precert; final }
 
 let embedded_scts cert =
   match

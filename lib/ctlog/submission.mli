@@ -12,7 +12,6 @@ val sct_of_bytes : string -> (Log.sct, string) result
 type issued = {
   precert : X509.Certificate.t;   (** carries the poison extension *)
   final : X509.Certificate.t;     (** carries the SCT list instead *)
-  sct : Log.sct;
 }
 
 val issue_with_sct :

@@ -11,9 +11,6 @@
     exits 2, and a degraded run whose metrics file could not be
     written still exits 4. *)
 
-val precedence : int list
-(** The known codes, most severe first: [[2; 3; 4; 1; 0]]. *)
-
 val worst : int -> int -> int
 (** The more severe of two codes under the precedence law.
     Commutative and associative; [0] is the identity. *)

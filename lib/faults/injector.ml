@@ -29,11 +29,6 @@ let arm ?(mode = Crash) ~every target =
       Hashtbl.replace slots target { mode; every; ticks = 0 };
       Atomic.set any true)
 
-let disarm target =
-  Mutex.protect lock (fun () ->
-      Hashtbl.remove slots target;
-      Atomic.set any (Hashtbl.length slots > 0))
-
 let reset () =
   Mutex.protect lock (fun () ->
       Hashtbl.reset slots;

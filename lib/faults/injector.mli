@@ -26,7 +26,6 @@ val arm : ?mode:mode -> every:int -> string -> unit
     [target] (default mode [Crash]).  @raise Invalid_argument if
     [every < 1]. *)
 
-val disarm : string -> unit
 val reset : unit -> unit
 (** Disarm everything and zero all tick counts. *)
 

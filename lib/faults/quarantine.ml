@@ -1,7 +1,6 @@
 type t = {
   path : string;
   oc : out_channel;
-  mutable written : int;
   mutable closed : bool;
 }
 
@@ -33,7 +32,7 @@ let open_shard ~dir ~run_seed ~shard =
   ensure_dir dir;
   let path = shard_path ~dir ~run_seed ~shard in
   let oc = open_out_gen [ Open_wronly; Open_trunc; Open_creat ] 0o644 path in
-  { path; oc; written = 0; closed = false }
+  { path; oc; closed = false }
 
 let merge_shards ~dir ~run_seed ~shards =
   ensure_dir dir;
@@ -63,36 +62,17 @@ let merge_shards ~dir ~run_seed ~shards =
 
 let path t = t.path
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let record t ~index ~error ~der =
   if t.closed then invalid_arg "Faults.Quarantine.record: closed";
   Printf.fprintf t.oc
-    {|{"index":%d,"class":"%s","detail":"%s","der_hex":"%s"}|}
+    {|{"index":%d,"class":"%s","detail":%s,"der_hex":"%s"}|}
     index
     (Error.class_name error)
-    (json_escape (Error.detail error))
+    (Obs.Jsonv.escape (Error.detail error))
     (Ucrypto.Hex.encode der);
   output_char t.oc '\n';
   flush t.oc;
-  t.written <- t.written + 1;
   Obs.Counter.inc (Lazy.force obs_quarantined)
-
-let count t = t.written
 
 let close t =
   if not t.closed then begin
@@ -100,83 +80,18 @@ let close t =
     close_out t.oc
   end
 
-type entry = {
-  index : int;
-  error_class : string;
-  detail : string;
-  der : string;
-}
-
-(* Minimal field scanner for the flat records we write ourselves; not a
-   general JSON parser. *)
-let field line name =
-  let marker = Printf.sprintf {|"%s":|} name in
-  match
-    let rec find from =
-      match String.index_from_opt line from '"' with
-      | None -> None
-      | Some q ->
-          if
-            q + String.length marker <= String.length line
-            && String.sub line q (String.length marker) = marker
-          then Some (q + String.length marker)
-          else find (q + 1)
-    in
-    find 0
-  with
-  | None -> None
-  | Some start ->
-      if start < String.length line && line.[start] = '"' then begin
-        (* string value: scan to the closing unescaped quote *)
-        let b = Buffer.create 16 in
-        let rec go i =
-          if i >= String.length line then None
-          else
-            match line.[i] with
-            | '"' -> Some (Buffer.contents b)
-            | '\\' when i + 1 < String.length line ->
-                (match line.[i + 1] with
-                | 'n' -> Buffer.add_char b '\n'
-                | 'r' -> Buffer.add_char b '\r'
-                | 't' -> Buffer.add_char b '\t'
-                | 'u' ->
-                    if i + 5 < String.length line then
-                      Buffer.add_char b
-                        (Char.chr
-                           (int_of_string ("0x" ^ String.sub line (i + 2) 4)
-                           land 0xFF))
-                | c -> Buffer.add_char b c);
-                go (i + if line.[i + 1] = 'u' then 6 else 2)
-            | c ->
-                Buffer.add_char b c;
-                go (i + 1)
-        in
-        go (start + 1)
-      end
-      else begin
-        let stop = ref start in
-        while
-          !stop < String.length line
-          && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-        do
-          incr stop
-        done;
-        if !stop > start then Some (String.sub line start (!stop - start))
-        else None
-      end
+type entry = { index : int; error_class : string; der : string }
 
 let parse_line line =
-  match
-    ( field line "index",
-      field line "class",
-      field line "detail",
-      field line "der_hex" )
-  with
-  | Some idx, Some cls, Some detail, Some hex -> (
-      match (int_of_string_opt idx, Ucrypto.Hex.decode hex) with
-      | Some index, Some der -> Some { index; error_class = cls; detail; der }
+  match Obs.Jsonv.parse line with
+  | Error _ -> None
+  | Ok v -> (
+      match Obs.Jsonv.(member "index" v, member "class" v, member "der_hex" v) with
+      | Some (Num index), Some (Str error_class), Some (Str hex) ->
+          Option.map
+            (fun der -> { index = int_of_float index; error_class; der })
+            (Ucrypto.Hex.decode hex)
       | _ -> None)
-  | _ -> None
 
 let load path =
   let ic = open_in path in

@@ -37,15 +37,11 @@ val record :
 (** Append one record ([index], error class + detail, DER bytes as
     hex) and flush.  Counted in [unicert_quarantine_total]. *)
 
-val count : t -> int
-(** Records written through this handle. *)
-
 val close : t -> unit
 
 type entry = {
   index : int;
   error_class : string;
-  detail : string;
   der : string;  (** decoded back from hex *)
 }
 

@@ -36,7 +36,6 @@ type general_names = X509.General_name.t list
 type t = {
   cert : X509.Certificate.t;
   subject : atv_info list;
-  issuer : atv_info list;
   subject_vals : aval list;
   issuer_vals : aval list;
   all_vals : aval list;  (* [subject_vals @ issuer_vals], precomputed *)
@@ -177,9 +176,12 @@ let etexts_of policies =
 let of_cert cert =
   let tbs = cert.X509.Certificate.tbs in
   let subject = List.map (atv_info ~in_issuer:false) (X509.Dn.all_atvs tbs.X509.Certificate.subject) in
-  let issuer = List.map (atv_info ~in_issuer:true) (X509.Dn.all_atvs tbs.X509.Certificate.issuer) in
   let subject_vals = List.filter_map aval_of_info subject in
-  let issuer_vals = List.filter_map aval_of_info issuer in
+  let issuer_vals =
+    List.filter_map
+      (fun atv -> aval_of_info (atv_info ~in_issuer:true atv))
+      (X509.Dn.all_atvs tbs.X509.Certificate.issuer)
+  in
   let open X509.Extension in
   let san = ext_payload cert Oids.subject_alt_name parse_general_names in
   let policies = ext_payload cert Oids.certificate_policies parse_certificate_policies in
@@ -195,7 +197,6 @@ let of_cert cert =
   {
     cert;
     subject;
-    issuer;
     subject_vals;
     issuer_vals;
     all_vals = subject_vals @ issuer_vals;

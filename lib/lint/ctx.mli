@@ -44,7 +44,6 @@ type general_names = X509.General_name.t list
 type t = {
   cert : X509.Certificate.t;
   subject : atv_info list;
-  issuer : atv_info list;
   subject_vals : aval list;
   issuer_vals : aval list;
   all_vals : aval list;  (** [subject_vals @ issuer_vals], precomputed *)

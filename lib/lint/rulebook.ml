@@ -57,7 +57,6 @@ let citations =
 
 let default_citation = function
   | Types.Rfc5280 -> "RFC 5280 §4"
-  | Types.Rfc6818 -> "RFC 6818"
   | Types.Rfc8399 -> "RFC 8399 §2"
   | Types.Rfc9549 -> "RFC 9549 §2"
   | Types.Rfc9598 -> "RFC 9598 §3"
@@ -88,26 +87,13 @@ let all =
 
 let covering_lint name = List.find_opt (fun r -> r.lint = name) all
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04X" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json ppf r =
   Format.fprintf ppf
-    "{\"id\": \"%s\", \"requirement\": \"%s\", \"source\": \"%s\", \"citation\": \
-     \"%s\", \"level\": \"%s\", \"type\": \"%s\", \"new\": %b, \"lint\": \"%s\"}"
-    r.id (json_escape r.requirement)
+    "{\"id\": \"%s\", \"requirement\": %s, \"source\": \"%s\", \"citation\": \
+     %s, \"level\": \"%s\", \"type\": \"%s\", \"new\": %b, \"lint\": \"%s\"}"
+    r.id (Obs.Jsonv.escape r.requirement)
     (Types.source_name r.source)
-    (json_escape r.citation)
+    (Obs.Jsonv.escape r.citation)
     (Types.level_name r.level)
     (Types.nc_type_name r.nc_type)
     r.is_new r.lint

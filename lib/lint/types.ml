@@ -1,6 +1,5 @@
 type source =
   | Rfc5280
-  | Rfc6818
   | Rfc8399
   | Rfc9549
   | Rfc9598
@@ -13,7 +12,6 @@ type source =
 
 let source_name = function
   | Rfc5280 -> "RFC 5280"
-  | Rfc6818 -> "RFC 6818"
   | Rfc8399 -> "RFC 8399"
   | Rfc9549 -> "RFC 9549"
   | Rfc9598 -> "RFC 9598"

@@ -4,7 +4,6 @@
 (** Standards a rule derives from. *)
 type source =
   | Rfc5280
-  | Rfc6818
   | Rfc8399
   | Rfc9549
   | Rfc9598

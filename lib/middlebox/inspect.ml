@@ -1,8 +1,6 @@
 type verdict = {
   engine : string;
   blocked : bool;
-  matched : Engine.rule option;
-  extracted_cn : string option;
   sni : string option;
 }
 
@@ -10,16 +8,12 @@ let inspect (engine : Engine.t) ~rules ~client_flow ~server_flow =
   let certs = Tlswire.Wire.server_certificates server_flow in
   let sni = Tlswire.Wire.sni_of_flow client_flow in
   let leaf = match certs with c :: _ -> Some c | [] -> None in
-  let matched =
-    match leaf with
-    | None -> None
-    | Some cert -> List.find_opt (fun rule -> Engine.matches engine rule cert) rules
-  in
   {
     engine = engine.Engine.name;
-    blocked = matched <> None;
-    matched;
-    extracted_cn = Option.bind leaf engine.Engine.extract_cn;
+    blocked =
+      (match leaf with
+      | None -> false
+      | Some cert -> List.exists (fun rule -> Engine.matches engine rule cert) rules);
     sni;
   }
 

@@ -4,9 +4,7 @@
 
 type verdict = {
   engine : string;
-  blocked : bool;
-  matched : Engine.rule option;  (** the rule that fired, if any *)
-  extracted_cn : string option;
+  blocked : bool;  (** whether a blocklist rule fired *)
   sni : string option;
 }
 

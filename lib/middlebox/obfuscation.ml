@@ -187,8 +187,6 @@ let is_variant_pair a b =
 type evasion = {
   engine : string;
   strategy : strategy;
-  original : string;
-  variant : string;
   evaded : bool;
 }
 
@@ -225,8 +223,6 @@ let evasion_matrix ?(seed = 7) () =
           {
             engine = engine.Engine.name;
             strategy;
-            original;
-            variant;
             evaded = not (Engine.matches engine rule cert);
           })
         Engine.all)

@@ -29,8 +29,6 @@ val is_variant_pair : string -> string -> bool
 type evasion = {
   engine : string;
   strategy : strategy;
-  original : string;
-  variant : string;
   evaded : bool;  (** the blocklist rule no longer matches *)
 }
 

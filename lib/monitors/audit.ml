@@ -1,6 +1,6 @@
-type capability = Yes | No | Not_applicable
+type capability = Yes | No
 
-let capability_symbol = function Yes -> "yes" | No -> "no" | Not_applicable -> "-"
+let capability_symbol = function Yes -> "yes" | No -> "no"
 
 type row = {
   monitor : string;

@@ -2,7 +2,7 @@
     by issuing the paper's probe queries against each monitor, and
     demonstrates the CT-monitor-misleading threat (§6.1). *)
 
-type capability = Yes | No | Not_applicable
+type capability = Yes | No
 
 type row = {
   monitor : string;

@@ -12,11 +12,11 @@ type 'a fetched = {
 }
 
 type error =
-  | Attempts_exhausted of { attempts : int; waited : float }
+  | Attempts_exhausted of { attempts : int }
   | Budget_exhausted of { attempts : int; waited : float }
 
 let describe = function
-  | Attempts_exhausted { attempts; _ } ->
+  | Attempts_exhausted { attempts } ->
       Printf.sprintf "retries exhausted after %d attempts" attempts
   | Budget_exhausted { attempts; waited } ->
       Printf.sprintf "request budget exhausted after %d attempts (%.1fs)"
@@ -195,9 +195,7 @@ let request (type a) ~(policy : Policy.t) ?bucket ?(hedge = false)
       Obs.Trace.emit_end ~cat:"net"
         ~args:[ ("attempts", Obs.Trace.Int !attempts); ("ok", Obs.Trace.Bool false) ]
         endpoint;
-    Error
-      (Attempts_exhausted
-         { attempts = !attempts; waited = Clock.now clock -. started })
+    Error (Attempts_exhausted { attempts = !attempts })
   with Done r ->
     (match r with
     | Error _ ->

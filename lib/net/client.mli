@@ -15,7 +15,7 @@ type 'a fetched = {
 }
 
 type error =
-  | Attempts_exhausted of { attempts : int; waited : float }
+  | Attempts_exhausted of { attempts : int }
   | Budget_exhausted of { attempts : int; waited : float }
 
 val describe : error -> string

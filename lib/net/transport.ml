@@ -7,7 +7,7 @@ type request = { log : string; endpoint : string; page : int }
 
 type response =
   | Body of string
-  | Retry_later of { status : int; after : float }
+  | Retry_later of { after : float }
   | Error_status of int
   | Timed_out
   | Reset
@@ -95,7 +95,7 @@ let call t ~attempt ~deadline (req : request) =
     | Some Fault.Rate_limit ->
         Clock.advance t.clock (o.Fault.latency *. 0.5);
         inject "rate_limit";
-        Retry_later { status = 429; after = o.Fault.retry_after }
+        Retry_later { after = o.Fault.retry_after }
     | Some Fault.Server_error ->
         Clock.advance t.clock o.Fault.latency;
         inject "server_error";

@@ -11,7 +11,7 @@ type response =
   | Body of string
       (** a served body — possibly truncated or bit-corrupted; clients
           must validate the trailing checksum line *)
-  | Retry_later of { status : int; after : float }
+  | Retry_later of { after : float }
       (** HTTP 429 carrying a simulated Retry-After *)
   | Error_status of int  (** HTTP 500/503 *)
   | Timed_out            (** per-attempt deadline exceeded *)

@@ -99,42 +99,24 @@ let to_prometheus registry =
 (* ------------------------------------------------------------------ *)
 (* JSON dump.                                                          *)
 
-let json_string v =
-  let buf = Buffer.create (String.length v + 8) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    v;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let json_counter ~name ~help ?label_pair value =
   let labels =
     match label_pair with
     | None -> ""
     | Some (k, v) ->
-        Printf.sprintf ", \"label\": %s, \"value_of_label\": %s" (json_string k)
-          (json_string v)
+        Printf.sprintf ", \"label\": %s, \"value_of_label\": %s" (Jsonv.escape k)
+          (Jsonv.escape v)
   in
   Printf.sprintf "{\"name\": %s, \"help\": %s%s, \"value\": %s}"
-    (json_string name) (json_string help) labels (fmt_num value)
+    (Jsonv.escape name) (Jsonv.escape help) labels (fmt_num value)
 
 let json_histogram ~name ~help ?label_pair (h : Histogram.t) =
   let labels =
     match label_pair with
     | None -> ""
     | Some (k, v) ->
-        Printf.sprintf ", \"label\": %s, \"value_of_label\": %s" (json_string k)
-          (json_string v)
+        Printf.sprintf ", \"label\": %s, \"value_of_label\": %s" (Jsonv.escape k)
+          (Jsonv.escape v)
   in
   let buckets =
     (List.map
@@ -145,7 +127,7 @@ let json_histogram ~name ~help ?label_pair (h : Histogram.t) =
   in
   Printf.sprintf
     "{\"name\": %s, \"help\": %s%s, \"buckets\": [%s], \"sum\": %s, \"count\": %d}"
-    (json_string name) (json_string help) labels buckets
+    (Jsonv.escape name) (Jsonv.escape help) labels buckets
     (fmt_num (Histogram.sum h)) (Histogram.count h)
 
 let to_json registry =

@@ -7,7 +7,6 @@ type t = {
   start : float;
   mutable n : int;
   mutable last_emit : float;
-  mutable emitted : bool;
 }
 
 let override_state : bool option Atomic.t = Atomic.make None
@@ -29,7 +28,7 @@ let create ?total ?(out = stderr) ?(interval = 0.25) ~label () =
     && (match Atomic.get override_state with Some b -> b | None -> auto_active ())
   in
   { label; total; out; interval; active; start = Unix.gettimeofday ();
-    n = 0; last_emit = 0.0; emitted = false }
+    n = 0; last_emit = 0.0 }
 
 let active t = t.active
 let count t = t.n
@@ -50,7 +49,6 @@ let render t now =
 
 let emit t now =
   t.last_emit <- now;
-  t.emitted <- true;
   output_string t.out (render t now);
   flush t.out
 

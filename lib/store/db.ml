@@ -328,7 +328,7 @@ let close_noerr pw =
   (try Segment.close pw.cw with _ -> ());
   try Segment.close pw.rw with _ -> ()
 
-type rows_writer = { rt : string; rlo : int; rhi : int; rfile2 : string; w : Segment.writer; mutable rn : int }
+type rows_writer = { rlo : int; rhi : int; rfile2 : string; w : Segment.writer; mutable rn : int }
 
 let start_rows_span t ~lints ~lo ~hi =
   let file = rows_file ~fp8:(fp8_of_lints lints) ~lo ~hi in
@@ -336,7 +336,7 @@ let start_rows_span t ~lints ~lo ~hi =
      the replacement is written under a distinct suffix-free name only
      if free, otherwise reuse forces ".new". *)
   let file = if Sys.file_exists (Filename.concat t.dir file) then file ^ ".new" else file in
-  { rt = t.dir; rlo = lo; rhi = hi; rfile2 = file; w = Segment.create (Filename.concat t.dir file); rn = 0 }
+  { rlo = lo; rhi = hi; rfile2 = file; w = Segment.create (Filename.concat t.dir file); rn = 0 }
 
 let append_row rw row =
   Segment.append rw.w row;

@@ -17,16 +17,6 @@ type handling =
   | H_bytewise_escape
   | H_bytewise_replace
 
-let handling_name = function
-  | H_none -> "strict"
-  | H_replace_fffd -> "replace(U+FFFD)"
-  | H_replace_dot -> "replace(.)"
-  | H_skip -> "truncate"
-  | H_hex_escape -> "hex-escape"
-  | H_escape_nonprintable -> "escape-nonprintable"
-  | H_bytewise_escape -> "byte-wise+escape"
-  | H_bytewise_replace -> "byte-wise+replace"
-
 type observation = { raw : string; output : string option }
 
 let encoding_of = function
@@ -118,14 +108,6 @@ type verdict =
   | Modified
   | Unsupported
   | Crashing of string  (** the model raised; payload is the exception constructor *)
-
-let verdict_name = function
-  | Compliant -> "compliant"
-  | Over_tolerant -> "over-tolerant"
-  | Incompatible -> "incompatible"
-  | Modified -> "modified"
-  | Unsupported -> "unsupported"
-  | Crashing e -> "crashing(" ^ e ^ ")"
 
 let verdict_symbol = function
   | Compliant -> "o"

@@ -17,8 +17,6 @@ type handling =
   | H_bytewise_escape    (** byte-wise read dropping NULs, escaping *)
   | H_bytewise_replace   (** byte-wise read dropping NULs, U+FFFD *)
 
-val handling_name : handling -> string
-
 type observation = { raw : string; output : string option }
 
 val infer : observation list -> (method_ * handling) option
@@ -37,7 +35,6 @@ type verdict =
           frequent exception constructor (crashes are excluded from
           method inference per §3.2) *)
 
-val verdict_name : verdict -> string
 val verdict_symbol : verdict -> string
 (** The paper's cell symbols: [o] compliant, [O/] over-tolerant, [X]
     incompatible, [(.)] modified, [-] unsupported. *)

@@ -8,7 +8,6 @@ let field_name = function
   | Sia -> "SIA"
   | Crldp -> "CRLDistributionPoints"
 
-let all_fields = [ Subject_dn; San; Ian; Aia; Sia; Crldp ]
 
 type t = {
   name : string;

@@ -10,7 +10,6 @@
 type field = Subject_dn | San | Ian | Aia | Sia | Crldp
 
 val field_name : field -> string
-val all_fields : field list
 
 type t = {
   name : string;

@@ -4,7 +4,6 @@ type mutation =
   | San_rfc822 of string
   | San_uri of string
   | Crldp_uri of string
-  | Aia_uri of string
 
 (* Both keys are constants.  The issuer signs every test certificate,
    so it precomputes its HMAC pads once. *)
@@ -18,30 +17,24 @@ let issuer_dn =
 let make mutation =
   let default_cn = X509.Dn.atv X509.Attr.Common_name "test.com" in
   let default_san = [ X509.General_name.Dns_name "test.com" ] in
-  let subject, san, crldp, aia =
+  let subject, san, crldp =
     match mutation with
     | Subject_attr (attr, st, raw) ->
         let atv = X509.Dn.atv_raw ~st attr raw in
         let subject =
           if attr = X509.Attr.Common_name then [ atv ] else [ default_cn; atv ]
         in
-        (subject, default_san, [], [])
-    | San_dns payload -> ([ default_cn ], [ X509.General_name.Dns_name payload ], [], [])
+        (subject, default_san, [])
+    | San_dns payload -> ([ default_cn ], [ X509.General_name.Dns_name payload ], [])
     | San_rfc822 payload ->
-        ([ default_cn ], default_san @ [ X509.General_name.Rfc822_name payload ], [], [])
+        ([ default_cn ], default_san @ [ X509.General_name.Rfc822_name payload ], [])
     | San_uri payload ->
-        ([ default_cn ], default_san @ [ X509.General_name.Uri payload ], [], [])
-    | Crldp_uri payload -> ([ default_cn ], default_san, [ X509.General_name.Uri payload ], [])
-    | Aia_uri payload -> ([ default_cn ], default_san, [], [ X509.General_name.Uri payload ])
+        ([ default_cn ], default_san @ [ X509.General_name.Uri payload ], [])
+    | Crldp_uri payload -> ([ default_cn ], default_san, [ X509.General_name.Uri payload ])
   in
   let extensions =
-    [ X509.Extension.subject_alt_name san ]
-    @ (if crldp = [] then [] else [ X509.Extension.crl_distribution_points crldp ])
-    @
-    if aia = [] then []
-    else
-      [ X509.Extension.authority_info_access
-          (List.map (fun gn -> (X509.Extension.Oids.ocsp, gn)) aia) ]
+    X509.Extension.subject_alt_name san
+    :: (if crldp = [] then [] else [ X509.Extension.crl_distribution_points crldp ])
   in
   let tbs =
     X509.Certificate.make_tbs ~serial:"\x7A\x01"

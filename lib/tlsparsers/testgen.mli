@@ -9,7 +9,6 @@ type mutation =
   | San_rfc822 of string
   | San_uri of string
   | Crldp_uri of string
-  | Aia_uri of string
 
 val make : mutation -> X509.Certificate.t
 (** [make m] is a signed test certificate whose only non-default field

@@ -301,22 +301,3 @@ let to_bytes_be a =
     done;
     String.init (List.length !bytes) (List.nth !bytes)
   end
-
-let of_hex s =
-  let v = ref zero in
-  String.iter
-    (fun c ->
-      let d =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ -> invalid_arg "Bignum.of_hex"
-      in
-      v := add (shift_left !v 4) (of_int d))
-    s;
-  !v
-
-let to_hex a =
-  let b = to_bytes_be a in
-  String.concat "" (List.init (String.length b) (fun i -> Printf.sprintf "%02x" (Char.code b.[i])))

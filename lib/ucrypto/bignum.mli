@@ -18,9 +18,6 @@ val to_bytes_be : t -> string
 (** [to_bytes_be n] is the minimal big-endian representation (["\x00"]
     for zero). *)
 
-val of_hex : string -> t
-val to_hex : t -> string
-
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val bit_length : t -> int

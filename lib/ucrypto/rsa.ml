@@ -1,5 +1,5 @@
 type public = { n : Bignum.t; e : Bignum.t }
-type key = { public : public; d : Bignum.t; p : Bignum.t; q : Bignum.t }
+type key = { public : public; d : Bignum.t }
 
 let e_65537 = Bignum.of_int 65537
 
@@ -14,7 +14,7 @@ let generate ?(bits = 256) g =
       let phi = Bignum.mul (Bignum.sub p Bignum.one) (Bignum.sub q Bignum.one) in
       match Bignum.mod_inverse e_65537 phi with
       | None -> go ()
-      | Some d -> { public = { n; e = e_65537 }; d; p; q }
+      | Some d -> { public = { n; e = e_65537 }; d }
     end
   in
   go ()

@@ -7,7 +7,7 @@
     signature checks. *)
 
 type public = { n : Bignum.t; e : Bignum.t }
-type key = { public : public; d : Bignum.t; p : Bignum.t; q : Bignum.t }
+type key = { public : public; d : Bignum.t }
 
 val generate : ?bits:int -> Prng.t -> key
 (** [generate ~bits g] produces a key with a [bits]-bit modulus

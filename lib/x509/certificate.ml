@@ -17,7 +17,6 @@ type tbs = {
 type t = {
   tbs : tbs;
   tbs_der : string;
-  outer_sig_alg : Asn1.Oid.t;
   signature : string;
   der : string;
 }
@@ -116,16 +115,15 @@ let raw_sign keypair tbs_der =
 let sign keypair tbs =
   let tbs_der = encode_tbs tbs in
   let signature = raw_sign keypair tbs_der in
-  let outer_sig_alg = tbs.sig_alg in
   let der =
     Asn1.Writer.sequence
       [
         tbs_der;
-        Asn1.Value.encode (algorithm_identifier outer_sig_alg);
+        Asn1.Value.encode (algorithm_identifier tbs.sig_alg);
         Asn1.Value.encode (Asn1.Value.Bit_string (0, signature));
       ]
   in
-  { tbs; tbs_der; outer_sig_alg; signature; der }
+  { tbs; tbs_der; signature; der }
 
 let parse_time v =
   match v with
@@ -194,13 +192,13 @@ let parse ?(config = Asn1.Value.strict) der =
   match Asn1.Value.decode ~config der with
   | Error e -> Error (der_err e)
   | Ok (Asn1.Value.Sequence [ tbs_v; alg_v; Asn1.Value.Bit_string (_, signature) ]) -> (
+      (* The outer algorithm is validated, before the TBS, and dropped. *)
       Result.map_error layout_err
-        ( parse_alg alg_v >>= fun outer_sig_alg ->
-          (match tbs_v with
+        ( parse_alg alg_v >>= fun _ ->
+          match tbs_v with
           | Asn1.Value.Sequence fields -> parse_tbs_fields fields
-          | _ -> Error "TBSCertificate must be a SEQUENCE")
-          >>= fun tbs -> Ok (outer_sig_alg, tbs) )
-      >>= fun (outer_sig_alg, tbs) ->
+          | _ -> Error "TBSCertificate must be a SEQUENCE" )
+      >>= fun tbs ->
       (* Recover the exact TBS byte span from the outer encoding: the
          outer header's length octets tell where the TBS starts, and
          the TBS header's (validated by the decode above) where it
@@ -222,7 +220,7 @@ let parse ?(config = Asn1.Value.strict) der =
       in
       let start = header_len 0 in
       let tbs_der = String.sub der start (header_len start + content_len start) in
-      Ok { tbs; tbs_der; outer_sig_alg; signature; der })
+      Ok { tbs; tbs_der; signature; der })
   | Ok _ -> Error (layout_err "Certificate must be SEQUENCE { tbs, alg, BIT STRING }")
 
 let of_pem pem =

@@ -29,7 +29,6 @@ type tbs = {
 type t = {
   tbs : tbs;
   tbs_der : string;  (** exact bytes covered by the signature *)
-  outer_sig_alg : Asn1.Oid.t;
   signature : string;
   der : string;  (** the full certificate encoding *)
 }

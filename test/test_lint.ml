@@ -377,6 +377,47 @@ let test_pipeline_telemetry_pinned () =
           o.Lint.Registry.lint_name o.Lint.Registry.invoked)
     (Lint.Registry.obs_snapshot ())
 
+(* [unicert_lint --json] names each file in a JSON string: a path with
+   a quote, a backslash and a newline must come back from the parse
+   unchanged, on the findings line and on the error line alike. *)
+let test_json_file_paths () =
+  let dir = Filename.temp_dir "unicert-lint-json" "" in
+  let good = Filename.concat dir "a\"b\\c\nd.pem" in
+  let bad = Filename.concat dir "bad\"\\\nname.pem" in
+  Out_channel.with_open_bin good (fun oc ->
+      output_string oc
+        (X509.Certificate.to_pem (cert_with_flaw 9 Ctlog.Flaws.Nonnfc_alabel)));
+  Out_channel.with_open_bin bad (fun oc -> output_string oc "not a certificate");
+  let out = Filename.concat dir "out.jsonl" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/unicert_lint.exe --json %s %s > %s"
+         (Filename.quote good) (Filename.quote bad) (Filename.quote out))
+  in
+  check Alcotest.int "exit code" 0 code;
+  let lines =
+    In_channel.with_open_bin out In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let field key line =
+    match Obs.Jsonv.parse line with
+    | Ok v -> Obs.Jsonv.member key v
+    | Error m -> Alcotest.failf "invalid JSON (%s): %s" m line
+  in
+  (match lines with
+  | [ l1; l2 ] ->
+      check Alcotest.bool "findings line names the path" true
+        (field "file" l1 = Some (Obs.Jsonv.Str good));
+      check Alcotest.bool "findings line has findings" true
+        (field "findings" l1 <> None);
+      check Alcotest.bool "error line names the path" true
+        (field "file" l2 = Some (Obs.Jsonv.Str bad));
+      check Alcotest.bool "error line has the error" true (field "error" l2 <> None)
+  | _ -> Alcotest.failf "expected two lines, got %d" (List.length lines));
+  List.iter Sys.remove [ good; bad; out ];
+  Sys.rmdir dir
+
 let suite =
   [
     Alcotest.test_case "registry counts match Table 1" `Quick test_registry_counts;
@@ -393,4 +434,5 @@ let suite =
       test_verdict_golden;
     Alcotest.test_case "pipeline lint telemetry is pinned" `Quick
       test_pipeline_telemetry_pinned;
+    Alcotest.test_case "--json names any file path" `Quick test_json_file_paths;
   ]

@@ -169,7 +169,7 @@ let test_transport_kinds () =
         | _ -> Alcotest.fail "Reset must reset")
     | Fault.Rate_limit -> (
         match resp with
-        | Transport.Retry_later { status = _; after } ->
+        | Transport.Retry_later { after } ->
             if after <= 0.0 then Alcotest.fail "Retry-After must be positive"
         | _ -> Alcotest.fail "Rate_limit must answer Retry_later")
     | Fault.Server_error -> (
