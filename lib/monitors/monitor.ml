@@ -30,23 +30,29 @@ let fold_key s =
    from — a parsed certificate or a stored analysis row. *)
 type fields = { f_cns : string list; f_sans : string list; f_attrs : string list }
 
+type kind = Cn | San | Attr
+
+(* The unfolded key one subject value derives, or [None] when the
+   monitor does not index it.  A value the rule keeps whole is returned
+   as it is, not copied. *)
+let field_key prof kind v =
+  let k =
+    match kind with
+    | Attr -> if prof.indexes_subject_attrs then Some v else None
+    | San -> Some v
+    | Cn ->
+        if prof.cn_drop_with_space && String.contains v ' ' then None
+        else if prof.cn_split_slash && String.contains v '/' then
+          Some (String.sub v 0 (String.index v '/'))
+        else Some v
+  in
+  match k with
+  | Some k when prof.index_drops_special && has_special k -> None
+  | k -> k
+
 let keys_of_fields prof f =
-  let cns =
-    List.filter_map
-      (fun cn ->
-        if prof.cn_drop_with_space && String.contains cn ' ' then None
-        else if prof.cn_split_slash && String.contains cn '/' then
-          Some (String.sub cn 0 (String.index cn '/'))
-        else Some cn)
-      f.f_cns
-  in
-  let extra = if prof.indexes_subject_attrs then f.f_attrs else [] in
-  let keys = cns @ f.f_sans @ extra in
-  let keys =
-    if prof.index_drops_special then List.filter (fun k -> not (has_special k)) keys
-    else keys
-  in
-  List.map fold_key keys
+  let keys kind vs = List.filter_map (field_key prof kind) vs in
+  List.map fold_key (keys Cn f.f_cns @ keys San f.f_sans @ keys Attr f.f_attrs)
 
 let same_keys a b =
   a.indexes_subject_attrs = b.indexes_subject_attrs
@@ -139,13 +145,23 @@ let prepare_query prof q =
     else Ok q
   end
 
+(* Whether [needle] occurs in [hay]; allocates nothing, so a scan over
+   every key of a log costs no garbage.  The empty needle occurs
+   nowhere. *)
+let rec occurs_at hay needle i j =
+  j = String.length needle
+  || String.unsafe_get hay (i + j) = String.unsafe_get needle j
+     && occurs_at hay needle i (j + 1)
+
+let rec scan hay needle i last =
+  i <= last && (occurs_at hay needle i 0 || scan hay needle (i + 1) last)
+
+let contains ~needle hay =
+  String.length needle > 0
+  && scan hay needle 0 (String.length hay - String.length needle)
+
 let matches prof ~needle keys =
-  let contains hay =
-    let hn = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= hn && (String.sub hay i nn = needle || go (i + 1)) in
-    nn > 0 && go 0
-  in
-  if prof.fuzzy_search then List.exists contains keys
+  if prof.fuzzy_search then List.exists (contains ~needle) keys
   else List.exists (String.equal needle) keys
 
 let search m q =

@@ -31,10 +31,23 @@ type fields = {
     incremental-ingest surface the monitor daemon feeds from store
     rows. *)
 
+type kind = Cn | San | Attr  (** which of {!fields} a subject value is in *)
+
+val field_key : profile -> kind -> string -> string option
+(** The key this monitor derives from one subject value, before case
+    folding: CN filtering (slash split, space drop), subject attributes
+    only when indexed, special-character dropping.  [None] when the
+    value never enters the index; a value kept whole is returned
+    uncopied. *)
+
+val fold_key : string -> string
+(** ASCII case folding; a key that is already lowercase is returned
+    uncopied. *)
+
 val keys_of_fields : profile -> fields -> string list
 (** The folded index keys this monitor derives from one certificate's
-    fields: CN filtering (slash split, space drop), subject attributes
-    when indexed, special-character dropping, case folding. *)
+    fields: {!field_key} over CNs, SANs and attributes, then
+    {!fold_key}. *)
 
 val same_keys : profile -> profile -> bool
 (** Whether two profiles derive the same keys from any fields: they
@@ -47,9 +60,10 @@ val prepare_query : profile -> string -> (string, string) result
     U-label/A-label legality check failed, Punycode query under an IDN
     ccTLD on a profile that rejects those). *)
 
-val matches : profile -> needle:string -> string list -> bool
-(** Whether a key set matches a prepared, folded needle under the
-    profile's exact/substring semantics. *)
+val contains : needle:string -> string -> bool
+(** Whether [needle] occurs in the key, without allocating: the
+    substring test of the fuzzy profiles.  The empty needle occurs
+    nowhere. *)
 
 type instance
 

@@ -10,12 +10,15 @@
    The service is fed pre-derived material (subject fields and index
    entries computed from stored analysis rows) rather than
    certificates: replaying the committed rows of a recovered store
-   rebuilds byte-identical serving state. *)
+   rebuilds byte-identical serving state.
+
+   Serving state is a set of key tables filled at commit, not a list of
+   entries: a query costs one table lookup (exact profiles, [ix]) or
+   one pass over the distinct subject keys (fuzzy profiles), plus its
+   hits — never a walk over every committed entry. *)
 
 (* Profiles that derive the same keys ({!Monitor.same_keys}) share one
-   key rule: [rules] holds one representative profile per rule, and an
-   entry holds one key list per rule, with equal lists stored once.
-   Keys are derived at stage time, so a query only matches. *)
+   key rule: [rules] holds one representative profile per rule. *)
 let rules =
   Array.of_list
     (List.fold_left
@@ -26,20 +29,66 @@ let rule_of prof =
   let rec go i = if Monitor.same_keys prof rules.(i) then i else go (i + 1) in
   go 0
 
-type entry = { e_id : int; e_keys : string list array  (* by rule *) }
+(* A subject posting is one int: the entry's corpus index above a
+   bitmask of the rules that derive the key from that entry. *)
+let rule_bits = Array.length rules
+
+let posting id mask = (id lsl rule_bits) lor mask
+let posting_id p = p asr rule_bits
+
+let indexes = [| "issuer"; "lint"; "flaw"; "domain"; "ulabel" |]
+
+(* A staged index entry is (key, id above its index number). *)
+let index_bits = 3
+
+let index_number name =
+  let rec go i =
+    if i = Array.length indexes then None
+    else if indexes.(i) = name then Some i
+    else go (i + 1)
+  in
+  go 0
+
+module Keys = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* Staged (key, int) pairs in staging order, in two growable arrays. *)
+type staged = { mutable keys : string array; mutable ints : int array; mutable n : int }
+
+let grow a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max 64 (2 * n)) fill in
+    Array.blit a 0 b 0 n;
+    b
+  end
+
+let push s key i =
+  s.keys <- grow s.keys s.n "";
+  s.ints <- grow s.ints s.n 0;
+  s.keys.(s.n) <- key;
+  s.ints.(s.n) <- i;
+  s.n <- s.n + 1
+
+let clear s =
+  s.keys <- [||];
+  s.ints <- [||];
+  s.n <- 0
 
 type t = {
   mu : Mutex.t;
-  mutable staged : entry list;  (* newest first *)
-  mutable serving : entry list;  (* newest first *)
-  mutable staged_ix : (string * (string * int)) list;
-      (* (index name, (key, id)), newest first *)
-  serving_ix : (string, (string, int list) Hashtbl.t) Hashtbl.t;
-      (* index name -> key -> ids, newest first *)
+  staged_subjects : staged;  (* (folded key, posting) *)
+  mutable staged_entries : int;
+  staged_ix : staged;  (* (key, id lsl index_bits lor index number) *)
+  subjects : int list Keys.t;  (* folded key -> postings, newest first *)
+  mutable entries : int;  (* committed stage_fields calls *)
+  serving_ix : int list Keys.t array;  (* by index number: key -> ids *)
   mutable committed : int;  (* corpus indexes below this are published *)
 }
-
-let indexes = [ "issuer"; "lint"; "flaw"; "domain"; "ulabel" ]
 
 let obs_queries =
   lazy
@@ -57,14 +106,14 @@ let prewarm () =
   ignore (Lazy.force obs_latency)
 
 let create () =
-  let serving_ix = Hashtbl.create 8 in
-  List.iter (fun n -> Hashtbl.replace serving_ix n (Hashtbl.create 64)) indexes;
   {
     mu = Mutex.create ();
-    staged = [];
-    serving = [];
-    staged_ix = [];
-    serving_ix;
+    staged_subjects = { keys = [||]; ints = [||]; n = 0 };
+    staged_entries = 0;
+    staged_ix = { keys = [||]; ints = [||]; n = 0 };
+    subjects = Keys.create 1024;
+    entries = 0;
+    serving_ix = Array.map (fun _ -> Keys.create 64) indexes;
     committed = 0;
   }
 
@@ -72,79 +121,143 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* Stage one subject value's postings: one for the rules that keep the
+   value whole ([Monitor.field_key] returns it uncopied), one for each
+   rule that cuts it. *)
+let stage_value s id kind v =
+  let whole = ref 0 in
+  for r = 0 to Array.length rules - 1 do
+    match Monitor.field_key rules.(r) kind v with
+    | None -> ()
+    | Some k when k == v -> whole := !whole lor (1 lsl r)
+    | Some k -> push s (Monitor.fold_key k) (posting id (1 lsl r))
+  done;
+  if !whole <> 0 then push s (Monitor.fold_key v) (posting id !whole)
+
+let rec stage_values s id kind = function
+  | [] -> ()
+  | v :: vs ->
+      stage_value s id kind v;
+      stage_values s id kind vs
+
 let stage_fields t ~id ~cns ~sans ~attrs =
-  let fields =
-    { Monitor.f_cns = cns; Monitor.f_sans = sans; Monitor.f_attrs = attrs }
-  in
-  let keys = Array.map (fun r -> Monitor.keys_of_fields r fields) rules in
-  (* Equal lists are stored once: each rule keeps the first equal one. *)
-  let first k =
-    let rec go j = if keys.(j) = k then keys.(j) else go (j + 1) in
-    go 0
-  in
-  let e = { e_id = id; e_keys = Array.map first keys } in
-  locked t (fun () -> t.staged <- e :: t.staged)
+  locked t (fun () ->
+      let s = t.staged_subjects in
+      stage_values s id Monitor.Cn cns;
+      stage_values s id Monitor.San sans;
+      stage_values s id Monitor.Attr attrs;
+      t.staged_entries <- t.staged_entries + 1)
 
 let stage_index t ~index ~key ~id =
-  locked t (fun () -> t.staged_ix <- (index, (key, id)) :: t.staged_ix)
+  match index_number index with
+  | None -> ()
+  | Some ix ->
+      locked t (fun () -> push t.staged_ix key ((id lsl index_bits) lor ix))
+
+(* An entry's postings are staged together, so a key it derives twice
+   (a CN equal to a SAN, say) meets its own posting at the head and
+   merges masks with it. *)
+let add_posting tbl key p =
+  match Keys.find_opt tbl key with
+  | None -> Keys.add tbl key [ p ]
+  | Some (q :: rest) when posting_id q = posting_id p ->
+      Keys.replace tbl key ((q lor p) :: rest)
+  | Some ps -> Keys.replace tbl key (p :: ps)
+
+let add_id tbl key id =
+  match Keys.find_opt tbl key with
+  | None -> Keys.add tbl key [ id ]
+  | Some ids -> Keys.replace tbl key (id :: ids)
 
 let commit t ~upto =
   locked t (fun () ->
-      (* Staged and serving lists are both newest-first, so a commit
-         costs O(staged); [hits] sorts the ids it answers with. *)
-      t.serving <- List.rev_append (List.rev t.staged) t.serving;
-      t.staged <- [];
-      List.iter
-        (fun (ix, (key, id)) ->
-          match Hashtbl.find_opt t.serving_ix ix with
-          | None -> ()
-          | Some tbl ->
-              let ids = Option.value ~default:[] (Hashtbl.find_opt tbl key) in
-              Hashtbl.replace tbl key (id :: ids))
-        (List.rev t.staged_ix);
-      t.staged_ix <- [];
+      let s = t.staged_subjects in
+      for i = 0 to s.n - 1 do
+        add_posting t.subjects s.keys.(i) s.ints.(i)
+      done;
+      clear s;
+      t.entries <- t.entries + t.staged_entries;
+      t.staged_entries <- 0;
+      let s = t.staged_ix in
+      for i = 0 to s.n - 1 do
+        let v = s.ints.(i) in
+        add_id t.serving_ix.(v land ((1 lsl index_bits) - 1)) s.keys.(i)
+          (v asr index_bits)
+      done;
+      clear s;
       t.committed <- max t.committed upto)
 
 (* --- the query protocol ------------------------------------------------ *)
 
+let rec add_digits b i =
+  if i >= 10 then add_digits b (i / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+
+let add_int b i =
+  if i < 0 then Buffer.add_string b (string_of_int i) else add_digits b i
+
+(* "hits <n> <id...>": the distinct ids, ascending.  An array merge
+   sort allocates in proportion to the hits; [List.sort_uniq] would
+   allocate a list per merge level. *)
 let hits ids =
-  let ids = List.sort_uniq compare ids in
-  Printf.sprintf "hits %d%s" (List.length ids)
-    (String.concat "" (List.map (fun i -> " " ^ string_of_int i) ids))
+  let a = Array.of_list ids in
+  Array.stable_sort Int.compare a;
+  let fresh i = i = 0 || a.(i) <> a.(i - 1) in
+  let n = ref 0 in
+  Array.iteri (fun i _ -> if fresh i then incr n) a;
+  let b = Buffer.create (16 + (8 * Array.length a)) in
+  Buffer.add_string b "hits ";
+  add_int b !n;
+  Array.iteri
+    (fun i id ->
+      if fresh i then begin
+        Buffer.add_char b ' ';
+        add_int b id
+      end)
+    a;
+  Buffer.contents b
+
+(* Prepend to [acc] the ids of the postings carrying [bit]. *)
+let rec collect bit acc = function
+  | [] -> acc
+  | p :: ps -> collect bit (if p land bit <> 0 then posting_id p :: acc else acc) ps
 
 let subject_query t prof text =
   match Monitor.prepare_query prof text with
   | Error reason -> [ "refused " ^ reason ]
   | Ok prepared ->
       let needle = String.lowercase_ascii prepared in
-      let rule = rule_of prof in
+      let bit = 1 lsl rule_of prof in
       let ids =
         locked t (fun () ->
-            List.filter_map
-              (fun e ->
-                if Monitor.matches prof ~needle e.e_keys.(rule) then Some e.e_id
-                else None)
-              t.serving)
+            if prof.Monitor.fuzzy_search then
+              Keys.fold
+                (fun key ps acc ->
+                  if Monitor.contains ~needle key then collect bit acc ps else acc)
+                t.subjects []
+            else
+              match Keys.find_opt t.subjects needle with
+              | None -> []
+              | Some ps -> collect bit [] ps)
       in
       [ hits ids ]
 
 let index_query t name key =
-  if not (List.mem name indexes) then
-    [ Printf.sprintf "err unknown index %s (issuer|lint|flaw|domain|ulabel)"
-        name ]
-  else
-    let ids =
-      locked t (fun () ->
-          match Hashtbl.find_opt t.serving_ix name with
-          | None -> []
-          | Some tbl -> Option.value ~default:[] (Hashtbl.find_opt tbl key))
-    in
-    [ hits ids ]
+  match index_number name with
+  | None ->
+      [ Printf.sprintf "err unknown index %s (issuer|lint|flaw|domain|ulabel)"
+          name ]
+  | Some ix ->
+      let ids =
+        locked t (fun () ->
+            Option.value ~default:[] (Keys.find_opt t.serving_ix.(ix) key))
+      in
+      [ hits ids ]
 
 let stats t =
   locked t (fun () ->
       [ Printf.sprintf "stats committed=%d entries=%d staged=%d" t.committed
-          (List.length t.serving) (List.length t.staged) ])
+          t.entries t.staged_entries ])
 
 let split2 s =
   match String.index_opt s ' ' with

@@ -12,6 +12,11 @@
     entries) rather than certificates; replaying the committed rows of
     a recovered store rebuilds byte-identical serving state.
 
+    {!commit} fills key tables, so a query costs one table lookup
+    (exact profiles, index lookups) or one pass over the distinct
+    subject keys (fuzzy profiles), plus its hits: never a walk over
+    every committed entry.
+
     All operations are thread-safe. *)
 
 type t

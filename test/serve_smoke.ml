@@ -73,6 +73,9 @@ let battery =
     "ix domain example";
     "ix flaw Invalid Encoding";
     "ix lint e_subject_locality_not_printable_or_utf8";
+    "q crtsh EXAMPLE";
+    "q merklemap xn--";
+    "q facebook xn--bcher-kva.com";
     "stats";
   ]
 
@@ -227,7 +230,10 @@ let () =
   List.iter
     (fun i -> expect i hits_nonzero "index lookup finds hits")
     [ 7; 8; 9; 10; 11 ];
-  expect 12
+  expect 12 (fun r -> r = reply 0) "crtsh folds the query's case";
+  expect 13 hits_nonzero "merklemap finds A-labels by substring";
+  expect 14 (starts_with "hits") "facebook serves an exact A-label query";
+  expect 15
     (starts_with (Printf.sprintf "stats committed=%d" scale))
     "whole corpus committed";
 

@@ -217,7 +217,10 @@ let test_corpus_recall_corrupted () =
 let service_battery =
   [
     "q crtsh example";
+    "q crtsh EXAMPLE";
+    "q merklemap xn--";
     "q sslmate xn--bcher-kva.com";
+    "q facebook xn--bcher-kva.com";
     "q entrust xn--bcher-kva.com";
     "q entrust shop.xn--p1ai";
     "ix issuer COMODO CA Limited";
@@ -263,10 +266,12 @@ let test_service_commit_batching () =
       check Alcotest.(list string) line (S.respond once line) (S.respond batched line))
     service_battery
 
-(* The serving state holds one key list per key rule, equal lists once,
-   and keys that are already lowercase uncopied: at scale 4,096 (seed 1)
-   everything the service keeps stays within 70 words per committed
-   entry.  Five freshly folded lists per entry would take 123. *)
+(* The serving state holds each distinct folded key once, in a table
+   from key to one-int postings (an entry id and the mask of the key
+   rules that derive the key), and keys that are already lowercase
+   uncopied: at scale 4,096 (seed 1) everything the service keeps stays
+   within 70 words per committed entry.  Five freshly folded key lists
+   per entry would take 123. *)
 let test_service_words_bounded () =
   let scale = 4096 in
   let service = S.create () in
@@ -280,6 +285,201 @@ let test_service_words_bounded () =
   if per_entry > 70. then
     Alcotest.failf "the service holds %.1f words per committed entry (bound 70)"
       per_entry
+
+(* --- the posting table against a brute-force scan --------------------- *)
+
+(* The per-entry match the service answered with before its key
+   tables: exact equality, or a [String.sub] at every offset. *)
+let oracle_matches (prof : M.profile) ~needle keys =
+  let contains hay =
+    let hn = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= hn && (String.sub hay i nn = needle || go (i + 1)) in
+    nn > 0 && go 0
+  in
+  if prof.M.fuzzy_search then List.exists contains keys
+  else List.exists (String.equal needle) keys
+
+let split2 s =
+  match String.index_opt s ' ' with
+  | None -> (s, "")
+  | Some i -> (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+
+(* The reply to a [q] line by scanning every committed entry's keys. *)
+let oracle_respond committed line =
+  let _q, rest = split2 (String.trim line) in
+  let pkey, text = split2 rest in
+  match M.of_key pkey with
+  | None -> [ "err unknown profile " ^ pkey ]
+  | Some _ when text = "" -> [ "err empty query" ]
+  | Some prof -> (
+      match M.prepare_query prof text with
+      | Error reason -> [ "refused " ^ reason ]
+      | Ok prepared ->
+          let needle = String.lowercase_ascii prepared in
+          let ids =
+            List.filter_map
+              (fun (id, f) ->
+                if oracle_matches prof ~needle (M.keys_of_fields prof f) then Some id
+                else None)
+              committed
+            |> List.sort_uniq compare
+          in
+          [ Printf.sprintf "hits %d%s" (List.length ids)
+              (String.concat "" (List.map (fun i -> " " ^ string_of_int i) ids)) ])
+
+(* Subject text over case, '/', spaces, control characters, dots and
+   A-label prefixes, so keys collide, nest and get cut or dropped. *)
+let subject_gen =
+  QCheck.Gen.(
+    map (String.concat "")
+      (list_size (int_range 1 6)
+         (oneofl [ "a"; "B"; "ab"; "Ab"; "/"; " "; "."; "\x01"; "\x7f"; "xn--"; "-"; "c" ])))
+
+(* (fields, commit after this entry) per entry, then needles. *)
+let service_case_gen =
+  QCheck.Gen.(
+    let entry =
+      map2
+        (fun (cns, sans, attrs) commit ->
+          ({ M.f_cns = cns; M.f_sans = sans; M.f_attrs = attrs }, commit))
+        (triple
+           (list_size (int_bound 2) subject_gen)
+           (list_size (int_bound 3) subject_gen)
+           (list_size (int_bound 2) subject_gen))
+        (frequency [ (3, return false); (1, return true) ])
+    in
+    pair (list_size (int_range 1 25) entry) (list_size (int_range 1 6) subject_gen))
+
+let print_service_case (entries, needles) =
+  let quote l = "[" ^ String.concat "; " (List.map String.escaped l) ^ "]" in
+  String.concat "\n"
+    (List.mapi
+       (fun id ((f : M.fields), commit) ->
+         Printf.sprintf "%d cn=%s san=%s attr=%s%s" id (quote f.M.f_cns)
+           (quote f.M.f_sans) (quote f.M.f_attrs)
+           (if commit then " | commit" else ""))
+       entries
+    @ [ "needles " ^ quote needles ])
+
+(* Needles drawn from the keys themselves: every substring of the
+   first few, and their case variants. *)
+let key_needles committed =
+  let keys =
+    List.concat_map
+      (fun (_, f) -> M.keys_of_fields M.crtsh f @ M.keys_of_fields M.sslmate f)
+      committed
+  in
+  let keys = List.filteri (fun i _ -> i < 4) (List.sort_uniq compare keys) in
+  List.concat_map
+    (fun k ->
+      let n = String.length k in
+      List.concat_map
+        (fun i ->
+          List.concat_map
+            (fun len ->
+              let sub = String.sub k i len in
+              [ sub; String.uppercase_ascii sub; String.capitalize_ascii sub ])
+            (List.init (n - i) (fun l -> l + 1)))
+        (List.init n Fun.id))
+    keys
+
+let test_service_matches_scan =
+  QCheck.Test.make ~name:"service answers equal a scan of every committed entry"
+    ~count:300
+    (QCheck.make ~print:print_service_case service_case_gen)
+    (fun (entries, needles) ->
+      let service = S.create () in
+      let committed = ref [] and staged = ref [] in
+      List.iteri
+        (fun id ((f : M.fields), commit) ->
+          S.stage_fields service ~id ~cns:f.M.f_cns ~sans:f.M.f_sans
+            ~attrs:f.M.f_attrs;
+          staged := (id, f) :: !staged;
+          if commit then begin
+            S.commit service ~upto:(id + 1);
+            committed := !staged @ !committed;
+            staged := []
+          end)
+        entries;
+      (* Whatever is still staged must stay invisible. *)
+      let committed = !committed in
+      let longest =
+        List.fold_left
+          (fun acc (_, (f : M.fields)) ->
+            List.fold_left
+              (fun acc s -> max acc (String.length s))
+              acc (f.M.f_cns @ f.M.f_sans @ f.M.f_attrs))
+          0 committed
+      in
+      let needles =
+        ("" :: String.make (longest + 1) 'a' :: needles) @ key_needles committed
+      in
+      List.for_all
+        (fun pkey ->
+          List.for_all
+            (fun needle ->
+              let line = Printf.sprintf "q %s %s" pkey needle in
+              let got = S.respond service line
+              and want = oracle_respond committed line in
+              got = want
+              || QCheck.Test.fail_reportf "%S: service %s, scan %s" line
+                   (String.concat "|" got) (String.concat "|" want))
+            needles)
+        [ "crtsh"; "sslmate"; "facebook"; "entrust"; "merklemap" ]
+      && S.respond service "stats"
+         = [ Printf.sprintf "stats committed=%d entries=%d staged=%d"
+               (List.fold_left (fun acc (id, _) -> max acc (id + 1)) 0 committed)
+               (List.length committed) (List.length !staged) ])
+
+(* --- query cost does not follow history -------------------------------- *)
+
+(* Eight target entries (ids 0..7) behind [fillers] unrelated ones, all
+   committed: every query below finds the same hits at any size. *)
+let history_service fillers =
+  let service = S.create () in
+  for id = 0 to 7 do
+    S.stage_fields service ~id ~cns:[ "shop.target.test" ]
+      ~sans:[ "shop.target.test"; Printf.sprintf "m%d.target.test" id ]
+      ~attrs:[ "Target Org" ];
+    S.stage_index service ~index:"domain" ~key:"target.test" ~id
+  done;
+  for id = 8 to fillers + 7 do
+    let host = Printf.sprintf "host%d.filler.test" id in
+    S.stage_fields service ~id ~cns:[ host ] ~sans:[ host ] ~attrs:[ "Filler Org" ];
+    S.stage_index service ~index:"domain" ~key:"filler.test" ~id
+  done;
+  S.commit service ~upto:(fillers + 8);
+  service
+
+(* Words one answer allocates, minor and major, after a warm-up call
+   and on an empty minor heap, so no collection promotes anything in
+   between. *)
+let query_words service line =
+  ignore (S.respond service line);
+  Gc.minor ();
+  let minor0, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (S.respond service line));
+  let minor1, promoted1, major1 = Gc.counters () in
+  int_of_float (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_query_cost_flat () =
+  let small = history_service 1024 and large = history_service 8192 in
+  List.iter
+    (fun line ->
+      check Alcotest.(list string) (line ^ " answers alike") (S.respond small line)
+        (S.respond large line);
+      check Alcotest.int
+        (line ^ " allocates the same at 1,024 and 8,192 entries")
+        (query_words small line) (query_words large line))
+    [ "q sslmate shop.target.test"; "ix domain target.test"; "q crtsh target" ];
+  (* A fuzzy query that hits every filler allocates per hit. *)
+  let per_hit service n =
+    float_of_int (query_words service "q crtsh filler") /. float_of_int n
+  in
+  let small_hit = per_hit small 1024 and large_hit = per_hit large 8192 in
+  if small_hit > 16. || large_hit > 16. then
+    Alcotest.failf "q crtsh allocates %.1f / %.1f words per hit (bound 16)"
+      small_hit large_hit
 
 let suite =
   [
@@ -301,4 +501,7 @@ let suite =
       test_corpus_recall_corrupted;
     Alcotest.test_case "service words per entry bounded" `Quick
       test_service_words_bounded;
+    QCheck_alcotest.to_alcotest test_service_matches_scan;
+    Alcotest.test_case "query cost does not follow history" `Quick
+      test_query_cost_flat;
   ]
