@@ -44,7 +44,26 @@ let hits plan index =
   plan.rate > 0.0 && Ucrypto.Prng.float (stream plan.seed index 0) < plan.rate
 
 let set_byte s i b =
-  String.mapi (fun j c -> if j = i then Char.chr (b land 0xFF) else c) s
+  let out = Bytes.of_string s in
+  Bytes.set out i (Char.chr (b land 0xFF));
+  Bytes.unsafe_to_string out
+
+(* The positions [i] in [0, last] that [hit] accepts, highest first:
+   the order the kernels' draws index into. *)
+let spots_desc hit last =
+  let n = ref 0 in
+  for i = 0 to last do
+    if hit i then incr n
+  done;
+  let arr = Array.make !n 0 in
+  let k = ref 0 in
+  for i = last downto 0 do
+    if hit i then begin
+      arr.(!k) <- i;
+      incr k
+    end
+  done;
+  arr
 
 let byte_flip g s =
   let i = Ucrypto.Prng.int g (String.length s) in
@@ -81,20 +100,19 @@ let tag_swaps =
     (0x02, 0x03); (0x03, 0x02); (0x04, 0x05); (0x06, 0x02); (0x17, 0x18);
     (0x18, 0x17); (0xA0, 0x80); (0xA3, 0x83) ]
 
+(* byte -> its substitute, or -1 *)
+let tag_swap_table =
+  let t = Array.make 256 (-1) in
+  List.iter (fun (a, b) -> t.(a) <- b) tag_swaps;
+  t
+
 let tag_swap g s =
-  let n = String.length s in
-  let candidates = ref [] in
-  String.iteri
-    (fun i c ->
-      if List.mem_assoc (Char.code c) tag_swaps then candidates := i :: !candidates)
-    s;
-  match !candidates with
-  | [] -> byte_flip g s
-  | l ->
-      let arr = Array.of_list l in
-      let i = arr.(Ucrypto.Prng.int g (Array.length arr)) in
-      ignore n;
-      set_byte s i (List.assoc (Char.code s.[i]) tag_swaps)
+  let code i = Char.code s.[i] in
+  let arr = spots_desc (fun i -> tag_swap_table.(code i) >= 0) (String.length s - 1) in
+  if Array.length arr = 0 then byte_flip g s
+  else
+    let i = arr.(Ucrypto.Prng.int g (Array.length arr)) in
+    set_byte s i tag_swap_table.(code i)
 
 (* Best-effort TLV slice at [off]: read a short- or long-form header
    and return the full TLV span when it fits inside [s]. *)
@@ -185,25 +203,31 @@ let oversized_oid g s =
    string-content injection kinds. *)
 let string_tags = [ 0x0C; 0x12; 0x13; 0x14; 0x16; 0x1A; 0x1C; 0x1E ]
 
+let is_string_tag =
+  let t = Array.make 256 false in
+  List.iter (fun b -> t.(b) <- true) string_tags;
+  t
+
 (* Overwrite one content byte of a string-typed TLV: the DER skeleton
    stays well formed, so the cert still parses and the poisoned text
    flows into every downstream consumer — the NUL-truncation /
    control-character surface the fuzzer steers into. *)
 let overwrite_in_string g byte_of s =
   let n = String.length s in
-  let spots = ref [] in
-  for i = 0 to n - 3 do
-    if List.mem (Char.code s.[i]) string_tags then begin
-      let len = Char.code s.[i + 1] in
-      if len >= 1 && len < 0x80 && i + 2 + len <= n then spots := (i, len) :: !spots
-    end
-  done;
-  match !spots with
-  | [] -> byte_flip g s
-  | l ->
-      let arr = Array.of_list l in
-      let i, len = arr.(Ucrypto.Prng.int g (Array.length arr)) in
-      set_byte s (i + 2 + Ucrypto.Prng.int g len) (byte_of g)
+  let code i = Char.code s.[i] in
+  let arr =
+    spots_desc
+      (fun i ->
+        is_string_tag.(code i)
+        &&
+        let len = code (i + 1) in
+        len >= 1 && len < 0x80 && i + 2 + len <= n)
+      (n - 3)
+  in
+  if Array.length arr = 0 then byte_flip g s
+  else
+    let i = arr.(Ucrypto.Prng.int g (Array.length arr)) in
+    set_byte s (i + 2 + Ucrypto.Prng.int g (code (i + 1))) (byte_of g)
 
 let nul_inject g s = overwrite_in_string g (fun _ -> 0x00) s
 let ctrl_inject g s = overwrite_in_string g (fun g -> 1 + Ucrypto.Prng.int g 0x1F) s

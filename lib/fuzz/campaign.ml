@@ -15,7 +15,20 @@
    actually fires (worker-domain watchdogs are post hoc and
    machine-dependent), and armed fault injection with [--fault-hang].
    Deterministic injection ([--fault-model NAME:1]) keeps the contract:
-   every evaluation of the model crashes identically. *)
+   every evaluation of the model crashes identically.
+
+   A structured candidate's certificate, and so its evaluation, is a
+   pure function of its [(context, declared type, payload)] key, and
+   most keys come back many times in a campaign.  The campaign keeps
+   what the fold reads of each key's evaluation in one table, and a
+   repeat skips both the build and the evaluation.  Shards only read
+   the table; the fold adds a round's new keys in index order, so the
+   table's contents at every round are independent of [--jobs].  A
+   repeat's signature is already seen, so it never needs its DER: it
+   cannot become a corpus entry or a finding.  The table is bypassed
+   where [eval] is not pure in its input (a watchdog timeout, an armed
+   injector), stops growing at [table_cap] entries, and is left out of
+   the checkpoint: a resumed campaign starts with an empty one. *)
 
 type config = {
   seed : int;
@@ -66,8 +79,15 @@ type ckpt_state = {
 
 let obs_execs =
   lazy
-    (Obs.Registry.counter ~help:"Fuzzer candidate evaluations"
+    (Obs.Registry.counter
+       ~help:"Fuzzer candidate executions: evaluations plus repeats"
        "unicert_fuzz_execs_total")
+
+let obs_repeats =
+  lazy
+    (Obs.Registry.counter
+       ~help:"Fuzzer candidates answered from the campaign's table of evaluated keys"
+       "unicert_fuzz_repeats_total")
 
 let obs_findings =
   lazy
@@ -91,6 +111,15 @@ let initial_corpus () =
          "\x00t\x00e\x00s\x00t");
       Tlsparsers.Testgen.San_dns "xn--bcher-kva.example" ]
 
+(* What the fold reads of one evaluation: all a repeat keeps. *)
+type outcome = { signature : string; cls : string; crashes : (string * int) list }
+
+type execution =
+  | Repeat of outcome
+  | Evaluated of Gen.spec * outcome
+
+let table_cap = 16_384
+
 let eval_guarded cfg (spec : Gen.spec) =
   let run () = Exec.eval ~threshold:cfg.breaker_threshold spec.Gen.der in
   try
@@ -101,11 +130,12 @@ let eval_guarded cfg (spec : Gen.spec) =
   | Faults.Watchdog.Timed_out { stage; _ } -> Exec.timeout_eval stage
   | e -> Exec.crash_eval (Faults.Error.exn_name e)
 
-let run cfg =
+let run ?(table_cap = table_cap) cfg =
   if cfg.round_size < 1 || cfg.round_size > Gen.max_round_size then
     invalid_arg "Fuzz.Campaign.run: round_size out of range";
   if cfg.budget < 0 then invalid_arg "Fuzz.Campaign.run: negative budget";
   let execs_c = Lazy.force obs_execs in
+  let repeats_c = Lazy.force obs_repeats in
   let findings_c = Lazy.force obs_findings in
   let rounds_c = Lazy.force obs_rounds in
   (* resume: reload the fold state; a checkpoint from a different
@@ -130,8 +160,16 @@ let run cfg =
         | None -> fresh)
     | _ -> fresh
   in
+  (* signature -> its first copy, which the table's outcomes share *)
   let seen = Hashtbl.create 256 in
-  List.iter (fun s -> Hashtbl.replace seen s ()) st.ck_sigs;
+  List.iter (fun s -> Hashtbl.replace seen s s) st.ck_sigs;
+  let use_table = cfg.timeout <= 0. && not (Faults.Injector.active ()) in
+  let table = Hashtbl.create 1024 in
+  let key_of = function
+    | Gen.Structured { context; declared; payload; _ } when use_table ->
+        Some (context, declared, payload)
+    | Gen.Structured _ | Gen.Mutant _ -> None
+  in
   let counts = Hashtbl.create 256 in
   List.iter (fun (s, n) -> Hashtbl.replace counts s n) st.ck_counts;
   let round = ref st.ck_round in
@@ -180,47 +218,72 @@ let run cfg =
             Par.map_shards ~jobs:cfg.jobs ~scale:n (fun ~shard:_ ~lo ~hi ->
                 List.init (hi - lo) (fun k ->
                     let index = lo + k in
-                    let spec =
-                      Gen.candidate ~seed:cfg.seed ~round:!round ~index
+                    let draw =
+                      Gen.draw ~seed:cfg.seed ~round:!round ~index
                         ~corpus:corpus_arr
                     in
-                    (index, spec, eval_guarded cfg spec)))
+                    let key = key_of draw in
+                    match Option.bind key (Hashtbl.find_opt table) with
+                    | Some o -> (index, key, Repeat o)
+                    | None ->
+                        let spec = Gen.spec_of_draw draw in
+                        let e = eval_guarded cfg spec in
+                        ( index, key,
+                          Evaluated
+                            ( spec,
+                              { signature = e.Exec.signature; cls = e.Exec.cls;
+                                crashes = e.Exec.crashes } ) )))
             |> List.concat)
       in
       (* sequential fold, index order: corpus/signature/finding updates *)
       List.iter
-        (fun (index, (spec : Gen.spec), (e : Exec.eval)) ->
+        (fun (index, key, execution) ->
           Obs.Counter.inc execs_c;
           let exec = !executions + index in
-          if e.Exec.cls <> "agreement" then begin
+          let o = match execution with Repeat o | Evaluated (_, o) -> o in
+          if o.cls <> "agreement" then begin
             if !first = None then first := Some exec;
-            Hashtbl.replace counts e.Exec.signature
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.Exec.signature))
+            Hashtbl.replace counts o.signature
+              (1 + Option.value ~default:0 (Hashtbl.find_opt counts o.signature))
           end;
           List.iter
             (fun (m, c) ->
               let prev = Option.value ~default:0 (List.assoc_opt m !crashes) in
               crashes := (m, prev + c) :: List.remove_assoc m !crashes)
-            e.Exec.crashes;
-          if not (Hashtbl.mem seen e.Exec.signature) then begin
-            Hashtbl.replace seen e.Exec.signature ();
-            sigs := e.Exec.signature :: !sigs;
-            if List.length !corpus < cfg.corpus_cap then
-              corpus := !corpus @ [ spec.Gen.der ];
-            if e.Exec.cls <> "agreement" then begin
-              Obs.Counter.inc (Obs.Counter.Labeled.get findings_c e.Exec.cls);
-              findings :=
-                { Findings.round = !round; index; exec;
-                  cluster =
-                    Findings.cluster_id ~cls:e.Exec.cls
-                      ~signature:e.Exec.signature;
-                  cls = e.Exec.cls; signature = e.Exec.signature;
-                  op = spec.Gen.op; context = Gen.context_name spec.Gen.context;
-                  declared = Asn1.Str_type.name spec.Gen.declared;
-                  count = 0; der = spec.Gen.der; min_der = None }
-                :: !findings
-            end
-          end)
+            o.crashes;
+          match execution with
+          | Repeat _ -> Obs.Counter.inc repeats_c
+          | Evaluated (spec, _) ->
+              let signature =
+                match Hashtbl.find_opt seen o.signature with
+                | Some s -> s
+                | None ->
+                    Hashtbl.replace seen o.signature o.signature;
+                    sigs := o.signature :: !sigs;
+                    if List.length !corpus < cfg.corpus_cap then
+                      corpus := !corpus @ [ spec.Gen.der ];
+                    if o.cls <> "agreement" then begin
+                      Obs.Counter.inc (Obs.Counter.Labeled.get findings_c o.cls);
+                      findings :=
+                        { Findings.round = !round; index; exec;
+                          cluster =
+                            Findings.cluster_id ~cls:o.cls ~signature:o.signature;
+                          cls = o.cls; signature = o.signature;
+                          op = spec.Gen.op;
+                          context = Gen.context_name spec.Gen.context;
+                          declared = Asn1.Str_type.name spec.Gen.declared;
+                          count = 0; der = spec.Gen.der; min_der = None }
+                        :: !findings
+                    end;
+                    o.signature
+              in
+              (* a key repeated within this round was evaluated twice;
+                 the first in index order is kept *)
+              match key with
+              | Some k
+                when Hashtbl.length table < table_cap && not (Hashtbl.mem table k) ->
+                  Hashtbl.add table k { o with signature }
+              | _ -> ())
         evals;
       executions := !executions + n;
       incr round;

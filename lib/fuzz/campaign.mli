@@ -6,7 +6,14 @@
     index order, and folds corpus/coverage/findings sequentially.  Same
     seed, budget and round size yield byte-identical findings for any
     [jobs] — except when a watchdog timeout actually fires or
-    [--fault-hang] injection is armed (both documented exemptions). *)
+    [--fault-hang] injection is armed (both documented exemptions).
+
+    Each distinct structured candidate is built and evaluated once per
+    campaign: a repeat of an evaluated [(context, declared type,
+    payload)] key reuses the outcome, and counts in
+    [unicert_fuzz_repeats_total] as well as [unicert_fuzz_execs_total].
+    The per-model [unicert_parser_*] counters see only the probes of
+    candidates actually evaluated. *)
 
 type config = {
   seed : int;
@@ -40,8 +47,13 @@ type t = {
       (** execution number of the first non-agreement outcome *)
 }
 
-val run : config -> t
-(** Runs the campaign.  Saves a checkpoint after every round when
+val run : ?table_cap:int -> config -> t
+(** Runs the campaign.  [table_cap] (default 16,384; settable so tests
+    can reach it) bounds the campaign's table of evaluated keys; past
+    it, new keys are evaluated every time they are drawn.  The table is
+    not used when [timeout > 0] or a {!Faults.Injector} target is
+    armed, since evaluation is then not a pure function of the
+    candidate.  Saves a checkpoint after every round when
     [checkpoint] is set; [resume] reloads it (a checkpoint from a
     different seed/budget is ignored with a warning).
     @raise Invalid_argument on a non-positive or oversized

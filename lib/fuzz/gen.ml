@@ -3,10 +3,13 @@
    Every candidate is a pure function of [(seed, round, index)] plus
    the corpus snapshot the round was launched with: shards of a round
    can regenerate their index slice independently and a resumed run
-   regenerates byte-identical candidates.  Structured operations build
-   real signed certificates through [Testgen] (one mutated field, all
-   else default); [Byte_mutant] recombines a corpus parent through the
-   byte-level [Faults.Mutator] kinds. *)
+   regenerates byte-identical candidates.  A candidate is drawn first
+   and built second: a structured operation draws one mutated field,
+   and [spec_of_draw] builds the real signed certificate around it
+   through [Testgen] (all else default), so a caller that has already
+   seen the field can skip the build; [op_byte_mutant] recombines a
+   corpus parent through the byte-level [Faults.Mutator] kinds and
+   draws its finished DER. *)
 
 type context = Cn | San
 
@@ -19,6 +22,17 @@ type spec = {
   payload : string;
   der : string;
 }
+
+(* What the PRNG decides, before any certificate is built: a structured
+   operation's field and payload, or a byte mutant's finished DER. *)
+type draw =
+  | Structured of {
+      op : string;
+      context : context;
+      declared : Asn1.Str_type.t;
+      payload : string;
+    }
+  | Mutant of { op : string; der : string }
 
 (* ASCII characters with a known non-ASCII lookalike in the
    [Unicode.Confusables] table (Cyrillic and Greek homographs). *)
@@ -91,8 +105,7 @@ let op_redeclare g =
   in
   let declared = cn_types.(Ucrypto.Prng.int g (Array.length cn_types)) in
   (* raw UTF-8 octets under a possibly incompatible declaration *)
-  { op = "redeclare"; context = Cn; declared; payload = text;
-    der = build Cn declared text }
+  Structured { op = "redeclare"; context = Cn; declared; payload = text }
 
 (* Homograph splice into a DN attribute or a SAN dNSName. *)
 let op_confusable g =
@@ -113,12 +126,12 @@ let op_confusable g =
           | Error _ -> domain)
       | _ -> domain
     in
-    { op = "confusable"; context = Cn; declared; payload;
-      der = build Cn declared payload }
+    Structured { op = "confusable"; context = Cn; declared; payload }
   else
     (* non-ASCII bytes inside an IA5-declared dNSName *)
-    { op = "confusable"; context = San; declared = Asn1.Str_type.Ia5_string;
-      payload = domain; der = build San Asn1.Str_type.Ia5_string domain }
+    Structured
+      { op = "confusable"; context = San; declared = Asn1.Str_type.Ia5_string;
+        payload = domain }
 
 (* Oversized, malformed, or non-canonical A-labels in dNSNames. *)
 let op_bad_alabel g =
@@ -138,8 +151,9 @@ let op_bad_alabel g =
     | 1 -> "www." ^ label ^ ".example"
     | _ -> label ^ "..example" (* empty label *)
   in
-  { op = "bad_alabel"; context = San; declared = Asn1.Str_type.Ia5_string;
-    payload = domain; der = build San Asn1.Str_type.Ia5_string domain }
+  Structured
+    { op = "bad_alabel"; context = San; declared = Asn1.Str_type.Ia5_string;
+      payload = domain }
 
 (* NUL and C0 controls in every string context — the classic
    "paypal.com\x00.evil.com" shape and random in-place injections. *)
@@ -162,11 +176,11 @@ let op_nul_ctrl g =
       [| Asn1.Str_type.Printable_string; Asn1.Str_type.Ia5_string;
          Asn1.Str_type.Utf8_string |].(Ucrypto.Prng.int g 3)
     in
-    { op = "nul_ctrl"; context = Cn; declared; payload;
-      der = build Cn declared payload }
+    Structured { op = "nul_ctrl"; context = Cn; declared; payload }
   else
-    { op = "nul_ctrl"; context = San; declared = Asn1.Str_type.Ia5_string;
-      payload; der = build San Asn1.Str_type.Ia5_string payload }
+    Structured
+      { op = "nul_ctrl"; context = San; declared = Asn1.Str_type.Ia5_string;
+        payload }
 
 (* Cross-encode: serialize the text under one encoding, declare a type
    whose standard encoding is another (BMP/UTF-8/UCS-2 confusions). *)
@@ -179,8 +193,7 @@ let op_reencode g =
     | _ -> text
   in
   let declared = cn_types.(Ucrypto.Prng.int g (Array.length cn_types)) in
-  { op = "reencode"; context = Cn; declared; payload;
-    der = build Cn declared payload }
+  Structured { op = "reencode"; context = Cn; declared; payload }
 
 (* Byte-level recombination of a corpus parent through the mutator. *)
 let op_byte_mutant g corpus =
@@ -188,14 +201,13 @@ let op_byte_mutant g corpus =
   let mseed = Int64.to_int (Ucrypto.Prng.bits64 g) land max_int in
   let plan = Faults.Mutator.plan ~seed:mseed ~rate:1.0 () in
   let der, kind = Faults.Mutator.mutate plan ~index:0 parent in
-  { op = "byte_mutant:" ^ Faults.Mutator.kind_name kind; context = Cn;
-    declared = Asn1.Str_type.Utf8_string; payload = ""; der }
+  Mutant { op = "byte_mutant:" ^ Faults.Mutator.kind_name kind; der }
 
 (* Rounds are capped at [max_round_size] candidates so
    [(round, index)] packs injectively into one stream index. *)
 let max_round_size = 1 lsl 20
 
-let candidate ~seed ~round ~index ~corpus =
+let draw ~seed ~round ~index ~corpus =
   let g = Ucrypto.Prng.of_pair seed ((round * max_round_size) + index) in
   let structured =
     [ (op_redeclare, 2.0); (op_confusable, 2.0); (op_bad_alabel, 2.0);
@@ -206,3 +218,12 @@ let candidate ~seed ~round ~index ~corpus =
     else ((fun g -> op_byte_mutant g corpus), 3.0) :: structured
   in
   Ucrypto.Prng.weighted g choices g
+
+let spec_of_draw = function
+  | Structured { op; context; declared; payload } ->
+      { op; context; declared; payload; der = build context declared payload }
+  | Mutant { op; der } ->
+      { op; context = Cn; declared = Asn1.Str_type.Utf8_string; payload = ""; der }
+
+let candidate ~seed ~round ~index ~corpus =
+  spec_of_draw (draw ~seed ~round ~index ~corpus)

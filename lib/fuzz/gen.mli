@@ -25,11 +25,31 @@ val max_round_size : int
 (** Upper bound on candidates per round; [(round, index)] packs
     injectively into one PRNG stream index below it. *)
 
+(** A candidate before its certificate is built. *)
+type draw =
+  | Structured of {
+      op : string;
+      context : context;
+      declared : Asn1.Str_type.t;
+      payload : string;
+    }
+      (** one mutated field; its certificate is a pure function of
+          [(context, declared, payload)] *)
+  | Mutant of { op : string; der : string }
+      (** a byte-level mutant of a corpus parent, already encoded *)
+
+val draw : seed:int -> round:int -> index:int -> corpus:string array -> draw
+(** [draw ~seed ~round ~index ~corpus] is the [index]-th candidate of
+    [round] with its certificate not yet built: deterministic given the
+    arguments.  [corpus] enables byte-level mutation of kept seeds;
+    when empty only structured operations are drawn. *)
+
+val spec_of_draw : draw -> spec
+(** Builds a structured draw's certificate with {!build}. *)
+
 val candidate : seed:int -> round:int -> index:int -> corpus:string array -> spec
-(** [candidate ~seed ~round ~index ~corpus] is the [index]-th candidate
-    of [round]: deterministic given the arguments.  [corpus] enables
-    byte-level mutation of kept seeds; when empty only structured
-    operations are drawn. *)
+(** [candidate ~seed ~round ~index ~corpus] is
+    [spec_of_draw (draw ~seed ~round ~index ~corpus)]. *)
 
 val build : context -> Asn1.Str_type.t -> string -> string
 (** [build context st payload] is the DER of a test certificate whose

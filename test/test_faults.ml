@@ -133,6 +133,210 @@ let parse_totality =
       match X509.Certificate.parse corrupted with
       | Ok _ | Error _ -> true)
 
+(* The mutator's kernels as they were before their scans became
+   256-entry tables and their byte writes one [Bytes] copy: the oracle
+   the table-driven kernels must match draw for draw. *)
+module Mutator_reference = struct
+  open Faults.Mutator
+
+  let stream seed index attempt =
+    Ucrypto.Prng.create
+      (((seed * 0x9E3779B1) lxor (index * 0x85EBCA77)) lxor (attempt * 0xC2B2AE3D))
+
+  let set_byte s i b =
+    String.mapi (fun j c -> if j = i then Char.chr (b land 0xFF) else c) s
+
+  let byte_flip g s =
+    let i = Ucrypto.Prng.int g (String.length s) in
+    let bit = 1 lsl Ucrypto.Prng.int g 8 in
+    set_byte s i (Char.code s.[i] lxor bit)
+
+  let length_lie g s =
+    let n = String.length s in
+    if n < 4 then byte_flip g s
+    else begin
+      let l0 = Char.code s.[1] in
+      if l0 < 0x80 then set_byte s 1 ((l0 + 1 + Ucrypto.Prng.int g 126) mod 0x80)
+      else begin
+        let count = l0 land 0x7F in
+        if count = 0 || 2 + count > n then byte_flip g s
+        else begin
+          let i = 2 + Ucrypto.Prng.int g count in
+          set_byte s i (Char.code s.[i] lxor (1 + Ucrypto.Prng.int g 255))
+        end
+      end
+    end
+
+  let truncate g s =
+    let n = String.length s in
+    if n <= 1 then s ^ "\x30"
+    else String.sub s 0 (1 + Ucrypto.Prng.int g (n - 1))
+
+  let tag_swaps =
+    [ (0x30, 0x31); (0x31, 0x30); (0x0C, 0x13); (0x13, 0x16); (0x16, 0x0C);
+      (0x02, 0x03); (0x03, 0x02); (0x04, 0x05); (0x06, 0x02); (0x17, 0x18);
+      (0x18, 0x17); (0xA0, 0x80); (0xA3, 0x83) ]
+
+  let tag_swap g s =
+    let candidates = ref [] in
+    String.iteri
+      (fun i c ->
+        if List.mem_assoc (Char.code c) tag_swaps then candidates := i :: !candidates)
+      s;
+    match !candidates with
+    | [] -> byte_flip g s
+    | l ->
+        let arr = Array.of_list l in
+        let i = arr.(Ucrypto.Prng.int g (Array.length arr)) in
+        set_byte s i (List.assoc (Char.code s.[i]) tag_swaps)
+
+  let tlv_at s off =
+    let n = String.length s in
+    if off + 2 > n then None
+    else begin
+      let l0 = Char.code s.[off + 1] in
+      if l0 < 0x80 then
+        let stop = off + 2 + l0 in
+        if stop <= n && l0 > 0 then Some (off, stop) else None
+      else begin
+        let count = l0 land 0x7F in
+        if count = 0 || count > 3 || off + 2 + count > n then None
+        else begin
+          let len = ref 0 in
+          for i = 1 to count do
+            len := (!len lsl 8) lor Char.code s.[off + 1 + i]
+          done;
+          let stop = off + 2 + count + !len in
+          if stop <= n then Some (off, stop) else None
+        end
+      end
+    end
+
+  let random_tlv g s =
+    let n = String.length s in
+    let rec go tries =
+      if tries = 0 then None
+      else
+        match tlv_at s (2 + Ucrypto.Prng.int g (max 1 (n - 2))) with
+        | Some (a, b) when b - a < n -> Some (a, b)
+        | _ -> go (tries - 1)
+    in
+    go 16
+
+  let dup_tlv g s =
+    match random_tlv g s with
+    | Some (a, b) ->
+        String.sub s 0 b ^ String.sub s a (b - a) ^ String.sub s b (String.length s - b)
+    | None ->
+        let n = String.length s in
+        let a = Ucrypto.Prng.int g n in
+        let len = 1 + Ucrypto.Prng.int g (min 16 (n - a)) in
+        String.sub s 0 (a + len) ^ String.sub s a len ^ String.sub s (a + len) (n - a - len)
+
+  let del_tlv g s =
+    match random_tlv g s with
+    | Some (a, b) -> String.sub s 0 a ^ String.sub s b (String.length s - b)
+    | None ->
+        let n = String.length s in
+        if n <= 2 then truncate g s
+        else begin
+          let a = 1 + Ucrypto.Prng.int g (n - 2) in
+          let len = 1 + Ucrypto.Prng.int g (min 8 (n - a - 1)) in
+          String.sub s 0 a ^ String.sub s (a + len) (n - a - len)
+        end
+
+  let oversized_oid g s =
+    let n = String.length s in
+    let spots = ref [] in
+    for i = 0 to n - 3 do
+      if Char.code s.[i] = 0x06 then begin
+        let len = Char.code s.[i + 1] in
+        if len >= 1 && len < 0x80 && i + 2 + len <= n then spots := (i, len) :: !spots
+      end
+    done;
+    match !spots with
+    | [] -> byte_flip g s
+    | l ->
+        let arr = Array.of_list l in
+        let i, len = arr.(Ucrypto.Prng.int g (Array.length arr)) in
+        let filler =
+          if len >= 2 && Ucrypto.Prng.bool g then String.make (len - 1) '\x8F' ^ "\x7F"
+          else String.make len '\xFF'
+        in
+        String.sub s 0 (i + 2) ^ filler ^ String.sub s (i + 2 + len) (n - i - 2 - len)
+
+  let string_tags = [ 0x0C; 0x12; 0x13; 0x14; 0x16; 0x1A; 0x1C; 0x1E ]
+
+  let overwrite_in_string g byte_of s =
+    let n = String.length s in
+    let spots = ref [] in
+    for i = 0 to n - 3 do
+      if List.mem (Char.code s.[i]) string_tags then begin
+        let len = Char.code s.[i + 1] in
+        if len >= 1 && len < 0x80 && i + 2 + len <= n then spots := (i, len) :: !spots
+      end
+    done;
+    match !spots with
+    | [] -> byte_flip g s
+    | l ->
+        let arr = Array.of_list l in
+        let i, len = arr.(Ucrypto.Prng.int g (Array.length arr)) in
+        set_byte s (i + 2 + Ucrypto.Prng.int g len) (byte_of g)
+
+  let apply g kind s =
+    match kind with
+    | Byte_flip -> byte_flip g s
+    | Length_lie -> length_lie g s
+    | Truncate -> truncate g s
+    | Tag_swap -> tag_swap g s
+    | Dup_tlv -> dup_tlv g s
+    | Del_tlv -> del_tlv g s
+    | Oversized_oid -> oversized_oid g s
+    | Nul_inject -> overwrite_in_string g (fun _ -> 0x00) s
+    | Ctrl_inject -> overwrite_in_string g (fun g -> 1 + Ucrypto.Prng.int g 0x1F) s
+
+  let mutate ~attempt ~kinds ~seed ~index der =
+    let g = stream seed index (attempt + 1) in
+    let kind = Ucrypto.Prng.pick_list g kinds in
+    let rec go kind tries =
+      let out = apply g kind der in
+      if String.equal out der && tries > 0 then go Byte_flip (tries - 1)
+      else if String.equal out der then truncate g der
+      else out
+    in
+    (go kind 3, kind)
+end
+
+(* Inputs rich in what the kernels look for: tag bytes, string tags and
+   short lengths, mixed with arbitrary bytes and the sample certificate. *)
+let mutator_input =
+  let open QCheck.Gen in
+  let byte =
+    frequency
+      [ (3, map Char.chr (int_bound 255));
+        (2, map Char.chr (oneofl [ 0x30; 0x31; 0x0C; 0x13; 0x16; 0x06; 0x02; 0xA0; 0xA3; 0x1E ]));
+        (2, map Char.chr (int_range 1 12)) ]
+  in
+  frequency
+    [ (3, string_size ~gen:byte (int_range 1 300));
+      (1, map (fun () -> Lazy.force sample_der) unit) ]
+
+let mutator_kernels_match =
+  QCheck.Test.make ~name:"mutator kernels match the list-scan reference" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (s, (k, seed, index, attempt)) ->
+          Printf.sprintf "kind %s seed %d index %d attempt %d input %S"
+            (Faults.Mutator.kind_name k) seed index attempt s)
+        Gen.(
+          pair mutator_input
+            (quad (oneofl Faults.Mutator.all_kinds) (int_bound 100_000) (int_bound 1000)
+               (int_bound 3))))
+    (fun (der, (kind, seed, index, attempt)) ->
+      let plan = Faults.Mutator.plan ~kinds:[ kind ] ~seed ~rate:1.0 () in
+      Faults.Mutator.mutate ~attempt plan ~index der
+      = Mutator_reference.mutate ~attempt ~kinds:[ kind ] ~seed ~index der)
+
 (* --- quarantine ------------------------------------------------------- *)
 
 let test_quarantine_roundtrip () =
@@ -713,6 +917,7 @@ let suite =
     Alcotest.test_case "mutator determinism" `Quick test_mutator_determinism;
     Alcotest.test_case "mutator rate" `Quick test_mutator_rate;
     Alcotest.test_case "mutator kinds" `Quick test_mutator_kinds;
+    qtest mutator_kernels_match;
     qtest parse_totality;
     Alcotest.test_case "quarantine roundtrip" `Quick test_quarantine_roundtrip;
     Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;

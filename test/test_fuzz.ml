@@ -411,6 +411,256 @@ let test_campaign_golden () =
       check Alcotest.string (label ^ " digest") digest (campaign_digest r))
     golden_campaigns
 
+(* --- the campaign against a fold that evaluates every candidate --- *)
+
+(* [Campaign.run]'s initial corpus. *)
+let campaign_initial_corpus () =
+  List.map
+    (fun m -> (Tlsparsers.Testgen.make m).X509.Certificate.der)
+    [ Tlsparsers.Testgen.Subject_attr
+        (X509.Attr.Common_name, Asn1.Str_type.Printable_string, "test.com");
+      Tlsparsers.Testgen.Subject_attr
+        (X509.Attr.Common_name, Asn1.Str_type.Utf8_string, "b\xC3\xBCcher.example");
+      Tlsparsers.Testgen.Subject_attr
+        (X509.Attr.Common_name, Asn1.Str_type.Bmp_string, "\x00t\x00e\x00s\x00t");
+      Tlsparsers.Testgen.San_dns "xn--bcher-kva.example" ]
+
+let structured_key = function
+  | Fuzz.Gen.Structured { context; declared; payload; _ } -> Some (context, declared, payload)
+  | Fuzz.Gen.Mutant _ -> None
+
+(* The campaign's fold with [Exec.eval] run on every candidate.  Returns
+   the result [Campaign.run] must produce and, in execution order, each
+   candidate's round, structured key and evaluation. *)
+let oracle_campaign (cfg : Fuzz.Campaign.config) =
+  let seen = Hashtbl.create 256 and counts = Hashtbl.create 256 in
+  let corpus = ref (campaign_initial_corpus ()) and signatures = ref 0 in
+  let findings = ref [] and crashes = Hashtbl.create 16 and first = ref None in
+  let executed = ref [] and executions = ref 0 and rounds = ref 0 in
+  while !executions < cfg.Fuzz.Campaign.budget do
+    let n = min cfg.Fuzz.Campaign.round_size (cfg.Fuzz.Campaign.budget - !executions) in
+    let snapshot = Array.of_list !corpus in
+    let seed = cfg.Fuzz.Campaign.seed and round = !rounds in
+    for index = 0 to n - 1 do
+      let spec = Fuzz.Gen.candidate ~seed ~round ~index ~corpus:snapshot in
+      let e =
+        try Fuzz.Exec.eval ~threshold:cfg.Fuzz.Campaign.breaker_threshold spec.Fuzz.Gen.der
+        with exn -> Fuzz.Exec.crash_eval (Faults.Error.exn_name exn)
+      in
+      executed :=
+        (round, structured_key (Fuzz.Gen.draw ~seed ~round ~index ~corpus:snapshot), e)
+        :: !executed;
+      let exec = !executions + index and sg = e.Fuzz.Exec.signature in
+      if e.Fuzz.Exec.cls <> "agreement" then begin
+        if !first = None then first := Some exec;
+        Hashtbl.replace counts sg (1 + Option.value ~default:0 (Hashtbl.find_opt counts sg))
+      end;
+      List.iter
+        (fun (m, c) ->
+          Hashtbl.replace crashes m (c + Option.value ~default:0 (Hashtbl.find_opt crashes m)))
+        e.Fuzz.Exec.crashes;
+      if not (Hashtbl.mem seen sg) then begin
+        Hashtbl.add seen sg ();
+        incr signatures;
+        if List.length !corpus < cfg.Fuzz.Campaign.corpus_cap then
+          corpus := !corpus @ [ spec.Fuzz.Gen.der ];
+        if e.Fuzz.Exec.cls <> "agreement" then
+          findings :=
+            { Fuzz.Findings.round; index; exec;
+              cluster = Fuzz.Findings.cluster_id ~cls:e.Fuzz.Exec.cls ~signature:sg;
+              cls = e.Fuzz.Exec.cls; signature = sg; op = spec.Fuzz.Gen.op;
+              context = Fuzz.Gen.context_name spec.Fuzz.Gen.context;
+              declared = Asn1.Str_type.name spec.Fuzz.Gen.declared; count = 0;
+              der = spec.Fuzz.Gen.der; min_der = None }
+            :: !findings
+      end
+    done;
+    executions := !executions + n;
+    incr rounds
+  done;
+  let findings =
+    List.rev_map
+      (fun (f : Fuzz.Findings.finding) ->
+        { f with Fuzz.Findings.count = Hashtbl.find counts f.Fuzz.Findings.signature })
+      !findings
+  in
+  let degraded =
+    Hashtbl.fold
+      (fun m c acc -> if c >= cfg.Fuzz.Campaign.breaker_threshold then (m, c) :: acc else acc)
+      crashes []
+    |> List.sort compare
+  in
+  ( { Fuzz.Campaign.status = Fuzz.Campaign.Completed; executions = !executions;
+      rounds = !rounds; findings; corpus_size = List.length !corpus;
+      signatures = !signatures; degraded; first_disagreement = !first },
+    List.rev !executed )
+
+(* The fields of a campaign result that differ. *)
+let campaign_diff (a : Fuzz.Campaign.t) (b : Fuzz.Campaign.t) =
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [ ("status", a.Fuzz.Campaign.status = b.Fuzz.Campaign.status);
+      ("executions", a.Fuzz.Campaign.executions = b.Fuzz.Campaign.executions);
+      ("rounds", a.Fuzz.Campaign.rounds = b.Fuzz.Campaign.rounds);
+      ("findings", a.Fuzz.Campaign.findings = b.Fuzz.Campaign.findings);
+      ("signatures", a.Fuzz.Campaign.signatures = b.Fuzz.Campaign.signatures);
+      ("first_disagreement",
+       a.Fuzz.Campaign.first_disagreement = b.Fuzz.Campaign.first_disagreement);
+      ("corpus_size", a.Fuzz.Campaign.corpus_size = b.Fuzz.Campaign.corpus_size);
+      ("degraded", a.Fuzz.Campaign.degraded = b.Fuzz.Campaign.degraded) ]
+
+let check_same_campaign label want got =
+  check Alcotest.(list string) (label ^ ": fields that differ from the oracle") []
+    (campaign_diff want got)
+
+(* The campaign's table, modelled: a structured key is a repeat when an
+   earlier round evaluated it, and a round's new keys enter the table
+   after the round while it holds fewer than [cap].  Returns the repeat
+   count and the evaluations that must really run. *)
+let table_model ~cap executed =
+  let table = Hashtbl.create 256 and pending = ref [] and round = ref 0 in
+  let flush () =
+    List.iter
+      (fun k -> if Hashtbl.length table < cap && not (Hashtbl.mem table k) then Hashtbl.add table k ())
+      (List.rev !pending);
+    pending := []
+  in
+  let repeats = ref 0 and evaluated = ref [] in
+  List.iter
+    (fun (r, key, e) ->
+      if r <> !round then begin
+        flush ();
+        round := r
+      end;
+      match key with
+      | Some k when Hashtbl.mem table k -> incr repeats
+      | _ ->
+          Option.iter (fun k -> pending := k :: !pending) key;
+          evaluated := e :: !evaluated)
+    executed;
+  (!repeats, !evaluated)
+
+let counter_total name =
+  match Obs.Registry.find Obs.Registry.default name with
+  | Some (Obs.Registry.Counter c) -> int_of_float (Obs.Counter.value c)
+  | _ -> 0
+
+(* Every model's probes, summed: accept + reject + error. *)
+let all_probes () =
+  List.fold_left
+    (fun acc m -> acc + fst (parser_probe_totals m.Tlsparsers.Model.name))
+    0 Tlsparsers.Models.all
+
+let probes_of (e : Fuzz.Exec.eval) =
+  let count tokens =
+    String.fold_left (fun n c -> if String.contains "-X" c then n else n + 1) 0 tokens
+  in
+  count e.Fuzz.Exec.cn_tokens + count e.Fuzz.Exec.san_tokens
+
+(* Runs [f] and returns its result with the deltas of the execution,
+   repeat and probe counters. *)
+let with_deltas f =
+  let execs = counter_total "unicert_fuzz_execs_total"
+  and repeats = counter_total "unicert_fuzz_repeats_total"
+  and probes = all_probes () in
+  let r = f () in
+  ( r,
+    counter_total "unicert_fuzz_execs_total" - execs,
+    counter_total "unicert_fuzz_repeats_total" - repeats,
+    all_probes () - probes )
+
+(* A campaign interrupted by its wall-clock budget after a few rounds,
+   then resumed from its checkpoint to the end of its budget. *)
+let resumed_campaign ?(max_seconds = 0.002) (cfg : Fuzz.Campaign.config) =
+  let path = Filename.temp_file "unicert-fuzz-resume" ".ckpt" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let first =
+        Fuzz.Campaign.run
+          { cfg with Fuzz.Campaign.checkpoint = Some path; max_seconds = Some max_seconds }
+      in
+      ( first,
+        Fuzz.Campaign.run
+          { cfg with Fuzz.Campaign.checkpoint = Some path; resume = true } ))
+
+let campaign_cfg ?(jobs = 1) ?(round_size = 64) ~seed ~budget () =
+  { Fuzz.Campaign.default_config with Fuzz.Campaign.seed; budget; round_size; jobs }
+
+let test_campaign_table () =
+  let cfg = campaign_cfg ~seed:5 ~budget:700 () in
+  let want, executed = oracle_campaign cfg in
+  (* the table: counters, and the probes that really ran *)
+  let got, execs, repeats, probes = with_deltas (fun () -> Fuzz.Campaign.run cfg) in
+  check_same_campaign "table" want got;
+  let model_repeats, evaluated = table_model ~cap:max_int executed in
+  check Alcotest.bool "the campaign repeats some keys" true (model_repeats > 0);
+  check Alcotest.int "repeats" model_repeats repeats;
+  check Alcotest.int "executions" cfg.Fuzz.Campaign.budget execs;
+  check Alcotest.int "executions = repeats + evaluations" execs
+    (repeats + List.length evaluated);
+  check Alcotest.int "probes of the evaluated candidates only"
+    (List.fold_left (fun n e -> n + probes_of e) 0 evaluated)
+    probes;
+  (* the table at its cap *)
+  List.iter
+    (fun cap ->
+      let got, _, repeats, _ =
+        with_deltas (fun () -> Fuzz.Campaign.run ~table_cap:cap cfg)
+      in
+      let label = Printf.sprintf "cap %d" cap in
+      check_same_campaign label want got;
+      check Alcotest.int (label ^ " repeats") (fst (table_model ~cap executed)) repeats)
+    [ 0; 1; 16 ];
+  (* a resume in the middle of a campaign starts with an empty table *)
+  let cfg = campaign_cfg ~seed:2 ~budget:2048 () in
+  let want, _ = oracle_campaign cfg in
+  let first, got = resumed_campaign cfg in
+  check Alcotest.bool "the first leg stops before its budget" true
+    (first.Fuzz.Campaign.executions < cfg.Fuzz.Campaign.budget);
+  check_same_campaign "resumed" want got
+
+(* Where evaluation is not a pure function of the candidate, every
+   candidate is evaluated: a model crashing on every third probe is
+   probed as often as the oracle probes it. *)
+let test_campaign_bypass () =
+  let cfg = campaign_cfg ~seed:3 ~budget:300 () in
+  let target = "model:" ^ (List.hd Tlsparsers.Models.all).Tlsparsers.Model.name in
+  let armed f =
+    Faults.Injector.reset ();
+    Faults.Injector.arm ~every:3 target;
+    Fun.protect ~finally:Faults.Injector.reset f
+  in
+  let want, _ = armed (fun () -> oracle_campaign cfg) in
+  let got, _, repeats, _ = armed (fun () -> with_deltas (fun () -> Fuzz.Campaign.run cfg)) in
+  check_same_campaign "injector armed" want got;
+  check Alcotest.int "no repeats with an armed injector" 0 repeats;
+  check Alcotest.bool "the injected crashes show" true (got.Fuzz.Campaign.degraded <> []);
+  let want, _ = oracle_campaign cfg in
+  let got, _, repeats, _ =
+    with_deltas (fun () -> Fuzz.Campaign.run { cfg with Fuzz.Campaign.timeout = 10. })
+  in
+  check_same_campaign "watchdog on" want got;
+  check Alcotest.int "no repeats under a watchdog" 0 repeats
+
+let prop_campaign_oracle =
+  QCheck.Test.make ~name:"campaign equals a fold that evaluates every candidate" ~count:20
+    (QCheck.make
+       ~print:(fun (seed, budget, round_size, (jobs, resume)) ->
+         Printf.sprintf "seed %d budget %d round_size %d jobs %d resume %b" seed budget
+           round_size jobs resume)
+       QCheck.Gen.(
+         quad (int_bound 10_000) (int_range 1 400) (int_range 1 96)
+           (pair (int_range 1 2) bool)))
+    (fun (seed, budget, round_size, (jobs, resume)) ->
+      let cfg = campaign_cfg ~jobs ~round_size ~seed ~budget () in
+      let want, _ = oracle_campaign cfg in
+      let got = if resume then snd (resumed_campaign cfg) else Fuzz.Campaign.run cfg in
+      match campaign_diff want got with
+      | [] -> true
+      | fields -> QCheck.Test.fail_reportf "differs in %s" (String.concat ", " fields))
+
 (* The regression corpus: minimized reproducers for anomaly clusters
    beyond Tables 4/5, discovered by the pinned seed-7 campaign.  Each
    must still evaluate to its cluster's class and outcome signature. *)
@@ -471,6 +721,10 @@ let suite =
       test_campaign_deterministic;
     Alcotest.test_case "reproducer corpus regression" `Quick test_reproducers;
     Alcotest.test_case "golden campaign digests" `Quick test_campaign_golden;
+    Alcotest.test_case "campaign table: repeats, cap and resume" `Quick
+      test_campaign_table;
+    Alcotest.test_case "campaign table bypass" `Quick test_campaign_bypass;
+    QCheck_alcotest.to_alcotest prop_campaign_oracle;
     Alcotest.test_case "probe telemetry per model" `Quick test_probe_telemetry;
     Alcotest.test_case "lenient-only path" `Quick test_lenient_only_path;
     QCheck_alcotest.to_alcotest prop_parse_once_candidates;
